@@ -2,8 +2,9 @@
 
 The library models concurrent systems whose n-dimensional transitions stand
 for n events running independently, and decides history-preserving
-bisimilarity for finite models through a one-step greatest-fixed-point
-characterization, cross-validated by a run-based check on unfoldings.
+bisimilarity for finite models through its one-step characterization,
+decided by partition refinement and cross-validated by a run-based check on
+unfoldings.
 """
 
 __version__ = "0.1.0"

@@ -1,24 +1,32 @@
-"""Open-map checking and fixed-point decision of (hp-)bisimilarity.
+"""Open-map checking and the partition-refinement decision of (hp-)bisimilarity.
 
 Two HDA are bisimilar exactly when some face-closed relation R on
 equal-dimension cube pairs contains the pair of initial cubes and has the
 zig-zag property on reachable pairs: whenever (x1, y1) is related and x1 is
 the k-th lower face of some x2, then y1 is the k-th lower face of some y2
-with (x2, y2) related, and symmetrically.  The decision procedure deletes
-violating pairs from the full equal-dimension relation until nothing changes;
-the surviving relation is the greatest witness.
+with (x2, y2) related, and symmetrically.  Faces are deterministic
+transitions and lower cofaces with index k are nondeterministic ones, so
+this is an ordinary strong bisimulation on a finite transition system.  The
+decision refines a partition of the disjoint union of the two reachable
+parts, starting from blocks of equal dimension (and label), until every
+block agrees on the blocks of its cubes' faces and lower cofaces; the
+models are bisimilar when both initial cubes end in one block.  Faces and
+lower cofaces of reachable cubes are reachable, so nothing outside the
+reachable parts can matter.
 
 History-preserving bisimilarity (runs related up to homotopy and extension)
 coincides with this relation-based notion, which is what the `hp_*` entry
-points implement; `hp_oracle` cross-checks them on truncated unfoldings,
-where the zig-zag condition on homotopy classes is the run-based definition
-made one-step.
+points implement; `hp_oracle` cross-checks them on truncated unfoldings
+with an independent engine, a pairwise greatest fixed point, where the
+zig-zag condition on homotopy classes is the run-based definition made
+one-step.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import (HDA, Labeling, ModelError, PrecubicalMorphism,
                    PrecubicalSet, reachable)
@@ -156,62 +164,122 @@ def _greatest_relation(xs: PrecubicalSet, ys: PrecubicalSet,
 
 
 def _universe(xs: PrecubicalSet, ys: PrecubicalSet,
-              lx: Labeling | None = None,
-              ly: Labeling | None = None) -> list[Pair]:
+              label_x: Callable[[str], object] | None = None,
+              label_y: Callable[[str], object] | None = None) -> list[Pair]:
+    """Equal-dimension cube pairs; with per-side label lookups, only pairs
+    whose labels agree."""
     pairs: list[Pair] = []
     for n in range(min(xs.max_dim(), ys.max_dim()) + 1):
         for x in xs.by_dim(n):
             for y in ys.by_dim(n):
-                if lx is not None and lx.assign.get(x) != ly.assign.get(y):
+                if label_x is not None and label_x(x) != label_y(y):
                     continue
                 pairs.append((x, y))
     return pairs
 
 
-def _decide(x_hda: HDA, y_hda: HDA,
-            lx: Labeling | None, ly: Labeling | None,
-            justification: str) -> BisimDecision:
-    xs, ys = x_hda.space, y_hda.space
+def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
     if (lx is None) != (ly is None):
         raise ModelError("either both or neither model must be labeled")
     if lx is not None and lx.events != ly.events:
         raise ModelError("mismatched event alphabets; align event order first")
-    universe = _universe(xs, ys, lx, ly)
-    reach_x, reach_y = reachable(x_hda), reachable(y_hda)
 
-    def zig_obliged(x: str, y: str) -> bool:
-        return x in reach_x and y in reach_y
 
-    alive, deletions = _greatest_relation(xs, ys, universe, zig_obliged)
+def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
+            ly: Labeling | None) -> tuple[dict[str, int], dict[str, int], int]:
+    """The coarsest stable partition of the disjoint union of both reachable
+    parts: cube -> block number for each side, and the number of rounds.
+
+    The initial blocks group cubes by dimension and label; a round splits
+    every block by the signature (block, blocks of the faces in (nu, k)
+    order, set of (k, block) over the lower cofaces) and the partition is
+    stable once a round splits nothing.
+    """
+    index: list[dict[str, int]] = []
+    faces: list[tuple[int, ...]] = []
+    cofaces: list[tuple[tuple[int, int], ...]] = []
+    block: list[int] = []
+    initial: dict[tuple[int, object], int] = {}
+    for hda, labeling in ((x_hda, lx), (y_hda, ly)):
+        space, reach = hda.space, reachable(hda)
+        local = {c: len(faces) + j
+                 for j, c in enumerate(c for c in space.ids() if c in reach)}
+        index.append(local)
+        for c in local:
+            cube = space.cube(c)
+            try:
+                faces.append(tuple(local[f] for f in cube.lower + cube.upper))
+            except KeyError:
+                raise ModelError(f"a face of the reachable cube {c!r} is not "
+                                 "reachable; validate the model first") from None
+            cofaces.append(tuple((k, local[p])
+                                 for k, p in space.cofaces_lower(c)))
+            label = None if labeling is None else labeling.assign.get(c)
+            block.append(initial.setdefault((cube.dim, label), len(initial)))
+    count, rounds = len(initial), 0
+    while True:
+        rounds += 1
+        signatures: dict[tuple, int] = {}
+        block = [signatures.setdefault(
+                     (block[i], tuple(block[f] for f in faces[i]),
+                      frozenset((k, block[p]) for k, p in cofaces[i])),
+                     len(signatures))
+                 for i in range(len(block))]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    return ({c: block[i] for c, i in index[0].items()},
+            {c: block[i] for c, i in index[1].items()}, rounds)
+
+
+def _decide(x_hda: HDA, y_hda: HDA,
+            lx: Labeling | None, ly: Labeling | None,
+            justification: str) -> BisimDecision:
+    _check_labelings(lx, ly)
+    if x_hda.space.frontier or y_hda.space.frontier:
+        raise ModelError("cannot decide bisimilarity of a truncated model "
+                         "(non-empty frontier); use `oracle` for truncated trees")
+    blocks_x, blocks_y, rounds = _refine(x_hda, y_hda, lx, ly)
     root = (x_hda.initial, y_hda.initial)
-    ok = root in alive
-    witness = sorted(alive) if ok else None
+    ok = blocks_x[x_hda.initial] == blocks_y[y_hda.initial]
+    witness = None
     if ok:
+        members: dict[int, tuple[list[str], list[str]]] = {}
+        for side, blocks in enumerate((blocks_x, blocks_y)):
+            for c, b in blocks.items():
+                members.setdefault(b, ([], []))[side].append(c)
+        witness = sorted((x, y) for xs, ys in members.values()
+                         for x in xs for y in ys)
         # Independent audit of the returned witness; failure here would be
         # an engine bug, not a property of the inputs.
         problems = verify_bisim_relation(x_hda, y_hda, witness, lx, ly)
         if problems:
-            raise RuntimeError("fixed-point witness failed its audit: "
+            raise RuntimeError("partition witness failed its audit: "
                                + "; ".join(problems[:3]))
     counterexample = None if ok else {
         "pair": list(root),
-        "detail": "the initial pair cannot survive the fixed point",
+        "detail": "the initial cubes end in different blocks of the "
+                  "coarsest stable partition",
     }
     return BisimDecision(ok, witness, justification,
-                         counterexample=counterexample, iterations=deletions)
+                         counterexample=counterexample, iterations=rounds)
 
 
 def bisimilar(x_hda: HDA, y_hda: HDA) -> BisimDecision:
-    """Decide bisimilarity of finite HDA; on success the witness is the
-    greatest face-closed zig-zag relation."""
-    return _decide(x_hda, y_hda, None, None, "one-step-fixed-point")
+    """Decide bisimilarity of finite, untruncated HDA; on success the
+    witness is the greatest face-closed zig-zag relation on reachable pairs.
+
+    Raises ModelError when either model has a frontier (a truncated tree
+    leaves faces unknown; `hp_oracle` handles those).
+    """
+    return _decide(x_hda, y_hda, None, None, "partition-refinement")
 
 
 def labeled_bisimilar(x_hda: HDA, lx: Labeling,
                       y_hda: HDA, ly: Labeling) -> BisimDecision:
-    """As `bisimilar`, with the pair universe restricted to cubes carrying
-    identical label tuples over a shared alphabet."""
-    return _decide(x_hda, y_hda, lx, ly, "labeled-one-step-fixed-point")
+    """As `bisimilar`, relating only cubes that carry identical label tuples
+    over a shared alphabet."""
+    return _decide(x_hda, y_hda, lx, ly, "labeled-partition-refinement")
 
 
 def hp_bisimilar(x_hda: HDA, y_hda: HDA,
@@ -221,7 +289,7 @@ def hp_bisimilar(x_hda: HDA, y_hda: HDA,
 
     Hp-bisimilarity, homotopy bisimilarity, and span-of-open-maps
     bisimilarity all coincide for (labeled) HDA, so the decision reduces to
-    the same one-step fixed point.
+    the same one-step partition refinement.
     """
     if lx is not None or ly is not None:
         decision = labeled_bisimilar(x_hda, lx, y_hda, ly)
@@ -285,24 +353,15 @@ def hp_oracle(x_hda: HDA, y_hda: HDA, depth: int,
     definite as well, because the frontier was treated optimistically.
     Otherwise the verdict is `inconclusive` at the given bound.
     """
-    if (lx is None) != (ly is None):
-        raise ModelError("either both or neither model must be labeled")
-    if lx is not None and lx.events != ly.events:
-        raise ModelError("mismatched event alphabets; align event order first")
+    _check_labelings(lx, ly)
     ux: Unfolding = unfold(x_hda, depth, cap)
     uy: Unfolding = unfold(y_hda, depth, cap)
     xs, ys = ux.tree.space, uy.tree.space
-
-    def label_of(u: Unfolding, labeling: Labeling | None, node: str):
-        return None if labeling is None else labeling.assign.get(u.project(node))
-
-    pairs: list[Pair] = []
-    for n in range(min(xs.max_dim(), ys.max_dim()) + 1):
-        for x in xs.by_dim(n):
-            for y in ys.by_dim(n):
-                if lx is not None and label_of(ux, lx, x) != label_of(uy, ly, y):
-                    continue
-                pairs.append((x, y))
+    if lx is None:
+        pairs = _universe(xs, ys)
+    else:
+        pairs = _universe(xs, ys, lambda x: lx.assign.get(ux.project(x)),
+                          lambda y: ly.assign.get(uy.project(y)))
 
     def zig_obliged(x: str, y: str) -> bool:
         return x not in ux.frontier and y not in uy.frontier

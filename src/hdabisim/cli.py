@@ -2,7 +2,10 @@
 
 Exit codes: 0 = property holds / validation ok, 1 = property fails,
 2 = input error, 3 = resource cap exceeded (including `inconclusive` and
-`exhausted` verdicts, which stop at a configured bound).
+`exhausted` verdicts, which stop at a configured bound), 4 = internal error
+(a bug, such as a witness failing its audit), reported as
+``{"result": "internal-error", "error": "<type>: <message>"}`` with the
+traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
 Environment variables `HDABISIM_CAP` and `HDABISIM_DEPTH` override the
@@ -16,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -139,10 +143,6 @@ def _emit(report: dict, pretty: bool, out) -> int:
     return 2
 
 
-def _load(path: str) -> LoadedModel:
-    return load_model(path)
-
-
 def _require_valid(loaded: LoadedModel, path: str) -> None:
     report = validate_model(loaded.hda, loaded.labeling)
     if not report.ok:
@@ -182,14 +182,14 @@ def _cap_arg(args) -> int:
 
 
 def _run_validate(args, out) -> int:
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     report = validate_model(loaded.hda, loaded.labeling).to_json()
     report["file"] = args.file
     return _emit(report, args.pretty, out)
 
 
 def _run_reachable(args, out) -> int:
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     _require_valid(loaded, args.file)
     cubes = sorted(reachable(loaded.hda))
     return _emit({"result": True, "reachable": cubes, "count": len(cubes)},
@@ -197,7 +197,7 @@ def _run_reachable(args, out) -> int:
 
 
 def _run_paths(args, out) -> int:
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     _require_valid(loaded, args.file)
     if args.max_len < 1:
         raise ModelError("--max-len must be >= 1")
@@ -209,7 +209,7 @@ def _run_paths(args, out) -> int:
 def _run_homotopic(args, out) -> int:
     from .paths import are_homotopic
 
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     _require_valid(loaded, args.file)
     if len(args.path) != 2:
         raise ModelError("give --path exactly twice")
@@ -220,7 +220,7 @@ def _run_homotopic(args, out) -> int:
 
 
 def _run_fan(args, out) -> int:
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     _require_valid(loaded, args.file)
     rho = _parse_path(loaded, args.path)
     trace = fan_shape_trace(rho)
@@ -237,7 +237,7 @@ def _run_fan(args, out) -> int:
 
 
 def _run_unfold(args, out) -> int:
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     _require_valid(loaded, args.file)
     unfolding = unfold(loaded.hda, _depth_arg(args), cap=_cap_arg(args))
     report = {
@@ -259,7 +259,7 @@ def _run_unfold(args, out) -> int:
 
 
 def _run_is_tree(args, out) -> int:
-    loaded = _load(args.file)
+    loaded = load_model(args.file)
     _require_valid(loaded, args.file)
     depth = _depth_arg(args)
     verdict = is_tree(loaded.hda, depth, cap=_cap_arg(args))
@@ -267,8 +267,8 @@ def _run_is_tree(args, out) -> int:
 
 
 def _run_open_map(args, out) -> int:
-    lx = _load(args.fileX)
-    ly = _load(args.fileY)
+    lx = load_model(args.fileX)
+    ly = load_model(args.fileY)
     _require_valid(lx, args.fileX)
     _require_valid(ly, args.fileY)
     try:
@@ -290,8 +290,8 @@ def _run_open_map(args, out) -> int:
 
 
 def _run_bisim(args, out, hp: bool) -> int:
-    lx = _load(args.fileX)
-    ly = _load(args.fileY)
+    lx = load_model(args.fileX)
+    ly = load_model(args.fileY)
     _require_valid(lx, args.fileX)
     _require_valid(ly, args.fileY)
     if args.labeled:
@@ -307,8 +307,8 @@ def _run_bisim(args, out, hp: bool) -> int:
 
 
 def _run_oracle(args, out) -> int:
-    lx = _load(args.fileX)
-    ly = _load(args.fileY)
+    lx = load_model(args.fileX)
+    ly = load_model(args.fileY)
     _require_valid(lx, args.fileX)
     _require_valid(ly, args.fileY)
     decision = hp_oracle(lx.hda, ly.hda, _depth_arg(args), cap=_cap_arg(args))
@@ -327,7 +327,7 @@ def _run_torus(args, out) -> int:
         if args.unfold_depth < 1:
             raise ModelError("--unfold-depth must be >= 1")
         report["unfolding"] = model_to_dict(
-            torus_unfolding(EventSet(names), args.unfold_depth))
+            torus_unfolding(EventSet(names), args.unfold_depth, args.maxdim))
     return _emit(report, args.pretty, out)
 
 
@@ -363,6 +363,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except CapExceeded as exc:
         print(json.dumps({"result": "cap-exceeded", "error": str(exc)}), file=out)
         return 3
+    except Exception as exc:
+        # Exit 1 means "property fails"; a crash must not look like that.
+        traceback.print_exc(file=sys.stderr)
+        print(json.dumps({"result": "internal-error",
+                          "error": f"{type(exc).__name__}: {exc}"}), file=out)
+        return 4
 
 
 def entry() -> None:
@@ -371,7 +377,3 @@ def entry() -> None:
 
 if __name__ == "__main__":
     entry()
-
-
-# Alias matching the documented entry-point name.
-run = main

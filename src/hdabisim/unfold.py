@@ -223,7 +223,8 @@ def lift_path(unfolding: Unfolding, start: str, sigma: CubePath) -> CubePath:
     return CubePath(unfolding.tree.space, tuple(out))
 
 
-def torus_unfolding(events: EventSet, depth: int) -> HDA:
+def torus_unfolding(events: EventSet, depth: int,
+                    maxdim: int | None = None) -> HDA:
     """The closed-form unfolding of the event torus, truncated at `depth`.
 
     A homotopy class of pointed paths in the torus is fixed by its end cube
@@ -233,40 +234,57 @@ def torus_unfolding(events: EventSet, depth: int) -> HDA:
     2|c| - dim x + 1; nodes with 2|c| - dim x <= depth - 1 are kept.  Lower
     face k of (x, c) is (d_k x, c - {x_k}) (event x_k was never started);
     upper face k is (d_k x, c) (x_k has finished).  Nodes with
-    2|c| - dim x = depth - 1 form the frontier and their upper faces are
-    omitted.  The endpoint and length alone do not fix the class once there
-    are two events: after a+a- and after b+b- are different histories.
+    2|c| - dim x = depth - 1 form the frontier, where their upper faces are
+    omitted, when they have upper faces or can start an event.  The
+    endpoint and length alone do not fix the class once there are two
+    events: after a+a- and after b+b- are different histories.
 
-    Node ids are ``<x>@<m>`` with m = 2|c| - dim x the step count, followed
-    by ``:<c>`` when c is non-empty, both multisets written as
-    :func:`torus_cube_id` writes cubes; the root is ``()@0``.  The result is
-    isomorphic to ``unfold(torus_hda(events, depth - 1)[0], depth).tree``.
+    With `maxdim`, this unfolds the torus truncated at that dimension
+    (`torus_hda(events, maxdim)`) and keeps the nodes with dim x <= maxdim.
+    Below dimension 2 there are no squares to reorder events through, so
+    for maxdim 1 c is the sequence of started events, in start order, and
+    x can only be the last of them; for maxdim 0 nothing starts at all.
+
+    Node ids are ``<x>@<m>:<c>`` with m = 2|c| - dim x the step count, both
+    written as :func:`torus_cube_id` writes cubes (c sorted, or in start
+    order for maxdim 1), without ``:<c>`` when c is empty; the root is
+    ``()@0``.  The result is isomorphic to
+    ``unfold(torus_hda(events, maxdim)[0], depth).tree``, and with maxdim
+    None to the same for any maxdim >= depth - 1.
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
+    if maxdim is not None and maxdim < 0:
+        raise ModelError("maxdim must be >= 0")
+    top = depth if maxdim is None else maxdim
+    ordered = top < 2
 
     def node_id(x: tuple[str, ...], c: tuple[str, ...]) -> str:
         nid = f"{torus_cube_id(x)}@{2 * len(c) - len(x)}"
         return f"{nid}:{torus_cube_id(c)}" if c else nid
 
     def without(c: tuple[str, ...], event: str) -> tuple[str, ...]:
-        i = c.index(event)
+        i = len(c) - 1 - c[::-1].index(event)  # the last start of `event`
         return c[:i] + c[i + 1:]
 
     cubes: list[Cube] = []
     frontier: set[str] = set()
-    for size in range(depth):
-        for c in itertools.combinations_with_replacement(events.names, size):
-            for n in range(max(0, 2 * size - depth + 1), size + 1):
-                for x in sorted(set(itertools.combinations(c, n))):
+    for size in range(depth if top else 1):
+        histories = (itertools.product(events.names, repeat=size) if ordered
+                     else itertools.combinations_with_replacement(events.names, size))
+        for c in histories:
+            for n in range(max(0, 2 * size - depth + 1), min(size, top) + 1):
+                ends = ([c[size - n:]] if ordered
+                        else sorted(set(itertools.combinations(c, n))))
+                for x in ends:
                     nid = node_id(x, c)
                     faces = [x[:k] + x[k + 1:] for k in range(n)]
                     lower = tuple(node_id(f, without(c, e))
                                   for f, e in zip(faces, x))
                     cut = 2 * size - n == depth - 1
                     upper = tuple(None if cut else node_id(f, c) for f in faces)
-                    if cut and len(events):
-                        frontier.add(nid)  # every node extends in a torus
+                    if cut and (n or (n < top and len(events))):
+                        frontier.add(nid)
                     cubes.append(Cube(nid, n, lower, upper))
     return HDA(PrecubicalSet(cubes, frontier=frontier), node_id((), ()))
 

@@ -1,4 +1,4 @@
-"""Open maps, the fixed-point decision, and the run-based oracle."""
+"""Open maps, the partition-refinement decision, and the run-based oracle."""
 
 import random
 
@@ -289,3 +289,80 @@ def test_labeled_witness_audit(ab_square):
                                      decision.witness,
                                      ab_square.labeling, ab_square.labeling)
     assert audit == []
+
+
+def _torus_labeling(hda, events):
+    """Label a sub-HDA of an event torus by its cube ids ("a.b" -> (1, 2))."""
+    index = {name: i for i, name in enumerate(events.names, start=1)}
+    return hb.Labeling(events, {
+        c: () if c == "()" else tuple(index[e] for e in c.split("."))
+        for c in hda.space.ids()})
+
+
+def _reference(x, y, lx=None, ly=None):
+    """The pairwise engine the partition refinement replaced: the greatest
+    face-closed relation on all equal-dimension (equal-label) pairs, with
+    zig-zag obligations on reachable pairs."""
+    from hdabisim.bisim import _greatest_relation, _universe
+
+    if lx is None:
+        universe = _universe(x.space, y.space)
+    else:
+        universe = _universe(x.space, y.space, lx.assign.get, ly.assign.get)
+    reach_x, reach_y = hb.reachable(x), hb.reachable(y)
+    alive, _deletions = _greatest_relation(
+        x.space, y.space, universe,
+        lambda a, b: a in reach_x and b in reach_y)
+    return alive, reach_x, reach_y
+
+
+def _bisimilar_copy(hda, labeling):
+    """A differently built model bisimilar to `hda`: its full unfolding when
+    acyclic, else its reachable part."""
+    if hb.is_acyclic(hda):
+        unfolding = hb.unfold(hda, hb.longest_pointed_path_length(hda))
+        copy = unfolding.tree
+        assign = {c: labeling.assign[unfolding.project(c)]
+                  for c in copy.space.ids()}
+    else:
+        copy = sub_hda(hda, set(hb.reachable(hda)))
+        assign = {c: labeling.assign[c] for c in copy.space.ids()}
+    return copy, hb.Labeling(labeling.events, assign)
+
+
+def test_partition_refinement_agrees_with_pairwise_reference():
+    from hdabisim.generators import grid_labeling
+
+    # 2,000 pairs drawn from a pool of 400 models (building the models,
+    # not deciding them, is what costs time here).
+    events = hb.EventSet(("a", "b", "c"))
+    rng = random.Random(0xD1FF)
+    pool = []
+    for _ in range(400):
+        cyclic = rng.random() < 0.3
+        hda = random_hda(rng, max_cubes=16, max_dim=3, cyclic=cyclic,
+                         stray=rng.random() < 0.3)
+        label = _torus_labeling if cyclic else grid_labeling
+        pool.append((hda, label(hda, events)))
+    positives = 0
+    for trial in range(2000):
+        labeled = trial % 2 == 1
+        (x, lx), (y, ly) = rng.choice(pool), rng.choice(pool)
+        if trial % 5 == 0:
+            y, ly = x, lx  # x against itself
+        elif trial % 5 == 1:
+            y, ly = _bisimilar_copy(x, lx)
+        if labeled:
+            decision = hb.labeled_bisimilar(x, lx, y, ly)
+        else:
+            decision = hb.bisimilar(x, y)
+            lx = ly = None
+        alive, reach_x, reach_y = _reference(x, y, lx, ly)
+        expected = (x.initial, y.initial) in alive
+        assert decision.result is expected, trial
+        if expected:
+            positives += trial % 5 != 0
+            assert set(decision.witness) == {
+                (a, b) for a, b in alive if a in reach_x and b in reach_y}, trial
+    assert positives >= 400, positives  # besides the 400 self-comparisons
+

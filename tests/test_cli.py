@@ -236,3 +236,45 @@ def test_torus_empty_alphabet():
 def test_fan_rejects_unpointed_path():
     code, _ = run_json("fan", model("fig3.json"), "--path", "a,x")
     assert code == 2
+
+
+def test_bisim_rejects_truncated_models(tmp_path):
+    # A truncated edge's upper face is unknown, so no definite verdict
+    # against the one-loop model exists; the oracle is the tool for it.
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps({
+        "cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []},
+                  {"id": "e", "dim": 1, "d0": ["v"], "d1": [None]}],
+        "initial": "v", "frontier": ["e"]}))
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({
+        "cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []},
+                  {"id": "e", "dim": 1, "d0": ["v"], "d1": ["v"]}],
+        "initial": "v"}))
+    for command in ("bisim", "hp-bisim"):
+        for pair in ((truncated, loop), (loop, truncated)):
+            code, report = run_json(command, *map(str, pair))
+            assert code == 2
+            assert report["result"] == "error"
+            assert "oracle" in report["error"]
+
+
+def test_internal_error_exit_code(monkeypatch):
+    # A witness failing its audit is an engine bug: exit 4, not 1.
+    monkeypatch.setattr("hdabisim.bisim.verify_bisim_relation",
+                        lambda *args, **kwargs: ["forced problem"])
+    code, report = run_json("bisim", model("fig5_x.json"), model("fig5_y.json"))
+    assert code == 4
+    assert set(report) == {"result", "error"}
+    assert report["result"] == "internal-error"
+    assert report["error"].startswith("RuntimeError: ")
+    assert "forced problem" in report["error"]
+
+
+def test_torus_unfolding_respects_maxdim():
+    code, report = run_json("torus", "--events", "a,b", "--maxdim", "1",
+                            "--unfold-depth", "4")
+    assert code == 0
+    cubes = report["unfolding"]["cubes"]
+    assert len(cubes) == 9
+    assert max(c["dim"] for c in cubes) == 1

@@ -255,3 +255,28 @@ def test_lower_face_class_is_member_independent():
                 for other in prefixes[1:]:
                     assert hb.canonical_rep(
                         hb.CubePath(space, other)).seq == first
+
+
+def test_torus_unfolding_with_maxdim_matches_unfold():
+    # The closed form of the truncated torus, frontier included; below
+    # dimension 2 events cannot be reordered, so histories are sequences.
+    for names in ((), ("a",), ("a", "b")):
+        events = EventSet(names)
+        for maxdim in range(4):
+            base, _lab = hb.torus_hda(events, maxdim)
+            for depth in range(1, 6):
+                unfolding = hb.unfold(base, depth)
+                closed = hb.torus_unfolding(events, depth, maxdim)
+                assert hb.validate_precubical(closed.space).ok
+                iso = hb.find_pointed_isomorphism(unfolding.tree, closed)
+                assert iso is not None, (names, maxdim, depth)
+                assert {iso[c] for c in unfolding.frontier} == \
+                    closed.space.frontier, (names, maxdim, depth)
+
+
+def test_torus_unfolding_one_dimensional_histories_are_ordered():
+    space = hb.torus_unfolding(EventSet(("a", "b")), 5, maxdim=1).space
+    assert {"()@4:a.b", "()@4:b.a"} <= set(space.ids())
+    assert space.lower("b@3:a.b", 1) == "()@2:a"
+    assert space.upper("b@3:a.b", 1) == "()@4:a.b"
+    assert max(space.dim(c) for c in space.ids()) == 1
