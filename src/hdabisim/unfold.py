@@ -234,10 +234,10 @@ def torus_unfolding(events: EventSet, depth: int,
     2|c| - dim x + 1; nodes with 2|c| - dim x <= depth - 1 are kept.  Lower
     face k of (x, c) is (d_k x, c - {x_k}) (event x_k was never started);
     upper face k is (d_k x, c) (x_k has finished).  Nodes with
-    2|c| - dim x = depth - 1 form the frontier, where their upper faces are
-    omitted, when they have upper faces or can start an event.  The
-    endpoint and length alone do not fix the class once there are two
-    events: after a+a- and after b+b- are different histories.
+    2|c| - dim x = depth - 1 are cut: their upper faces are omitted, and
+    they are on the frontier when they have upper faces or can still start
+    an event.  The endpoint and length alone do not fix the class once
+    there are two events: after a+a- and after b+b- are different histories.
 
     With `maxdim`, this unfolds the torus truncated at that dimension
     (`torus_hda(events, maxdim)`) and keeps the nodes with dim x <= maxdim.
