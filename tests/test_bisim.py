@@ -365,4 +365,3 @@ def test_partition_refinement_agrees_with_pairwise_reference():
             assert set(decision.witness) == {
                 (a, b) for a, b in alive if a in reach_x and b in reach_y}, trial
     assert positives >= 400, positives  # besides the 400 self-comparisons
-
