@@ -8,9 +8,10 @@ Exit codes: 0 = property holds / validation ok, 1 = property fails,
 traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
-Environment variables `HDABISIM_CAP` and `HDABISIM_DEPTH` override the
-default enumeration cap and the default depth for subcommands that accept
-them.
+`--cap` bounds the homotopy classes built by `unfold`, `is-tree` and
+`oracle`, and the paths enumerated by `homotopic`.  Environment variables
+`HDABISIM_CAP` and `HDABISIM_DEPTH` override the default cap and the
+default depth for subcommands that accept them.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hdabisim",
         description="Model higher-dimensional automata as pointed precubical "
                     "sets and decide history-preserving bisimilarity.",
-        epilog="Environment: HDABISIM_CAP overrides the default enumeration "
-               "cap (100000 paths); HDABISIM_DEPTH supplies a default for "
-               "--depth where it is omitted.")
+        epilog="--cap counts homotopy classes for unfold, is-tree and oracle, "
+               "and paths for homotopic.  Environment: HDABISIM_CAP overrides "
+               "the default cap (100000); HDABISIM_DEPTH supplies a default "
+               "for --depth where it is omitted.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--seed", type=int, default=None,

@@ -25,6 +25,7 @@ iterations that each drop T by exactly 2.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -280,10 +281,10 @@ def _closure(space: PrecubicalSet, seq: tuple[str, ...], cap: int,
              stop_at: tuple[str, ...] | None = None):
     """BFS over adjacency.  Returns (found_stop, seen, capped)."""
     seen = {seq}
-    queue = [seq]
+    queue = deque([seq])
     capped = False
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for nxt in _adjacent_seqs(space, cur):
             if nxt in seen:
                 continue

@@ -9,16 +9,20 @@ counting cubes, so depth 1 keeps only the root); nodes whose extensions
 were cut off are flagged as the frontier and their upper faces are omitted.
 A truncation that cut nothing is *complete* and coincides with the full
 unfolding.
+
+The classes are built one path length at a time (`_Quotient`), without
+enumerating their members, and `cap` bounds how many classes are built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (HDA, CapExceeded, Cube, EventSet, ModelError,
                    PrecubicalMorphism, PrecubicalSet, torus_cube_id)
-from .paths import DEFAULT_CAP, CubePath, _closure, enumerate_pointed_paths
+from .paths import DEFAULT_CAP, CubePath, _adjacency_at
 
 
 class DepthExceeded(ValueError):
@@ -46,13 +50,18 @@ class UnfoldNode:
 
 
 class Unfolding:
-    """The truncated unfolding of an HDA with its projection morphism."""
+    """The truncated unfolding of an HDA with its projection morphism.
+
+    `children` maps (node id, base cube y) to the node of the node's paths
+    extended by y, for every extension within the depth bound.
+    """
 
     def __init__(self, base: HDA, depth: int, tree: HDA,
                  projection: PrecubicalMorphism,
                  nodes: dict[str, UnfoldNode],
                  node_of_rep: dict[tuple[str, ...], str],
-                 frontier: frozenset[str], cap: int):
+                 frontier: frozenset[str], cap: int,
+                 children: dict[tuple[str, str], str]):
         self.base = base
         self.depth = depth
         self.tree = tree
@@ -61,6 +70,7 @@ class Unfolding:
         self.node_of_rep = node_of_rep
         self.frontier = frontier
         self.cap = cap
+        self.children = children
 
     @property
     def complete(self) -> bool:
@@ -76,65 +86,124 @@ class Unfolding:
         return {nid: self.nodes[nid].rep[-1] for nid in sorted(self.nodes)}
 
 
-def _canonicalizer(space: PrecubicalSet, cap: int):
-    canon: dict[tuple[str, ...], tuple[str, ...]] = {}
-    members: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+class _Quotient:
+    """Homotopy classes of pointed cube paths, built one length at a time.
 
-    def canonical(seq: tuple[str, ...]) -> tuple[str, ...]:
-        hit = canon.get(seq)
-        if hit is not None:
-            return hit
-        _found, seen, capped = _closure(space, seq, cap)
-        if capped:
-            raise CapExceeded(
-                f"homotopy class of {'/'.join(seq)} exceeds the cap of {cap}")
-        ordered = sorted(seen)
-        rep = ordered[0]
-        for member in ordered:
-            canon[member] = rep
-        members[rep] = ordered
-        return rep
+    Adjacent paths differ at one interior position p.  So every class at
+    length L is a union of keys (C, y), the paths of a class C at length
+    L-1 extended by a step y, and two keys share a class exactly when a
+    chain of these merges joins them: for a class G at length L-2 ending
+    in g and two different steps a, a' after g, (child(G, a), y) and
+    (child(G, a'), y) merge when (g, a, y) and (g, a', y) are adjacent at
+    their middle (p = L-1; adjacency at p < L-1 stays inside one key).  The
+    lex-least member of a key is rep(C) + (y,), so keys are numbered in
+    lex order and every union-find group keeps its least key as its root:
+    the root's member is the class representative, and a layer's classes
+    come out sorted.
 
-    return canonical, members
+    Classes are numbered globally: `reps[c]` is the representative of
+    class c, `child[(c, y)]` the class of its extension by y, and
+    `via[c]` maps the end of each class whose extension lies in c to the
+    lex-least such class (the lower faces of c).
+    """
+
+    def __init__(self, hda: HDA, cap: int):
+        space = hda.space
+        if hda.initial not in space or space.dim(hda.initial) != 0:
+            raise ModelError("unfolding requires a valid initial 0-cube")
+        self.space = space
+        self.cap = cap
+        self.reps: list[tuple[str, ...]] = [(hda.initial,)]
+        self.child: dict[tuple[int, str], int] = {}
+        self.via: list[dict[str, int]] = [{}]
+        self._merges: dict[str, list[tuple[str, str, str]]] = {}
+
+    def _merges_after(self, g: str) -> list[tuple[str, str, str]]:
+        """The (a, a', y) with (g, a, y) adjacent to (g, a', y)."""
+        hit = self._merges.get(g)
+        if hit is None:
+            space = self.space
+            hit = []
+            for a, b in itertools.combinations(space.successors(g), 2):
+                common = set(space.successors(a)).intersection(space.successors(b))
+                for y in sorted(common):
+                    if _adjacency_at(space, (g, a, y), (g, b, y), 2) is not None:
+                        hit.append((a, b, y))
+            self._merges[g] = hit
+        return hit
+
+    def layers(self, depth: int) -> Iterator[list[int]]:
+        """The classes at lengths 1..depth, one sorted layer at a time."""
+        reps, child, via = self.reps, self.child, self.via
+        successors = self.space.successors
+        grand: list[int] = []
+        layer = [0]
+        yield layer
+        for _length in range(2, depth + 1):
+            keys = [(c, y) for c in layer for y in successors(reps[c][-1])]
+            index = {key: i for i, key in enumerate(keys)}
+            parent = list(range(len(keys)))
+
+            def find(i: int) -> int:
+                root = i
+                while parent[root] != root:
+                    root = parent[root]
+                while parent[i] != root:
+                    parent[i], i = root, parent[i]
+                return root
+
+            for g in grand:
+                for a, b, y in self._merges_after(reps[g][-1]):
+                    i = find(index[child[g, a], y])
+                    j = find(index[child[g, b], y])
+                    if i < j:
+                        parent[j] = i
+                    elif j < i:
+                        parent[i] = j
+            cls: dict[int, int] = {}
+            nxt: list[int] = []
+            for i, (c, y) in enumerate(keys):
+                root = find(i)
+                if root == i:
+                    if len(reps) >= self.cap:
+                        raise CapExceeded(
+                            f"more than {self.cap} homotopy classes within "
+                            f"depth {depth}")
+                    cls[i] = len(reps)
+                    nxt.append(len(reps))
+                    reps.append(reps[c] + (y,))
+                    via.append({})
+                node = cls[root]
+                child[c, y] = node
+                via[node].setdefault(reps[c][-1], c)
+            grand, layer = layer, nxt
+            yield layer
 
 
 def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
-    """Build the unfolding up to path length `depth` (depth >= 1)."""
+    """Build the unfolding up to path length `depth` (depth >= 1); raises
+    CapExceeded past `cap` nodes."""
     if depth < 1:
         raise ModelError("unfolding depth must be >= 1")
-    space = hda.space
-    if hda.initial not in space or space.dim(hda.initial) != 0:
-        raise ModelError("unfolding requires a valid initial 0-cube")
-    canonical, members = _canonicalizer(space, cap)
-
-    root = (hda.initial,)
-    canonical(root)
-    layers: list[list[tuple[str, ...]]] = [[root]]
-    for _length in range(2, depth + 1):
-        nxt = set()
-        for rep in layers[-1]:
-            for y in space.successors(rep[-1]):
-                nxt.add(canonical(rep + (y,)))
-        layers.append(sorted(nxt))
-
-    node_reps = [rep for layer in layers for rep in layer]
-    ids = {rep: node_id_of(rep) for rep in node_reps}
+    quotient = _Quotient(hda, cap)
+    order = [c for layer in quotient.layers(depth) for c in layer]
+    space, reps = hda.space, quotient.reps
+    ids = [node_id_of(rep) for rep in reps]
 
     cubes: list[Cube] = []
     frontier: set[str] = set()
-    for rep in node_reps:
+    for c in order:
+        rep = reps[c]
         m, end = len(rep), rep[-1]
         n = space.dim(end)
         lower = []
         for k in range(1, n + 1):
-            want = space.lower(end, k)
-            member = next((mm for mm in members[canonical(rep)]
-                           if mm[-2] == want), None)
-            if member is None:
+            face = quotient.via[c].get(space.lower(end, k))
+            if face is None:
                 raise RuntimeError(
-                    f"class {ids[rep]} has no member through lower face k={k}; "
+                    f"class {ids[c]} has no member through lower face k={k}; "
                     "the face class is unexpectedly empty")
-            lower.append(ids[canonical(member[:-1])])
+            lower.append(ids[face])
         upper: list[str | None] = []
         cut = False
         for k in range(1, n + 1):
@@ -142,50 +211,39 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
             if up is None:
                 raise ModelError("cannot unfold a truncated base")
             if m + 1 <= depth:
-                upper.append(ids[canonical(rep + (up,))])
+                upper.append(ids[quotient.child[c, up]])
             else:
                 upper.append(None)
                 cut = True
         if m == depth and (cut or space.cofaces_lower(end)):
-            frontier.add(ids[rep])
-        cubes.append(Cube(ids[rep], n, tuple(lower), tuple(upper)))
+            frontier.add(ids[c])
+        cubes.append(Cube(ids[c], n, tuple(lower), tuple(upper)))
 
     tree_space = PrecubicalSet(cubes, frontier=frontier)
-    tree = HDA(tree_space, ids[root])
+    tree = HDA(tree_space, ids[0])
     projection = PrecubicalMorphism(
         source=tree_space, target=space,
-        mapping={ids[rep]: rep[-1] for rep in node_reps},
-        pointed=True, source_initial=ids[root], target_initial=hda.initial)
-    nodes = {ids[rep]: UnfoldNode(rep, space.dim(rep[-1])) for rep in node_reps}
-    node_of_rep = {rep: ids[rep] for rep in node_reps}
+        mapping={ids[c]: reps[c][-1] for c in order},
+        pointed=True, source_initial=ids[0], target_initial=hda.initial)
+    nodes = {ids[c]: UnfoldNode(reps[c], space.dim(reps[c][-1])) for c in order}
+    node_of_rep = {reps[c]: ids[c] for c in order}
+    children = {(ids[c], y): ids[d] for (c, y), d in quotient.child.items()}
     return Unfolding(hda, depth, tree, projection, nodes, node_of_rep,
-                     frozenset(frontier), cap)
+                     frozenset(frontier), cap, children)
 
 
 def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
     """Bounded tree check: every cube reached within `depth` admits exactly
-    one homotopy class of pointed cube paths of length <= depth."""
-    space = hda.space
-    by_end: dict[str, list[tuple[str, ...]]] = {}
-    count = 0
-    for path in enumerate_pointed_paths(hda, depth):
-        count += 1
-        if count > cap:
-            raise CapExceeded(f"more than {cap} pointed paths within {depth}")
-        by_end.setdefault(path.end, []).append(path.seq)
-    for _end, seqs in sorted(by_end.items()):
-        first = seqs[0]
-        cls = None
-        for other in seqs[1:]:
-            if len(other) != len(first):
+    one homotopy class of pointed cube paths of length <= depth; raises
+    CapExceeded past `cap` classes."""
+    quotient = _Quotient(hda, cap)
+    ends: set[str] = set()
+    for layer in quotient.layers(depth):
+        for c in layer:
+            end = quotient.reps[c][-1]
+            if end in ends:
                 return False
-            if cls is None:
-                _f, cls, capped = _closure(space, first, cap)
-                if capped:
-                    raise CapExceeded(
-                        f"homotopy class of {'/'.join(first)} exceeds {cap}")
-            if other not in cls:
-                return False
+            ends.add(end)
     return True
 
 
@@ -211,15 +269,9 @@ def lift_path(unfolding: Unfolding, start: str, sigma: CubePath) -> CubePath:
         raise DepthExceeded(
             f"lift of length {len(rep) + len(sigma) - 1} exceeds depth "
             f"{unfolding.depth}")
-    canonical, _members = _canonicalizer(unfolding.base.space, unfolding.cap)
     out = [start]
-    cur = rep
     for y in sigma.seq[1:]:
-        cur = cur + (y,)
-        node = unfolding.node_of_rep.get(canonical(cur))
-        if node is None:
-            raise RuntimeError(f"lifted class {'/'.join(cur)} is not a tree node")
-        out.append(node)
+        out.append(unfolding.children[out[-1], y])
     return CubePath(unfolding.tree.space, tuple(out))
 
 
@@ -380,21 +432,23 @@ def find_pointed_isomorphism(x_hda: HDA, y_hda: HDA) -> dict[str, str] | None:
                 return False
         return True
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        x = order[idx]
-        for y in ys.by_dim(xs.dim(x)):
-            if y in used or not consistent(x, y):
-                continue
-            assignment[x] = y
-            used.add(y)
-            if backtrack(idx + 1):
-                return True
-            del assignment[x]
-            used.remove(y)
-        return False
-
-    if not backtrack(0):
-        return None
+    # Depth-first search with an explicit stack: stack[i] iterates the
+    # remaining candidates for order[i], so long chains need no recursion.
+    pools = {n: ys.by_dim(n) for n in range(ys.max_dim() + 1)}
+    stack = [iter(pools[xs.dim(order[0])])] if order else []
+    while len(assignment) < len(order):
+        if not stack:
+            return None
+        x = order[len(stack) - 1]
+        if x in assignment:
+            used.remove(assignment.pop(x))
+        for y in stack[-1]:
+            if y not in used and consistent(x, y):
+                assignment[x] = y
+                used.add(y)
+                break
+        if x not in assignment:
+            stack.pop()
+        elif len(stack) < len(order):
+            stack.append(iter(pools[xs.dim(order[len(stack)])]))
     return dict(assignment)

@@ -5,6 +5,7 @@ import json
 
 import hdabisim as hb
 from hdabisim.cli import main
+from hdabisim.generators import grid_hda
 
 from conftest import MODELS
 
@@ -128,6 +129,15 @@ def test_is_tree():
     assert code == 0
     code, _ = run_json("is-tree", model("fig1_right.json"), "--depth", "5")
     assert code == 1
+
+
+def test_is_tree_cap_counts_classes(tmp_path):
+    grid = tmp_path / "grid.json"
+    hb.dump_model(grid_hda((2, 2, 2)), grid)
+    code, report = run_json("is-tree", str(grid), "--depth", "13")
+    assert code == 0 and report["result"] is True
+    code, report = run_json("is-tree", str(grid), "--depth", "13", "--cap", "20")
+    assert code == 3 and report["result"] == "cap-exceeded"
 
 
 def test_unfold_round_trip(tmp_path):

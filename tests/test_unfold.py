@@ -1,12 +1,94 @@
 """Unfoldings: tree structure, projections, lifts, and the torus closed form."""
 
 import random
+from collections import Counter
 
 import pytest
 
 import hdabisim as hb
-from hdabisim import CubePath, EventSet
-from hdabisim.generators import random_hda
+from hdabisim import HDA, Cube, CubePath, EventSet, PrecubicalSet
+from hdabisim.generators import grid_hda, random_hda, sub_hda
+from hdabisim.paths import _closure
+
+# Large enough that the reference never stops early on the corpus below.
+REFERENCE_CAP = 1_000_000
+
+
+def _reference_layers(hda, depth):
+    """The slow reference for the layered quotient: every class found by
+    closing a member under adjacency.  Returns the sorted representatives
+    per length, the canonicalizer, and the sorted members per class."""
+    space = hda.space
+    canon, members = {}, {}
+
+    def canonical(seq):
+        if seq not in canon:
+            _found, seen, capped = _closure(space, seq, REFERENCE_CAP)
+            assert not capped
+            ordered = sorted(seen)
+            canon.update(dict.fromkeys(ordered, ordered[0]))
+            members[ordered[0]] = ordered
+        return canon[seq]
+
+    layers = [[canonical((hda.initial,))]]
+    for _length in range(2, depth + 1):
+        layers.append(sorted({canonical(rep + (y,)) for rep in layers[-1]
+                              for y in space.successors(rep[-1])}))
+    return layers, canonical, members
+
+
+def reference_unfolding(hda, depth):
+    """Node id -> (dim, lower face ids, upper face ids), and the frontier,
+    of the unfolding built from closure classes."""
+    space = hda.space
+    layers, canonical, members = _reference_layers(hda, depth)
+    cubes, frontier = {}, set()
+    for rep in (rep for layer in layers for rep in layer):
+        end, n = rep[-1], space.dim(rep[-1])
+        lower = tuple(
+            hb.node_id_of(canonical(next(
+                m for m in members[rep] if m[-2] == space.lower(end, k))[:-1]))
+            for k in range(1, n + 1))
+        upper = tuple(
+            hb.node_id_of(canonical(rep + (space.upper(end, k),)))
+            if len(rep) < depth else None for k in range(1, n + 1))
+        if len(rep) == depth and (n or space.cofaces_lower(end)):
+            frontier.add(hb.node_id_of(rep))
+        cubes[hb.node_id_of(rep)] = (n, lower, upper)
+    return cubes, frontier
+
+
+def reference_is_tree(hda, depth):
+    """All pointed paths within `depth` that end in the same cube lie in
+    one closure class."""
+    by_end = {}
+    for path in hb.enumerate_pointed_paths(hda, depth):
+        by_end.setdefault(path.end, []).append(path.seq)
+    for seqs in by_end.values():
+        _found, cls, capped = _closure(hda.space, seqs[0], REFERENCE_CAP)
+        assert not capped
+        if any(seq not in cls for seq in seqs[1:]):
+            return False
+    return True
+
+
+def _differential_corpus():
+    rng = random.Random(4404)
+    for i in range(420):
+        hda = random_hda(rng, max_cubes=16, max_dim=3, cyclic=i % 3 == 0)
+        yield f"random {i}", hda, 1 + i % 7
+    # Random walks rarely leave a hole; these grids lose some top cubes.
+    for i in range(60):
+        grid = grid_hda(rng.choice(((2, 2), (2, 3), (3, 3), (1, 2, 2), (2, 2, 2))))
+        space = grid.space
+        keep = {c for c in space.ids()
+                if space.dim(c) < space.max_dim() or rng.random() < 0.6}
+        yield f"holed grid {i}", sub_hda(grid, keep), 3 + i % 6
+    for names in ((), ("a",), ("a", "b"), ("a", "b", "c")):
+        for maxdim in range(4):
+            hda, _lab = hb.torus_hda(EventSet(names), maxdim)
+            for depth in range(1, 6):
+                yield f"torus {names} {maxdim}", hda, depth
 
 
 def test_unfold_two_cycle_is_a_line(fig5_x):
@@ -280,3 +362,73 @@ def test_torus_unfolding_one_dimensional_histories_are_ordered():
     assert space.lower("b@3:a.b", 1) == "()@2:a"
     assert space.upper("b@3:a.b", 1) == "()@4:a.b"
     assert max(space.dim(c) for c in space.ids()) == 1
+
+
+def test_layered_quotient_agrees_with_closure_reference():
+    verdicts = Counter()
+    for name, hda, depth in _differential_corpus():
+        unfolding = hb.unfold(hda, depth)
+        space = unfolding.tree.space
+        got = {c: (space.dim(c), space.cube(c).lower, space.cube(c).upper)
+               for c in space.ids()}
+        want, frontier = reference_unfolding(hda, depth)
+        assert got == want, (name, depth)
+        assert unfolding.frontier == frontier, (name, depth)
+        for model in (hda, unfolding.tree):
+            verdict = hb.is_tree(model, depth)
+            assert verdict == reference_is_tree(model, depth), (name, depth)
+            verdicts[verdict] += 1
+    # Both verdicts occur often enough for the comparison to mean something.
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def _torus_node_key(labeling, rep, ordered):
+    """(end cube's events, started events) of a pointed torus path: each
+    start step adds one event to the cube, each end step removes one."""
+    started = []
+    for a, b in zip(rep, rep[1:]):
+        started += (Counter(labeling.names(b)) - Counter(labeling.names(a))).elements()
+    if not ordered:
+        started.sort(key=labeling.events.names.index)
+    return labeling.names(rep[-1]), tuple(started)
+
+
+def test_torus_unfolding_three_events_maps_by_started_events():
+    # Every unfold node maps to the closed-form node (end cube, started
+    # events), and that map is an isomorphism that keeps the frontier.
+    events = EventSet(("a", "b", "c"))
+    for maxdim in range(4):
+        base, labeling = hb.torus_hda(events, maxdim)
+        for depth in range(1, 6):
+            unfolding = hb.unfold(base, depth)
+            closed = hb.torus_unfolding(events, depth, maxdim)
+            mapping = {}
+            for nid, node in unfolding.nodes.items():
+                x, c = _torus_node_key(labeling, node.rep, maxdim == 1)
+                cid = f"{hb.torus_cube_id(x)}@{2 * len(c) - len(x)}"
+                mapping[nid] = f"{cid}:{hb.torus_cube_id(c)}" if c else cid
+            iso = hb.PrecubicalMorphism(
+                unfolding.tree.space, closed.space, mapping, pointed=True,
+                source_initial=unfolding.tree.initial,
+                target_initial=closed.initial)
+            assert hb.morphism_is_isomorphism(iso), (maxdim, depth)
+            assert {mapping[c] for c in unfolding.frontier} == \
+                closed.space.frontier, (maxdim, depth)
+
+
+def _chain(n, prefix):
+    cubes = [Cube(f"{prefix}v{i}", 0) for i in range(n + 1)]
+    cubes += [Cube(f"{prefix}e{i}", 1, (f"{prefix}v{i - 1}",), (f"{prefix}v{i}",))
+              for i in range(1, n + 1)]
+    return HDA(PrecubicalSet(cubes), f"{prefix}v0")
+
+
+def test_pointed_isomorphism_of_a_long_chain():
+    # Deeper than the interpreter's default recursion limit.
+    iso = hb.find_pointed_isomorphism(_chain(1500, ""), _chain(1500, "r"))
+    assert iso is not None and all(iso[c] == "r" + c for c in iso)
+    # Equal cube counts, but both edges of the fork leave the initial cube.
+    fork = HDA(PrecubicalSet([Cube("v0", 0), Cube("v1", 0), Cube("v2", 0),
+                              Cube("e1", 1, ("v0",), ("v1",)),
+                              Cube("e2", 1, ("v0",), ("v2",))]), "v0")
+    assert hb.find_pointed_isomorphism(_chain(2, ""), fork) is None
