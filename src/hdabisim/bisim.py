@@ -191,9 +191,20 @@ def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
     parts: cube -> block number for each side, and the number of rounds.
 
     The initial blocks group cubes by dimension and label; a round splits
-    every block by the signature (block, blocks of the faces in (nu, k)
-    order, set of (k, block) over the lower cofaces) and the partition is
-    stable once a round splits nothing.
+    every block by the signature (blocks of the faces in (nu, k) order, set
+    of (k, block) over the lower cofaces), all signatures of a round read
+    the previous round's blocks, and the partition is stable once a round
+    splits nothing.
+
+    The refinement is incremental.  Round 1 signs every cube; a later round
+    signs only the dirty cubes, those whose faces or lower cofaces changed
+    block in the previous round.  Members of a block all had one signature
+    in the previous round, and an untouched member's signature cannot have
+    changed since, so one untouched representative stands for them all.
+    When a block splits, its largest part keeps the block number and the
+    other parts move to new numbers, so only their cubes' neighbours become
+    dirty.  Every round yields the same partition as re-signing every cube
+    would, so the round count is that of naive refinement.
     """
     index: list[dict[str, int]] = []
     faces: list[tuple[int, ...]] = []
@@ -216,18 +227,67 @@ def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
                                  for k, p in space.cofaces_lower(c)))
             label = None if labeling is None else labeling.assign.get(c)
             block.append(initial.setdefault((cube.dim, label), len(initial)))
-    count, rounds = len(initial), 0
+    # dependents[j]: the cubes whose signature reads j's block, namely the
+    # cofaces of j (j is one of their faces) and the lower faces of j.
+    dependents: list[list[int]] = [[] for _ in block]
+    for i, (fs, cs) in enumerate(zip(faces, cofaces)):
+        for f in fs:
+            dependents[f].append(i)
+        for _k, p in cs:
+            dependents[p].append(i)
+    members: list[set[int]] = [set() for _ in initial]
+    for i, b in enumerate(block):
+        members[b].add(i)
+
+    def signature(i: int) -> tuple:
+        return (tuple(block[f] for f in faces[i]),
+                frozenset((k, block[p]) for k, p in cofaces[i]))
+
+    dirty: set[int] = set(range(len(block)))
+    rounds = 0
     while True:
         rounds += 1
-        signatures: dict[tuple, int] = {}
-        block = [signatures.setdefault(
-                     (block[i], tuple(block[f] for f in faces[i]),
-                      frozenset((k, block[p]) for k, p in cofaces[i])),
-                     len(signatures))
-                 for i in range(len(block))]
-        if len(signatures) == count:
+        touched: dict[int, list[int]] = {}
+        for i in dirty:
+            b = block[i]
+            if len(members[b]) > 1:
+                touched.setdefault(b, []).append(i)
+        # Split every touched block before moving any cube, so that all
+        # signatures of this round read the previous round's blocks.
+        moves: list[tuple[int, list[int] | set[int]]] = []
+        for b, cubes in touched.items():
+            parts: dict[tuple, list[int]] = {}
+            for i in cubes:
+                parts.setdefault(signature(i), []).append(i)
+            # The untouched members join the part of their representative's
+            # signature without being listed in it.
+            rest = len(members[b]) - len(cubes)
+            untouched = None
+            if rest:
+                rep = next(i for i in members[b] if i not in dirty)
+                untouched = parts.setdefault(signature(rep), [])
+            if len(parts) == 1:
+                continue
+            keeper = max(parts.values(), key=lambda part: len(part)
+                         + (rest if part is untouched else 0))
+            for part in parts.values():
+                if part is keeper:
+                    continue
+                if part is untouched:
+                    part = members[b].difference(
+                        *(p for p in parts.values() if p is not untouched))
+                moves.append((b, part))
+        moved: list[int] = []
+        for b, part in moves:
+            new = len(members)
+            members.append(set(part))
+            members[b].difference_update(part)
+            for i in part:
+                block[i] = new
+            moved.extend(part)
+        if not moved:
             break
-        count = len(signatures)
+        dirty = {d for j in moved for d in dependents[j]}
     return ({c: block[i] for c, i in index[0].items()},
             {c: block[i] for c, i in index[1].items()}, rounds)
 

@@ -17,6 +17,7 @@ default depth for subcommands that accept them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -121,6 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--maxdim", type=int, required=True)
     sp.add_argument("--unfold-depth", type=int, default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later `main` call
+    in the process: building it costs far more than parsing one argv."""
+    return build_parser()
 
 
 def _pretty(report: dict, out) -> None:
@@ -349,9 +357,8 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the input-error code.
         return 2 if exc.code not in (0, None) else 0

@@ -453,10 +453,16 @@ def reachable(hda: HDA) -> frozenset[str]:
         raise ModelError(f"initial cube {hda.initial!r} does not exist")
     seen = {hda.initial}
     queue = [hda.initial]
+    # The steps of `successors`, walked directly: the result is a set, so
+    # their sorted order is not needed.
     while queue:
         x = queue.pop()
-        for y in space.successors(x):
+        for _k, y in space.cofaces_lower(x):
             if y not in seen:
+                seen.add(y)
+                queue.append(y)
+        for y in space.cube(x).upper:
+            if y is not None and y not in seen:
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)

@@ -1,5 +1,6 @@
 """Open maps, the partition-refinement decision, and the run-based oracle."""
 
+import functools
 import random
 
 import pytest
@@ -330,11 +331,13 @@ def _bisimilar_copy(hda, labeling):
     return copy, hb.Labeling(labeling.events, assign)
 
 
-def test_partition_refinement_agrees_with_pairwise_reference():
+@functools.cache
+def _differential_pairs():
+    """2,000 seeded (x, lx, y, ly) pairs, drawn from a pool of 400 models
+    (building the models, not deciding them, is what costs time here);
+    every odd pair is labeled, every even one has lx = ly = None."""
     from hdabisim.generators import grid_labeling
 
-    # 2,000 pairs drawn from a pool of 400 models (building the models,
-    # not deciding them, is what costs time here).
     events = hb.EventSet(("a", "b", "c"))
     rng = random.Random(0xD1FF)
     pool = []
@@ -344,19 +347,26 @@ def test_partition_refinement_agrees_with_pairwise_reference():
                          stray=rng.random() < 0.3)
         label = _torus_labeling if cyclic else grid_labeling
         pool.append((hda, label(hda, events)))
-    positives = 0
+    pairs = []
     for trial in range(2000):
-        labeled = trial % 2 == 1
         (x, lx), (y, ly) = rng.choice(pool), rng.choice(pool)
         if trial % 5 == 0:
             y, ly = x, lx  # x against itself
         elif trial % 5 == 1:
             y, ly = _bisimilar_copy(x, lx)
-        if labeled:
-            decision = hb.labeled_bisimilar(x, lx, y, ly)
-        else:
-            decision = hb.bisimilar(x, y)
+        if trial % 2 == 0:
             lx = ly = None
+        pairs.append((x, lx, y, ly))
+    return pairs
+
+
+def test_partition_refinement_agrees_with_pairwise_reference():
+    positives = 0
+    for trial, (x, lx, y, ly) in enumerate(_differential_pairs()):
+        if lx is None:
+            decision = hb.bisimilar(x, y)
+        else:
+            decision = hb.labeled_bisimilar(x, lx, y, ly)
         alive, reach_x, reach_y = _reference(x, y, lx, ly)
         expected = (x.initial, y.initial) in alive
         assert decision.result is expected, trial
@@ -365,3 +375,70 @@ def test_partition_refinement_agrees_with_pairwise_reference():
             assert set(decision.witness) == {
                 (a, b) for a, b in alive if a in reach_x and b in reach_y}, trial
     assert positives >= 400, positives  # besides the 400 self-comparisons
+
+
+def _naive_refine(x, y, lx=None, ly=None):
+    """Naive refinement, the reference for the incremental `_refine`: the
+    same initial blocks, then every round re-signs every reachable cube by (block, face blocks,
+    set of (k, block) over the lower cofaces) until a round splits nothing.
+    Returns cube -> block for each side and the number of rounds."""
+    index, faces, cofaces, block, initial = [], [], [], [], {}
+    for hda, labeling in ((x, lx), (y, ly)):
+        space, reach = hda.space, hb.reachable(hda)
+        local = {c: len(faces) + j
+                 for j, c in enumerate(c for c in space.ids() if c in reach)}
+        index.append(local)
+        for c in local:
+            cube = space.cube(c)
+            faces.append(tuple(local[f] for f in cube.lower + cube.upper))
+            cofaces.append(tuple((k, local[p])
+                                 for k, p in space.cofaces_lower(c)))
+            label = None if labeling is None else labeling.assign.get(c)
+            block.append(initial.setdefault((cube.dim, label), len(initial)))
+    count, rounds = len(initial), 0
+    while True:
+        rounds += 1
+        signatures = {}
+        block = [signatures.setdefault(
+                     (block[i], tuple(block[f] for f in faces[i]),
+                      frozenset((k, block[p]) for k, p in cofaces[i])),
+                     len(signatures))
+                 for i in range(len(block))]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    return ({c: block[i] for c, i in index[0].items()},
+            {c: block[i] for c, i in index[1].items()}, rounds)
+
+
+def _blocks(blocks_x, blocks_y):
+    """A partition as a set of blocks, each a set of (side, cube)."""
+    members = {}
+    for side, blocks in enumerate((blocks_x, blocks_y)):
+        for c, b in blocks.items():
+            members.setdefault(b, set()).add((side, c))
+    return {frozenset(block) for block in members.values()}
+
+
+def test_incremental_refinement_agrees_with_naive_refinement():
+    from hdabisim.bisim import _refine
+    from hdabisim.generators import grid_labeling
+
+    pairs = list(_differential_pairs())
+    # Deep models: these seeds draw one-dimensional grids, so each model is
+    # a chain of some 240 cubes and refinement needs a round per cube.
+    events = hb.EventSet(("a", "b", "c"))
+    deep = [random_hda(random.Random(seed), max_cubes=250, max_dim=3,
+                       min_cubes=225) for seed in (1, 2, 3)]
+    pairs += [(deep[0], None, deep[0], None), (deep[1], None, deep[2], None),
+              (deep[2], grid_labeling(deep[2], events),
+               deep[0], grid_labeling(deep[0], events))]
+    deep_rounds = []
+    for trial, (x, lx, y, ly) in enumerate(pairs):
+        *fast, fast_rounds = _refine(x, y, lx, ly)
+        *naive, naive_rounds = _naive_refine(x, y, lx, ly)
+        assert fast_rounds == naive_rounds, trial
+        assert _blocks(*fast) == _blocks(*naive), trial
+        if trial >= 2000:
+            deep_rounds.append(naive_rounds)
+    assert min(deep_rounds) >= 200, deep_rounds

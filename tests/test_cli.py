@@ -288,3 +288,36 @@ def test_torus_unfolding_respects_maxdim():
     cubes = report["unfolding"]["cubes"]
     assert len(cubes) == 9
     assert max(c["dim"] for c in cubes) == 1
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    import hdabisim.cli as cli
+
+    sequence = [
+        ("bisim", model("fig1_left.json"), model("fig1_right.json")),
+        ("bisim", model("fig1_left.json")),
+        ("--version",),
+        ("unfold", model("fig3.json"), "--depth", "4"),
+    ]
+
+    def call(argv):
+        code, text = run(*argv)
+        captured = capsys.readouterr()
+        return code, text, captured.out, captured.err
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    reused = [call(argv) for argv in sequence]
+    assert len(built) == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    cli._parser.cache_clear()
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [1, 2, 0, 0]
+    assert "required: fileY" in reused[1][3]
+    assert reused[2][2].strip() == hb.__version__

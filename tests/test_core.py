@@ -187,6 +187,35 @@ def test_reachable_is_face_closed_and_witnessed():
         assert seen == reach
 
 
+def _reachable_by_successors(hda):
+    """The reference walk `reachable` replaced: closure under `successors`."""
+    seen, queue = {hda.initial}, [hda.initial]
+    while queue:
+        for y in hda.space.successors(queue.pop()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+def test_reachable_agrees_with_successor_walk():
+    from hdabisim.generators import random_hda
+
+    rng = random.Random(12)
+    truncated = 0
+    for trial in range(120):
+        hda = random_hda(rng, max_cubes=rng.choice((8, 20, 60)), max_dim=3,
+                         cyclic=trial % 3 == 0, stray=trial % 2 == 0)
+        assert hb.reachable(hda) == _reachable_by_successors(hda), trial
+        if trial % 4 == 0:
+            # Truncated unfoldings omit the upper faces past the frontier.
+            tree = hb.unfold(hda, 4).tree
+            truncated += any(f is None for c in tree.space.ids()
+                             for f in tree.space.cube(c).upper)
+            assert hb.reachable(tree) == _reachable_by_successors(tree), trial
+    assert truncated, "no omitted upper face exercised"
+
+
 def test_torus_two_events():
     space, labeling = hb.torus(EventSet(("a", "b")), 2)
     assert hb.validate_precubical(space).ok
