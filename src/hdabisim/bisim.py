@@ -24,12 +24,13 @@ one-step.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import (HDA, Labeling, ModelError, PrecubicalMorphism,
-                   PrecubicalSet, reachable)
+                   PrecubicalSet, reachable, reachable_mask)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
 
@@ -206,42 +207,50 @@ def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
     dirty.  Every round yields the same partition as re-signing every cube
     would, so the round count is that of naive refinement.
     """
-    index: list[dict[str, int]] = []
+    names: list[list[str]] = []
     faces: list[tuple[int, ...]] = []
-    cofaces: list[tuple[tuple[int, int], ...]] = []
+    # The lower cofaces of cube i as two parallel tuples: cube i is lower
+    # face coface_ks[i][n] of cube coface_ps[i][n].  Signatures zip them.
+    coface_ks: list[tuple[int, ...]] = []
+    coface_ps: list[tuple[int, ...]] = []
     block: list[int] = []
     initial: dict[tuple[int, object], int] = {}
     for hda, labeling in ((x_hda, lx), (y_hda, ly)):
-        space, reach = hda.space, reachable(hda)
-        local = {c: len(faces) + j
-                 for j, c in enumerate(c for c in space.ids() if c in reach)}
-        index.append(local)
-        for c in local:
-            cube = space.cube(c)
+        # The shared int view, renumbered: reachable cube j of this side is
+        # cube local[j] of the disjoint union.  Sentinel faces are never keys.
+        view = hda.space.indexed
+        reach = list(itertools.compress(range(len(view.ids)), reachable_mask(hda)))
+        local = dict(zip(reach, itertools.count(len(block))))
+        names.append([view.ids[j] for j in reach])
+        lower, upper, dims = view.lower, view.upper, view.dims
+        assign = None if labeling is None else labeling.assign
+        for j in reach:
             try:
-                faces.append(tuple(local[f] for f in cube.lower + cube.upper))
+                faces.append(tuple(map(local.__getitem__, lower[j] + upper[j])))
             except KeyError:
-                raise ModelError(f"a face of the reachable cube {c!r} is not "
-                                 "reachable; validate the model first") from None
-            cofaces.append(tuple((k, local[p])
-                                 for k, p in space.cofaces_lower(c)))
-            label = None if labeling is None else labeling.assign.get(c)
-            block.append(initial.setdefault((cube.dim, label), len(initial)))
+                raise ModelError(f"a face of the reachable cube {view.ids[j]!r} "
+                                 "is not reachable; validate the model first") from None
+            cofaces = view.cofaces[j]
+            coface_ks.append(tuple([k for k, _p in cofaces]))
+            coface_ps.append(tuple([local[p] for _k, p in cofaces]))
+            label = None if assign is None else assign.get(view.ids[j])
+            block.append(initial.setdefault((dims[j], label), len(initial)))
     # dependents[j]: the cubes whose signature reads j's block, namely the
     # cofaces of j (j is one of their faces) and the lower faces of j.
     dependents: list[list[int]] = [[] for _ in block]
-    for i, (fs, cs) in enumerate(zip(faces, cofaces)):
+    for i, (fs, ps) in enumerate(zip(faces, coface_ps)):
         for f in fs:
             dependents[f].append(i)
-        for _k, p in cs:
+        for p in ps:
             dependents[p].append(i)
     members: list[set[int]] = [set() for _ in initial]
     for i, b in enumerate(block):
         members[b].add(i)
+    block_of = block.__getitem__
 
     def signature(i: int) -> tuple:
-        return (tuple(block[f] for f in faces[i]),
-                frozenset((k, block[p]) for k, p in cofaces[i]))
+        return (tuple(map(block_of, faces[i])),
+                frozenset(zip(coface_ks[i], map(block_of, coface_ps[i]))))
 
     dirty: set[int] = set(range(len(block)))
     rounds = 0
@@ -288,8 +297,8 @@ def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
         if not moved:
             break
         dirty = {d for j in moved for d in dependents[j]}
-    return ({c: block[i] for c, i in index[0].items()},
-            {c: block[i] for c, i in index[1].items()}, rounds)
+    return (dict(zip(names[0], block)),
+            dict(zip(names[1], block[len(names[0]):])), rounds)
 
 
 def _decide(x_hda: HDA, y_hda: HDA,
@@ -375,26 +384,28 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
         problems.append("initial pair missing")
     reach_x, reach_y = reachable(x_hda), reachable(y_hda)
     for x, y in sorted(rel):
-        if xs.dim(x) != ys.dim(y):
+        cx, cy = xs.cube(x), ys.cube(y)
+        if cx.dim != cy.dim:
             problems.append(f"dimension mismatch in pair ({x}, {y})")
             continue
         if lx is not None and lx.assign.get(x) != ly.assign.get(y):
             problems.append(f"label mismatch in pair ({x}, {y})")
-        for nu in (0, 1):
-            for k in range(1, xs.dim(x) + 1):
-                fx, fy = xs.face(x, k, nu), ys.face(y, k, nu)
+        for nu, faces_x, faces_y in ((0, cx.lower, cy.lower), (1, cx.upper, cy.upper)):
+            # Positions past either face list are absent, as in `face`.
+            for k, (fx, fy) in enumerate(zip(faces_x[:cx.dim], faces_y), start=1):
                 if fx is None or fy is None:
                     continue
                 if (fx, fy) not in rel:
                     problems.append(
                         f"pair ({x}, {y}) not face-closed at k={k} nu={nu}")
         if x in reach_x and y in reach_y:
-            for k, x2 in xs.cofaces_lower(x):
-                if not any((x2, y2) in rel for y2 in ys.cofaces_lower_at(y, k)):
+            up_x, up_y = xs.cofaces_lower(x), ys.cofaces_lower(y)
+            for k, x2 in up_x:
+                if not any((x2, y2) in rel for j, y2 in up_y if j == k):
                     problems.append(
                         f"pair ({x}, {y}) has no match for {x2} at k={k}")
-            for k, y2 in ys.cofaces_lower(y):
-                if not any((x2, y2) in rel for x2 in xs.cofaces_lower_at(x, k)):
+            for k, y2 in up_y:
+                if not any((x2, y2) in rel for j, x2 in up_x if j == k):
                     problems.append(
                         f"pair ({x}, {y}) has no match for {y2} at k={k}")
     return problems

@@ -9,7 +9,10 @@ traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
 `--cap` bounds the homotopy classes built by `unfold`, `is-tree` and
-`oracle`, and the paths enumerated by `homotopic`.  Environment variables
+`oracle`, and the paths enumerated by `homotopic` and `paths`; `paths`
+stops with exit 3 (`cap-exceeded`) as soon as its count passes the cap.
+`bisim`, `hp-bisim` and `oracle` take `--labeled` to relate only cubes with
+equal event labels; it requires labels in both models.  Environment variables
 `HDABISIM_CAP` and `HDABISIM_DEPTH` override the default cap and the
 default depth for subcommands that accept them.
 """
@@ -50,9 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model higher-dimensional automata as pointed precubical "
                     "sets and decide history-preserving bisimilarity.",
         epilog="--cap counts homotopy classes for unfold, is-tree and oracle, "
-               "and paths for homotopic.  Environment: HDABISIM_CAP overrides "
-               "the default cap (100000); HDABISIM_DEPTH supplies a default "
-               "for --depth where it is omitted.")
+               "and paths for homotopic and paths.  --labeled (bisim, "
+               "hp-bisim, oracle) needs labels in both models.  Environment: "
+               "HDABISIM_CAP overrides the default cap (100000); "
+               "HDABISIM_DEPTH supplies a default for --depth where it is "
+               "omitted.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--seed", type=int, default=None,
@@ -75,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cmd("paths", "enumerate pointed cube paths up to a length bound")
     sp.add_argument("file")
     sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--cap", type=int, default=None)
 
     sp = cmd("homotopic", "decide homotopy of two cube paths")
     sp.add_argument("file")
@@ -113,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cmd("oracle", "run-based cross-check on bounded unfoldings")
     sp.add_argument("fileX")
     sp.add_argument("fileY")
+    sp.add_argument("--labeled", action="store_true")
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--cap", type=int, default=None)
 
@@ -211,7 +218,15 @@ def _run_paths(args, out) -> int:
     _require_valid(loaded, args.file)
     if args.max_len < 1:
         raise ModelError("--max-len must be >= 1")
-    paths = [p.to_json() for p in enumerate_pointed_paths(loaded.hda, args.max_len)]
+    cap = _cap_arg(args)
+    paths = []
+    # The enumeration streams, so the count is checked while each layer is
+    # built and nothing past the cap is held.
+    for path in enumerate_pointed_paths(loaded.hda, args.max_len):
+        if len(paths) == cap:
+            raise CapExceeded(f"more than {cap} pointed paths of length "
+                              f"<= {args.max_len}")
+        paths.append(path.to_json())
     return _emit({"result": True, "paths": paths, "count": len(paths)},
                  args.pretty, out)
 
@@ -299,14 +314,18 @@ def _run_open_map(args, out) -> int:
     return _emit(report, args.pretty, out)
 
 
+def _require_labels(lx: LoadedModel, ly: LoadedModel) -> None:
+    if lx.labeling is None or ly.labeling is None:
+        raise ModelError("--labeled requires events/labels in both models")
+
+
 def _run_bisim(args, out, hp: bool) -> int:
     lx = load_model(args.fileX)
     ly = load_model(args.fileY)
     _require_valid(lx, args.fileX)
     _require_valid(ly, args.fileY)
     if args.labeled:
-        if lx.labeling is None or ly.labeling is None:
-            raise ModelError("--labeled requires events/labels in both models")
+        _require_labels(lx, ly)
         if hp:
             decision = hp_bisimilar(lx.hda, ly.hda, lx.labeling, ly.labeling)
         else:
@@ -321,7 +340,12 @@ def _run_oracle(args, out) -> int:
     ly = load_model(args.fileY)
     _require_valid(lx, args.fileX)
     _require_valid(ly, args.fileY)
-    decision = hp_oracle(lx.hda, ly.hda, _depth_arg(args), cap=_cap_arg(args))
+    if args.labeled:
+        _require_labels(lx, ly)
+        decision = hp_oracle(lx.hda, ly.hda, _depth_arg(args), lx=lx.labeling,
+                             ly=ly.labeling, cap=_cap_arg(args))
+    else:
+        decision = hp_oracle(lx.hda, ly.hda, _depth_arg(args), cap=_cap_arg(args))
     return _emit(decision.to_json(), args.pretty, out)
 
 

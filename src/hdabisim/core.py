@@ -24,6 +24,7 @@ cubes listed in ``PrecubicalSet.frontier``; omitted faces are stored as
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -57,37 +58,93 @@ class Cube:
     upper: tuple[str | None, ...] = ()
 
 
+#: Face entries of the int view that name no cube of the set: a reference to
+#: an id the set does not contain, and an upper face omitted by truncation.
+#: Both are negative, so a test ``j >= 0`` admits exactly the cube indices.
+UNKNOWN = -1
+OMITTED = -2
+
+
+class CubeIndex:
+    """The int view of a precubical set, built once from its string data.
+
+    Cube ``i`` is the i-th id in ascending (dimension, id) order.
+    ``lower[i]``/``upper[i]`` hold the indices of its faces in position
+    order, with ``UNKNOWN`` for an id outside the set and ``OMITTED`` for a
+    ``None`` face; ``cofaces[i]`` lists the (k, j) with lower face k of cube
+    j equal to i, in ascending (j, k) order.  Read-only by convention.
+    """
+
+    __slots__ = ("ids", "pos", "dims", "lower", "upper", "cofaces")
+
+    def __init__(self, ids: tuple[str, ...], cubes: Mapping[str, Cube]):
+        self.ids = ids
+        self.pos = dict(zip(ids, range(len(ids))))
+        get, unknown = {**self.pos, None: OMITTED}.get, itertools.repeat(UNKNOWN)
+        ordered = list(map(cubes.__getitem__, ids))
+        self.dims = tuple([c.dim for c in ordered])
+        self.lower = tuple([tuple(map(get, c.lower, unknown)) for c in ordered])
+        self.upper = tuple([tuple(map(get, c.upper, unknown)) for c in ordered])
+        cofaces: list[list[tuple[int, int]]] = [[] for _ in ids]
+        for i, faces in enumerate(self.lower):
+            k = 1
+            for j in faces:
+                if j >= 0:
+                    cofaces[j].append((k, i))
+                k += 1
+        self.cofaces = cofaces
+
+
 class PrecubicalSet:
     """A finite graded set of cubes closed under the face maps.
 
-    Construction only indexes the data; structural validity (face closure,
-    arity, the face identity) is checked by :func:`validate_precubical`.
+    Construction only stores the cubes and sorts their ids; structural
+    validity (face closure, arity, the face identity) is checked by
+    :func:`validate_precubical`.  Two indexes are built lazily, each the
+    first time it is read, and then kept: the string coface tables behind
+    `cofaces_lower`, `cofaces_upper` and `successors`, and `indexed`, the
+    int view (:class:`CubeIndex`) that validation, reachability and the
+    bisimulation engine read.  Callers that use neither pay for neither.
     """
 
     def __init__(self, cubes: Iterable[Cube], frontier: Iterable[str] = ()):
-        self._cubes: dict[str, Cube] = {}
-        for cube in cubes:
-            if cube.id in self._cubes:
-                raise ModelError(f"duplicate cube id {cube.id!r}")
-            self._cubes[cube.id] = cube
+        cubes = list(cubes)
+        self._cubes: dict[str, Cube] = {cube.id: cube for cube in cubes}
+        if len(self._cubes) != len(cubes):
+            seen: set[str] = set()
+            for cube in cubes:
+                if cube.id in seen:
+                    raise ModelError(f"duplicate cube id {cube.id!r}")
+                seen.add(cube.id)
         self.frontier = frozenset(frontier)
-        self._ids = tuple(sorted(self._cubes, key=self._sort_key))
-        # Coface indexes: for each cube f, the parents x with delta_k^nu x = f.
-        cof0: dict[str, list[tuple[int, str]]] = {c: [] for c in self._cubes}
-        cof1: dict[str, list[tuple[int, str]]] = {c: [] for c in self._cubes}
+        # Ids are unique, so sorting (dim, id) pairs gives (dim, id) order.
+        self._ids = tuple([cid for _dim, cid in sorted(
+            [(cube.dim, cid) for cid, cube in self._cubes.items()])])
+
+    @functools.cached_property
+    def indexed(self) -> CubeIndex:
+        """The int view of the set, built on first use and kept."""
+        return CubeIndex(self._ids, self._cubes)
+
+    def _coface_table(self, upper: bool) -> dict[str, tuple[tuple[int, str], ...]]:
+        # For each cube f, the parents x with delta_k^nu x = f, in (x, k) order.
+        table: dict[str, list[tuple[int, str]]] = {}
         for x in self._ids:
             cube = self._cubes[x]
-            for k, f in enumerate(cube.lower, start=1):
-                if f in cof0:
-                    cof0[f].append((k, x))
-            for k, f in enumerate(cube.upper, start=1):
-                if f in cof1:
-                    cof1[f].append((k, x))
-        self._cofaces0 = {c: tuple(v) for c, v in cof0.items()}
-        self._cofaces1 = {c: tuple(v) for c, v in cof1.items()}
+            for k, f in enumerate(cube.upper if upper else cube.lower, start=1):
+                if f in self._cubes:
+                    table.setdefault(f, []).append((k, x))
+        return {c: tuple(v) for c, v in table.items()}
 
-    def _sort_key(self, cid: str) -> tuple[int, str]:
-        return (self._cubes[cid].dim, cid)
+    # The string coface tables are plain attributes once built, so that
+    # `cofaces_lower` and `successors` pay nothing per call for the laziness.
+    @functools.cached_property
+    def _cofaces0(self) -> dict[str, tuple[tuple[int, str], ...]]:
+        return self._coface_table(upper=False)
+
+    @functools.cached_property
+    def _cofaces1(self) -> dict[str, tuple[tuple[int, str], ...]]:
+        return self._coface_table(upper=True)
 
     def __contains__(self, cid: str) -> bool:
         return cid in self._cubes
@@ -249,23 +306,35 @@ def validate_precubical(space: PrecubicalSet) -> ValidationReport:
     Identity violations name the offending cube, the indices (k, l, nu, mu)
     with k < l, and the two corner ids that should have coincided.
     """
+    view = space.indexed
+    ids, dims, tables = view.ids, view.dims, (view.lower, view.upper)
+    lower, upper = tables
     violations: list[Violation] = []
-    clean: set[str] = set()
+    clean = bytearray(len(ids))
 
-    for x in space.ids():
-        cube = space.cube(x)
+    for i, x in enumerate(ids):
+        dim, lo, up = dims[i], lower[i], upper[i]
+        if len(lo) == dim and len(up) == dim:
+            # Fast path: every face is a cube one dimension down.
+            for j in lo + up:
+                if j < 0 or dims[j] != dim - 1:
+                    break
+            else:
+                clean[i] = 1
+                continue
+        cube = space._cubes[x]
         good = True
-        if len(cube.lower) != cube.dim or len(cube.upper) != cube.dim:
+        if len(lo) != dim or len(up) != dim:
             violations.append(Violation(
                 "face-arity", x,
-                f"cube {x!r} of dimension {cube.dim} has "
-                f"{len(cube.lower)} lower / {len(cube.upper)} upper faces",
-                {"dim": cube.dim, "lower": len(cube.lower), "upper": len(cube.upper)},
+                f"cube {x!r} of dimension {dim} has "
+                f"{len(lo)} lower / {len(up)} upper faces",
+                {"dim": dim, "lower": len(lo), "upper": len(up)},
             ))
             good = False
-        for nu, faces in ((0, cube.lower), (1, cube.upper)):
-            for k, f in enumerate(faces, start=1):
-                if f is None:
+        for nu, faces, names in ((0, lo, cube.lower), (1, up, cube.upper)):
+            for k, j in enumerate(faces, start=1):
+                if j == OMITTED:
                     if nu == 1 and x in space.frontier:
                         continue  # omitted by truncation, explicitly flagged
                     violations.append(Violation(
@@ -274,42 +343,46 @@ def validate_precubical(space: PrecubicalSet) -> ValidationReport:
                         {"k": k, "nu": nu},
                     ))
                     good = False
-                elif f not in space:
+                elif j == UNKNOWN:
+                    f = names[k - 1]
                     violations.append(Violation(
                         "dangling-face", x,
                         f"cube {x!r} face k={k} nu={nu} refers to unknown id {f!r}",
                         {"k": k, "nu": nu, "ref": f},
                     ))
                     good = False
-                elif space.dim(f) != cube.dim - 1:
+                elif dims[j] != dim - 1:
                     violations.append(Violation(
                         "face-dimension", x,
                         f"cube {x!r} face k={k} nu={nu} has dimension "
-                        f"{space.dim(f)}, expected {cube.dim - 1}",
-                        {"k": k, "nu": nu, "ref": f},
+                        f"{dims[j]}, expected {dim - 1}",
+                        {"k": k, "nu": nu, "ref": ids[j]},
                     ))
                     good = False
         if good:
-            clean.add(x)
+            clean[i] = 1
 
-    for x in space.ids():
-        if x not in clean:
+    # The faces of a clean cube are cubes or omitted (never unknown), and a
+    # clean cube has all its positions, so every index below is in range.
+    for i, x in enumerate(ids):
+        dim = dims[i]
+        if dim < 2 or not clean[i]:
             continue
-        dim = space.dim(x)
         for ell in range(2, dim + 1):
             for k in range(1, ell):
-                for nu, mu in itertools.product((0, 1), repeat=2):
-                    outer = space.face(x, ell, mu)
-                    inner = space.face(x, k, nu)
-                    if outer is None or inner is None:
+                for nu, mu in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    outer = tables[mu][i][ell - 1]
+                    inner = tables[nu][i][k - 1]
+                    if outer < 0 or inner < 0:
                         continue
-                    if outer not in clean or inner not in clean:
+                    if not (clean[outer] and clean[inner]):
                         continue
-                    left = space.face(outer, k, nu)
-                    right = space.face(inner, ell - 1, mu)
-                    if left is None or right is None:
+                    left = tables[nu][outer][k - 1]
+                    right = tables[mu][inner][ell - 2]
+                    if left < 0 or right < 0:
                         continue
                     if left != right:
+                        left, right = ids[left], ids[right]
                         violations.append(Violation(
                             "identity", x,
                             f"face identity fails at cube {x!r}, k={k}, l={ell}, "
@@ -345,45 +418,51 @@ def validate_labeling(hda: HDA, labeling: Labeling) -> ValidationReport:
     """Check that the labeling is a morphism into the event torus: tuple
     lengths match dimensions, tuples are sorted, and the k-th face deletes
     the k-th entry."""
-    space = hda.space
+    view = hda.space.indexed
     violations: list[Violation] = []
     nevents = len(labeling.events)
-    for x in space.ids():
-        if x not in labeling.assign:
+    labels = [labeling.assign.get(x) for x in view.ids]
+    for i, x in enumerate(view.ids):
+        tup, dim = labels[i], view.dims[i]
+        if tup is None:
             violations.append(Violation(
                 "label-missing", x, f"cube {x!r} has no label tuple", {}))
             continue
-        tup = labeling.assign[x]
-        if len(tup) != space.dim(x):
+        if len(tup) != dim:
             violations.append(Violation(
                 "label-length", x,
-                f"cube {x!r} of dimension {space.dim(x)} is labeled with a "
+                f"cube {x!r} of dimension {dim} is labeled with a "
                 f"{len(tup)}-tuple", {"tuple": list(tup)}))
             continue
-        if any(not 1 <= i <= nevents for i in tup):
+        if not dim:
+            continue
+        if min(tup) < 1 or max(tup) > nevents:
             violations.append(Violation(
                 "label-range", x,
                 f"cube {x!r} label {list(tup)} has indices outside 1..{nevents}",
                 {"tuple": list(tup)}))
             continue
-        if any(tup[j] > tup[j + 1] for j in range(len(tup) - 1)):
+        if dim > 1 and sorted(tup) != list(tup):
             violations.append(Violation(
                 "label-unsorted", x,
                 f"cube {x!r} label {list(tup)} is not sorted ascending",
                 {"tuple": list(tup)}))
             continue
-        for nu in (0, 1):
-            for k in range(1, space.dim(x) + 1):
-                f = space.face(x, k, nu)
-                if f is None or f not in space or f not in labeling.assign:
+        deleted = [tup[:k] + tup[k + 1:] for k in range(dim)]
+        for nu, faces in ((0, view.lower[i]), (1, view.upper[i])):
+            # A face list shorter than the dimension is an arity fault,
+            # reported by validate_precubical; its missing positions are
+            # skipped here, as are faces that name no labeled cube.
+            for k, j in enumerate(faces[:dim], start=1):
+                if j < 0 or labels[j] is None:
                     continue
-                expected = tup[:k - 1] + tup[k:]
-                if labeling.assign[f] != expected:
+                expected = deleted[k - 1]
+                if labels[j] != expected:
                     violations.append(Violation(
                         "label-face", x,
                         f"cube {x!r}: face k={k} nu={nu} is labeled "
-                        f"{list(labeling.assign[f])}, expected {list(expected)}",
-                        {"k": k, "nu": nu, "face": f}))
+                        f"{list(labels[j])}, expected {list(expected)}",
+                        {"k": k, "nu": nu, "face": view.ids[j]}))
     return ValidationReport(violations)
 
 
@@ -445,27 +524,46 @@ def product(x_space: PrecubicalSet, y_space: PrecubicalSet) -> PrecubicalSet:
     return PrecubicalSet(cubes)
 
 
+def reachable_mask(hda: HDA) -> bytearray:
+    """Flags over the int view (`PrecubicalSet.indexed`): entry i is 1 iff
+    cube i is reachable from the initial cube."""
+    view = hda.space.indexed
+    start = view.pos.get(hda.initial)
+    if start is None:
+        raise ModelError(f"initial cube {hda.initial!r} does not exist")
+    cofaces, upper = view.cofaces, view.upper
+    seen = bytearray(len(view.ids))
+    seen[start] = 1
+    stack = [start]
+    # An unknown upper face is pushed as a negative number -3 - n naming
+    # unknown[n] and raises when it is popped, as looking the id up would.
+    unknown: list[str] = []
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            raise ModelError(f"unknown cube id {unknown[-3 - i]!r}")
+        for _k, j in cofaces[i]:
+            if not seen[j]:
+                seen[j] = 1
+                stack.append(j)
+        for k, j in enumerate(upper[i]):
+            if j >= 0:
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+            elif j == UNKNOWN:
+                ref = hda.space._cubes[view.ids[i]].upper[k]
+                if ref not in unknown:
+                    unknown.append(ref)
+                    stack.append(-3 - unknown.index(ref))
+    return seen
+
+
 def reachable(hda: HDA) -> frozenset[str]:
     """All cubes connected to the initial cube by a pointed cube path,
     i.e. the closure of {initial} under the step relation."""
-    space = hda.space
-    if hda.initial not in space:
-        raise ModelError(f"initial cube {hda.initial!r} does not exist")
-    seen = {hda.initial}
-    queue = [hda.initial]
-    # The steps of `successors`, walked directly: the result is a set, so
-    # their sorted order is not needed.
-    while queue:
-        x = queue.pop()
-        for _k, y in space.cofaces_lower(x):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-        for y in space.cube(x).upper:
-            if y is not None and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    return frozenset(itertools.compress(hda.space.indexed.ids,
+                                        reachable_mask(hda)))
 
 
 def torus_cube_id(names: tuple[str, ...]) -> str:

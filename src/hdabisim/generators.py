@@ -9,6 +9,7 @@ so the generator cannot produce broken face data by construction.
 from __future__ import annotations
 
 import itertools
+import weakref
 from random import Random
 
 from .core import HDA, Cube, EventSet, Labeling, PrecubicalSet, torus_hda
@@ -21,17 +22,6 @@ _Cell = tuple[tuple[int, bool], ...]
 
 def _grid_cell_id(cell: _Cell) -> str:
     return "g" + "_".join(f"{p}s" if ext else f"{p}" for p, ext in cell)
-
-
-def _grid_faces(cell: _Cell) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    lower, upper = [], []
-    for axis, (pos, ext) in enumerate(cell):
-        if not ext:
-            continue
-        collapse = lambda at: cell[:axis] + ((at, False),) + cell[axis + 1:]
-        lower.append(_grid_cell_id(collapse(pos)))
-        upper.append(_grid_cell_id(collapse(pos + 1)))
-    return tuple(lower), tuple(upper)
 
 
 def _grid_cells(sizes: list[int] | tuple[int, ...]) -> int:
@@ -49,11 +39,23 @@ def grid_hda(sizes: tuple[int, ...]) -> HDA:
         cells = [(p, False) for p in range(size + 1)]
         cells += [(p, True) for p in range(size)]
         axes.append(cells)
+    # The id of a cell joins one token per axis (see _grid_cell_id); a face
+    # swaps the token of one extended axis for a point token.
+    token = {(p, ext): f"{p}s" if ext else f"{p}"
+             for cells in axes for p, ext in cells}
     cubes = []
     for cell in itertools.product(*axes):
-        lower, upper = _grid_faces(cell)
-        dim = sum(1 for _p, ext in cell if ext)
-        cubes.append(Cube(_grid_cell_id(cell), dim, lower, upper))
+        tokens = [token[c] for c in cell]
+        lower, upper = [], []
+        for axis, (pos, ext) in enumerate(cell):
+            if ext:
+                tokens[axis] = token[pos, False]
+                lower.append("g" + "_".join(tokens))
+                tokens[axis] = token[pos + 1, False]
+                upper.append("g" + "_".join(tokens))
+                tokens[axis] = token[pos, True]
+        cubes.append(Cube("g" + "_".join(tokens), len(lower), tuple(lower),
+                          tuple(upper)))
     origin = _grid_cell_id(tuple((0, False) for _ in sizes))
     return HDA(PrecubicalSet(cubes), origin)
 
@@ -79,6 +81,25 @@ def sub_hda(ambient: HDA, keep: set[str]) -> HDA:
     return HDA(PrecubicalSet(cubes), ambient.initial)
 
 
+# Ambient grids of earlier draws, per generator: draws from one Random reuse
+# the grids of the last few sizes it drew, and the memo goes with the
+# generator, so it holds no memory once the drawing is done.
+_GRIDS: weakref.WeakKeyDictionary[Random, dict] = weakref.WeakKeyDictionary()
+_GRIDS_KEPT = 4
+
+
+def _ambient_grid(rng: Random, sizes: tuple[int, ...]
+                  ) -> tuple[HDA, dict[str, tuple[str, ...]]]:
+    """The grid of `sizes` and a table of its cubes' successors, filled as
+    walks ask for them."""
+    memo = _GRIDS.setdefault(rng, {})
+    entry = memo.pop(sizes, None) or (grid_hda(sizes), {})
+    memo[sizes] = entry  # the most recently used entry goes last
+    if len(memo) > _GRIDS_KEPT:
+        del memo[next(iter(memo))]
+    return entry
+
+
 def random_hda(rng: Random, max_cubes: int = 30, max_dim: int = 3,
                cyclic: bool = False, stray: bool = False,
                min_cubes: int | None = None) -> HDA:
@@ -92,11 +113,12 @@ def random_hda(rng: Random, max_cubes: int = 30, max_dim: int = 3,
     if cyclic:
         names = tuple("ab"[:rng.randint(1, 2)])
         ambient, _labeling = torus_hda(EventSet(names), dim)
+        succ: dict[str, tuple[str, ...]] = {}
     else:
         sizes = [rng.randint(1, 3) for _ in range(dim)]
         while _grid_cells(sizes) < 2 * max_cubes:
             sizes[rng.randrange(dim)] += 1
-        ambient = grid_hda(tuple(sizes))
+        ambient, succ = _ambient_grid(rng, tuple(sizes))
     space = ambient.space
     keep: set[str] = {ambient.initial}
     closed = _face_closure(space, keep)
@@ -106,7 +128,9 @@ def random_hda(rng: Random, max_cubes: int = 30, max_dim: int = 3,
     for _step in range(40 * max_cubes):  # the ambient may be smaller than budget
         if len(closed) >= budget:
             break
-        succs = space.successors(cur)
+        succs = succ.get(cur)
+        if succs is None:
+            succs = succ[cur] = space.successors(cur)
         if not succs or rng.random() < 0.15:
             cur = rng.choice(sorted(keep))
             continue

@@ -17,6 +17,7 @@ upper faces were omitted by truncation; only those may carry ``null`` inside
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,9 @@ from .core import HDA, Cube, EventSet, Labeling, ModelError, PrecubicalSet
 
 _MODEL_FIELDS = {"cubes", "initial", "events", "labels", "frontier"}
 _CUBE_FIELDS = {"id", "dim", "d0", "d1"}
+# Second argument for `map(isinstance, entries, _STR)`, a type check per
+# entry without a Python-level loop.
+_STR = itertools.repeat(str)
 
 
 @dataclass
@@ -47,6 +51,31 @@ def _parse_faces(raw: object, cube_id: str, key: str) -> tuple[str | None, ...]:
     return tuple(out)
 
 
+def _parse_cube(raw: object) -> Cube:
+    """One cube entry, with every field check and its error message."""
+    if not isinstance(raw, dict):
+        raise ModelError("each cube must be an object")
+    extra = set(raw) - _CUBE_FIELDS
+    if extra:
+        raise ModelError(f"unknown cube fields: {sorted(extra)}")
+    cid = raw.get("id")
+    dim = raw.get("dim")
+    if not isinstance(cid, str) or not cid:
+        raise ModelError("cube ids must be non-empty strings")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        raise ModelError(f"cube {cid!r}: dim must be a natural number")
+    lower = _parse_faces(raw.get("d0", []), cid, "d0")
+    upper = _parse_faces(raw.get("d1", []), cid, "d1")
+    if any(f is None for f in lower):
+        raise ModelError(f"cube {cid!r}: d0 entries may not be null")
+    return Cube(cid, dim, lower, upper)  # type: ignore[arg-type]
+
+
+def _is_label(tup: object) -> bool:
+    return isinstance(tup, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in tup)
+
+
 def model_from_dict(data: object) -> LoadedModel:
     if not isinstance(data, dict):
         raise ModelError("model must be a JSON object")
@@ -61,36 +90,34 @@ def model_from_dict(data: object) -> LoadedModel:
         raise ModelError("'cubes' must be an array")
     cubes: list[Cube] = []
     for raw in raw_cubes:
-        if not isinstance(raw, dict):
-            raise ModelError("each cube must be an object")
-        extra = set(raw) - _CUBE_FIELDS
-        if extra:
-            raise ModelError(f"unknown cube fields: {sorted(extra)}")
-        cid = raw.get("id")
-        dim = raw.get("dim")
-        if not isinstance(cid, str) or not cid:
-            raise ModelError("cube ids must be non-empty strings")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise ModelError(f"cube {cid!r}: dim must be a natural number")
-        lower = _parse_faces(raw.get("d0", []), cid, "d0")
-        upper = _parse_faces(raw.get("d1", []), cid, "d1")
-        if any(f is None for f in lower):
-            raise ModelError(f"cube {cid!r}: d0 entries may not be null")
-        cubes.append(Cube(cid, dim, lower, upper))  # type: ignore[arg-type]
+        # Fast path for the common entry: plain JSON types, known fields,
+        # no null face.  Anything else takes the checked path, which raises
+        # the first error in the usual order or accepts the entry.
+        if type(raw) is dict and raw.keys() <= _CUBE_FIELDS:
+            cid, dim = raw.get("id"), raw.get("dim")
+            d0, d1 = raw.get("d0", []), raw.get("d1", [])
+            if (type(cid) is str and cid and type(dim) is int and dim >= 0
+                    and type(d0) is list and type(d1) is list
+                    and all(map(isinstance, d0, _STR))
+                    and all(map(isinstance, d1, _STR))):
+                cubes.append(Cube(cid, dim, tuple(d0), tuple(d1)))
+                continue
+        cubes.append(_parse_cube(raw))
 
     frontier_raw = data.get("frontier", [])
     if not isinstance(frontier_raw, list) or not all(
             isinstance(c, str) for c in frontier_raw):
         raise ModelError("'frontier' must be an array of cube ids")
+    frontier = set(frontier_raw)
     for cube in cubes:
-        if any(f is None for f in cube.upper) and cube.id not in frontier_raw:
+        if None in cube.upper and cube.id not in frontier:
             raise ModelError(
                 f"cube {cube.id!r} has null upper faces but is not in 'frontier'")
 
     initial = data["initial"]
     if not isinstance(initial, str):
         raise ModelError("'initial' must be a cube id")
-    space = PrecubicalSet(cubes, frontier=frontier_raw)
+    space = PrecubicalSet(cubes, frontier=frontier)
     hda = HDA(space, initial)
 
     labeling = None
@@ -109,8 +136,8 @@ def model_from_dict(data: object) -> LoadedModel:
         for cid, tup in raw_labels.items():
             if cid not in space:
                 raise ModelError(f"label for unknown cube {cid!r}")
-            if not isinstance(tup, list) or not all(
-                    isinstance(i, int) and not isinstance(i, bool) for i in tup):
+            if not (type(tup) is list and all([type(i) is int for i in tup])
+                    or _is_label(tup)):
                 raise ModelError(f"label of {cid!r} must be an array of integers")
             assign[cid] = tuple(tup)
         labeling = Labeling(events, assign)

@@ -527,7 +527,13 @@ def is_path_object(space: PrecubicalSet,
 
 def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
     """All pointed cube paths of length (cube count) <= max_len, emitted in
-    (length, lexicographic-by-id) order."""
+    (length, lexicographic-by-id) order.
+
+    Paths are yielded as they are built, so a consumer that stops early
+    never holds more than the layer built so far.  Extending the previous
+    layer, which is in lex order, by each end's sorted successors gives the
+    next layer in lex order too.
+    """
     if max_len < 1:
         return
     space = hda.space
@@ -541,8 +547,7 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
             for y in space.successors(seq[-1]):
                 # Position minus dimension stays odd along pointed paths.
                 assert (length - space.dim(y)) % 2 == 1
-                nxt.append(seq + (y,))
-        nxt.sort()
-        for seq in nxt:
-            yield CubePath(space, seq)
+                ext = seq + (y,)
+                nxt.append(ext)
+                yield CubePath(space, ext)
         layer = nxt

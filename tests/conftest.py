@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -72,3 +73,105 @@ def square_homotopy_chain(space: hb.PrecubicalSet) -> list[hb.CubePath]:
         ("i", "a", "x", "cb", "y", "tb", "z", "d"),
     ]
     return [hb.CubePath(space, seq) for seq in seqs]
+
+
+# JSON values that are wrong almost anywhere in a model file.
+_JUNK = (None, True, 0, -1, 2, 1.5, "", "ghost", [], {}, [None], ["ghost"],
+         [1], [True], {"x": [1]})
+
+
+def mutate_model_dict(rng, data: dict, count: int | None = None) -> dict:
+    """A copy of a model dict with 1-3 random faults, from wrong JSON types
+    and unknown fields to dangling, null, swapped or mis-dimensioned faces,
+    frontier flags and label changes.  Faults may stack, and some leave a
+    valid model."""
+    data = copy.deepcopy(data)
+
+    def some_id():
+        cubes = data.get("cubes")
+        ids = [c.get("id") for c in cubes if isinstance(c, dict)] \
+            if isinstance(cubes, list) else []
+        ids = [c for c in ids if isinstance(c, str)]
+        return rng.choice(ids) if ids and rng.random() < 0.8 else rng.choice(_JUNK)
+
+    def some_cube():
+        cubes = data.get("cubes")
+        if isinstance(cubes, list) and cubes:
+            i = rng.randrange(len(cubes))
+            if isinstance(cubes[i], dict):
+                return cubes, i
+        return None, None
+
+    for _ in range(count or rng.randint(1, 3)):
+        kind = rng.choice(("face", "face", "face", "faces", "dim", "cube-field",
+                           "drop-cube-field", "drop-cube", "duplicate-cube",
+                           "junk-cube", "top-field", "drop-top", "frontier",
+                           "label", "label", "initial", "events"))
+        cubes, i = some_cube()
+        if kind in ("face", "faces", "dim", "cube-field", "drop-cube-field",
+                    "drop-cube", "duplicate-cube", "junk-cube") and cubes is None:
+            continue
+        if kind == "face":
+            key = rng.choice(("d0", "d1"))
+            faces = cubes[i].get(key)
+            if isinstance(faces, list) and faces:
+                k = rng.randrange(len(faces))
+                faces[k] = rng.choice((None, "ghost", cubes[i].get("id"), some_id(),
+                                       some_id(), rng.choice(_JUNK)))
+                if rng.random() < 0.3:
+                    j = rng.randrange(len(faces))
+                    faces[k], faces[j] = faces[j], faces[k]
+        elif kind == "faces":
+            faces = cubes[i].get(rng.choice(("d0", "d1")))
+            if isinstance(faces, list):
+                if faces and rng.random() < 0.5:
+                    faces.pop()
+                else:
+                    faces.append(some_id())
+        elif kind == "dim":
+            dim = cubes[i].get("dim")
+            cubes[i]["dim"] = dim + rng.choice((-1, 1)) \
+                if isinstance(dim, int) else rng.choice(_JUNK)
+        elif kind == "cube-field":
+            cubes[i][rng.choice(("id", "dim", "d0", "d1", "color"))] = \
+                rng.choice(_JUNK + (some_id(),))
+        elif kind == "drop-cube-field":
+            cubes[i].pop(rng.choice(("id", "dim", "d0", "d1")), None)
+        elif kind == "drop-cube":
+            del cubes[i]
+        elif kind == "duplicate-cube":
+            cubes.append(copy.deepcopy(cubes[i]))
+        elif kind == "junk-cube":
+            cubes[i] = rng.choice(_JUNK)
+        elif kind == "top-field":
+            data[rng.choice(("cubes", "initial", "events", "labels",
+                             "frontier", "comment"))] = rng.choice(_JUNK)
+        elif kind == "drop-top":
+            data.pop(rng.choice(("cubes", "initial", "events", "labels",
+                                 "frontier")), None)
+        elif kind == "frontier":
+            frontier = data.get("frontier")
+            if not isinstance(frontier, list):
+                frontier = data["frontier"] = []
+            frontier.append(some_id())
+        elif kind == "label":
+            labels = data.get("labels")
+            if isinstance(labels, dict) and labels:
+                cid = rng.choice(sorted(labels))
+                tup = labels[cid]
+                if rng.random() < 0.3 or not isinstance(tup, list):
+                    labels[cid] = rng.choice(_JUNK)
+                elif rng.random() < 0.3:
+                    del labels[cid]
+                else:
+                    labels[cid] = rng.choice((tup + [1], tup[:-1], tup[::-1],
+                                              [0] * len(tup), [9] * len(tup),
+                                              [rng.randint(1, 3) for _ in tup]))
+        elif kind == "initial":
+            data["initial"] = some_id()
+        elif kind == "events":
+            events = data.get("events")
+            if isinstance(events, list) and events:
+                data["events"] = rng.choice((events[:-1], events + events[:1],
+                                             events + ["a.b"], events[::-1]))
+    return data

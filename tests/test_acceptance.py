@@ -12,7 +12,7 @@ from collections import Counter
 
 import hdabisim as hb
 from hdabisim import EventSet
-from hdabisim.generators import random_hda, random_pointed_path
+from hdabisim.generators import grid_labeling, random_hda, random_pointed_path
 
 from conftest import square_homotopy_chain, load, model_dict
 
@@ -162,6 +162,34 @@ def test_criterion_5_equivalence_of_decision_routes():
                 audit = hb.verify_bisim_relation(x, y, fixed.witness)
                 assert audit == [], (trial, audit)
         assert disagreements == []
+        # The labeled half: grid models labeled by axis, against another
+        # model or against the unfolding of the same model.
+        events = EventSet(("a", "b"))
+        verdicts = Counter()
+        for trial in range(30):
+            x = random_hda(rng, max_cubes=20, max_dim=2)
+            lx = grid_labeling(x, events)
+            if trial % 2:
+                y = random_hda(rng, max_cubes=20, max_dim=2)
+                ly = grid_labeling(y, events)
+            else:
+                unfolding = hb.unfold(x, hb.longest_pointed_path_length(x))
+                y = unfolding.tree
+                ly = hb.Labeling(events, {c: lx.assign[unfolding.project(c)]
+                                          for c in y.space.ids()})
+            depth = max(hb.longest_pointed_path_length(x),
+                        hb.longest_pointed_path_length(y))
+            fixed = hb.labeled_bisimilar(x, lx, y, ly)
+            oracle = hb.hp_oracle(x, y, depth, lx, ly)
+            assert oracle.definite
+            if fixed.result != oracle.result:
+                disagreements.append(("labeled", trial, fixed.result, oracle.result))
+            if fixed.result is True:
+                audit = hb.verify_bisim_relation(x, y, fixed.witness, lx, ly)
+                assert audit == [], (trial, audit)
+            verdicts[fixed.result] += 1
+        assert disagreements == []
+        assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_criterion_6_figure_level_decisions():

@@ -442,3 +442,88 @@ def test_incremental_refinement_agrees_with_naive_refinement():
         if trial >= 2000:
             deep_rounds.append(naive_rounds)
     assert min(deep_rounds) >= 200, deep_rounds
+
+
+def _verify_bisim_relation_ref(x_hda, y_hda, pairs, lx=None, ly=None):
+    """The witness audit as first written, through `dim`, `face` and
+    `cofaces_lower_at`: the reference for `verify_bisim_relation`."""
+    xs, ys = x_hda.space, y_hda.space
+    rel = set(pairs)
+    problems = []
+    if (x_hda.initial, y_hda.initial) not in rel:
+        problems.append("initial pair missing")
+    reach_x, reach_y = hb.reachable(x_hda), hb.reachable(y_hda)
+    for x, y in sorted(rel):
+        if xs.dim(x) != ys.dim(y):
+            problems.append(f"dimension mismatch in pair ({x}, {y})")
+            continue
+        if lx is not None and lx.assign.get(x) != ly.assign.get(y):
+            problems.append(f"label mismatch in pair ({x}, {y})")
+        for nu in (0, 1):
+            for k in range(1, xs.dim(x) + 1):
+                fx, fy = xs.face(x, k, nu), ys.face(y, k, nu)
+                if fx is None or fy is None:
+                    continue
+                if (fx, fy) not in rel:
+                    problems.append(
+                        f"pair ({x}, {y}) not face-closed at k={k} nu={nu}")
+        if x in reach_x and y in reach_y:
+            for k, x2 in xs.cofaces_lower(x):
+                if not any((x2, y2) in rel for y2 in ys.cofaces_lower_at(y, k)):
+                    problems.append(
+                        f"pair ({x}, {y}) has no match for {x2} at k={k}")
+            for k, y2 in ys.cofaces_lower(y):
+                if not any((x2, y2) in rel for x2 in xs.cofaces_lower_at(x, k)):
+                    problems.append(
+                        f"pair ({x}, {y}) has no match for {y2} at k={k}")
+    return problems
+
+
+def _with_extra_faces(hda, pick):
+    """`hda` with every cube of dimension >= 1 given one face more than its
+    dimension on each side, namely `pick(cube)`: an arity fault."""
+    cubes = [hda.space.cube(c) for c in hda.space.ids()]
+    cubes = [Cube(c.id, c.dim, c.lower + (pick(c),), c.upper + (pick(c),))
+             if c.dim else c for c in cubes]
+    return hb.HDA(PrecubicalSet(cubes, hda.space.frontier), hda.initial)
+
+
+def _audit_inputs():
+    """(x, lx, y, ly, witness) inputs for the audit: decided pairs, truncated
+    trees against themselves, and models with arity faults whose surplus
+    faces differ, each with the diagonal or the decided witness."""
+    pairs = _differential_pairs()[:600]
+    for x, lx, y, ly in pairs:
+        decision = (hb.bisimilar(x, y) if lx is None
+                    else hb.labeled_bisimilar(x, lx, y, ly))
+        yield x, lx, y, ly, decision.witness or []
+    for x, _lx, _y, _ly in pairs[:60]:
+        tree = hb.unfold(x, 3).tree
+        diagonal = [(c, c) for c in tree.space.ids()]
+        yield tree, None, tree, None, diagonal
+        lower = _with_extra_faces(x, lambda c: c.lower[0])
+        upper = _with_extra_faces(x, lambda c: c.upper[0])
+        yield lower, None, upper, None, [(c, c) for c in x.space.ids()]
+
+
+def test_witness_audit_agrees_with_reference_on_corrupted_witnesses():
+    rng = random.Random(0xA0D1)
+    kinds = set()
+    for trial, (x, lx, y, ly, witness) in enumerate(_audit_inputs()):
+        witness = list(witness)
+        # Drop pairs, and add pairs of any two cubes, so that every kind of
+        # problem shows up somewhere.
+        for _ in range(rng.randint(0, 3)):
+            if witness and rng.random() < 0.5:
+                witness.pop(rng.randrange(len(witness)))
+            else:
+                witness.append((rng.choice(x.space.ids()), rng.choice(y.space.ids())))
+        got = hb.verify_bisim_relation(x, y, witness, lx, ly)
+        assert got == _verify_bisim_relation_ref(x, y, witness, lx, ly), trial
+        kinds.update(next(kind for kind in _AUDIT_PROBLEMS if kind in p)
+                     for p in got)
+    assert kinds == set(_AUDIT_PROBLEMS)
+
+
+_AUDIT_PROBLEMS = ("initial pair missing", "dimension mismatch",
+                   "label mismatch", "not face-closed", "has no match")

@@ -176,6 +176,44 @@ def test_oracle_exit_codes():
     assert code == 1 and report["result"] is False
 
 
+def test_oracle_labeled():
+    ab, ac = model("ab_square_abc.json"), model("ac_square_abc.json")
+    # Without --labeled the oracle decides the unlabeled question.
+    code, report = run_json("oracle", ab, ac, "--depth", "6")
+    assert code == 0 and report["result"] is True
+    code, report = run_json("oracle", ab, ac, "--depth", "6", "--labeled")
+    assert code == 1 and report["result"] is False
+    code, report = run_json("hp-bisim", ab, ac, "--labeled")
+    assert code == 1 and report["result"] is False
+    code, report = run_json("oracle", ab, ab, "--depth", "6", "--labeled")
+    assert code == 0 and report["result"] is True
+    code, report = run_json("oracle", model("fig5_x.json"), ab, "--depth", "6",
+                            "--labeled")
+    assert code == 2
+    assert report["error"] == "--labeled requires events/labels in both models"
+
+
+def test_paths_honours_the_cap(tmp_path, monkeypatch):
+    torus = tmp_path / "torus.json"
+    hda, labeling = hb.torus_hda(hb.EventSet(("a", "b")), 2)
+    hb.dump_model(hda, torus, labeling)
+    code, report = run_json("paths", str(torus), "--max-len", "6", "--cap", "100")
+    assert code == 0 and report["count"] == 99
+    code, report = run_json("paths", str(torus), "--max-len", "6", "--cap", "99")
+    assert code == 0 and report["count"] == 99
+    code, report = run_json("paths", str(torus), "--max-len", "6", "--cap", "98")
+    assert code == 3 and report["result"] == "cap-exceeded"
+    code, report = run_json("paths", str(torus), "--max-len", "8", "--cap", "100")
+    assert code == 3 and report["result"] == "cap-exceeded"
+    # About 2e8 paths: the count stops the enumeration at the default cap.
+    code, report = run_json("paths", str(torus), "--max-len", "24")
+    assert code == 3 and report["result"] == "cap-exceeded"
+    assert "100000" in report["error"]
+    monkeypatch.setenv("HDABISIM_CAP", "100")
+    code, report = run_json("paths", str(torus), "--max-len", "8")
+    assert code == 3 and report["result"] == "cap-exceeded"
+
+
 def test_open_map(tmp_path):
     mapping = {c: c for c in
                hb.load_model(MODELS / "fig1_right.json").hda.space.ids()}

@@ -1,0 +1,455 @@
+"""The int-view core against the string walks it replaced.
+
+`validate_precubical`, `validate_labeling`, `reachable` and the loader
+`model_from_dict` read the int view of a precubical set
+(`PrecubicalSet.indexed`) or take a fast path; the string-walking versions
+they replaced are kept below as references.  Reports must be equal in
+content and order, reachable sets equal, and loader errors equal in
+message.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import hdabisim as hb
+from hdabisim import (HDA, Cube, EventSet, Labeling, LoadedModel, ModelError,
+                      PrecubicalSet, ValidationReport, Violation)
+from hdabisim.generators import grid_labeling, random_hda
+from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS
+
+from conftest import MODELS, model_dict, mutate_model_dict
+from test_bisim import _blocks, _naive_refine, _torus_labeling
+
+
+# -- references: the string walks of the previous core ----------------------
+
+def _validate_precubical_ref(space):
+    """Check face arity, face closure, and the face identity everywhere.
+
+    Identity violations name the offending cube, the indices (k, l, nu, mu)
+    with k < l, and the two corner ids that should have coincided.
+    """
+    violations: list[Violation] = []
+    clean: set[str] = set()
+
+    for x in space.ids():
+        cube = space.cube(x)
+        good = True
+        if len(cube.lower) != cube.dim or len(cube.upper) != cube.dim:
+            violations.append(Violation(
+                "face-arity", x,
+                f"cube {x!r} of dimension {cube.dim} has "
+                f"{len(cube.lower)} lower / {len(cube.upper)} upper faces",
+                {"dim": cube.dim, "lower": len(cube.lower), "upper": len(cube.upper)},
+            ))
+            good = False
+        for nu, faces in ((0, cube.lower), (1, cube.upper)):
+            for k, f in enumerate(faces, start=1):
+                if f is None:
+                    if nu == 1 and x in space.frontier:
+                        continue  # omitted by truncation, explicitly flagged
+                    violations.append(Violation(
+                        "missing-face", x,
+                        f"cube {x!r} lacks face k={k} nu={nu}",
+                        {"k": k, "nu": nu},
+                    ))
+                    good = False
+                elif f not in space:
+                    violations.append(Violation(
+                        "dangling-face", x,
+                        f"cube {x!r} face k={k} nu={nu} refers to unknown id {f!r}",
+                        {"k": k, "nu": nu, "ref": f},
+                    ))
+                    good = False
+                elif space.dim(f) != cube.dim - 1:
+                    violations.append(Violation(
+                        "face-dimension", x,
+                        f"cube {x!r} face k={k} nu={nu} has dimension "
+                        f"{space.dim(f)}, expected {cube.dim - 1}",
+                        {"k": k, "nu": nu, "ref": f},
+                    ))
+                    good = False
+        if good:
+            clean.add(x)
+
+    for x in space.ids():
+        if x not in clean:
+            continue
+        dim = space.dim(x)
+        for ell in range(2, dim + 1):
+            for k in range(1, ell):
+                for nu, mu in itertools.product((0, 1), repeat=2):
+                    outer = space.face(x, ell, mu)
+                    inner = space.face(x, k, nu)
+                    if outer is None or inner is None:
+                        continue
+                    if outer not in clean or inner not in clean:
+                        continue
+                    left = space.face(outer, k, nu)
+                    right = space.face(inner, ell - 1, mu)
+                    if left is None or right is None:
+                        continue
+                    if left != right:
+                        violations.append(Violation(
+                            "identity", x,
+                            f"face identity fails at cube {x!r}, k={k}, l={ell}, "
+                            f"nu={nu}, mu={mu}: {left!r} != {right!r}",
+                            {"k": k, "ell": ell, "nu": nu, "mu": mu,
+                             "left": left, "right": right},
+                        ))
+    return ValidationReport(violations)
+
+
+def _validate_labeling_ref(hda, labeling):
+    """Check that the labeling is a morphism into the event torus: tuple
+    lengths match dimensions, tuples are sorted, and the k-th face deletes
+    the k-th entry."""
+    space = hda.space
+    violations: list[Violation] = []
+    nevents = len(labeling.events)
+    for x in space.ids():
+        if x not in labeling.assign:
+            violations.append(Violation(
+                "label-missing", x, f"cube {x!r} has no label tuple", {}))
+            continue
+        tup = labeling.assign[x]
+        if len(tup) != space.dim(x):
+            violations.append(Violation(
+                "label-length", x,
+                f"cube {x!r} of dimension {space.dim(x)} is labeled with a "
+                f"{len(tup)}-tuple", {"tuple": list(tup)}))
+            continue
+        if any(not 1 <= i <= nevents for i in tup):
+            violations.append(Violation(
+                "label-range", x,
+                f"cube {x!r} label {list(tup)} has indices outside 1..{nevents}",
+                {"tuple": list(tup)}))
+            continue
+        if any(tup[j] > tup[j + 1] for j in range(len(tup) - 1)):
+            violations.append(Violation(
+                "label-unsorted", x,
+                f"cube {x!r} label {list(tup)} is not sorted ascending",
+                {"tuple": list(tup)}))
+            continue
+        for nu in (0, 1):
+            for k in range(1, space.dim(x) + 1):
+                f = space.face(x, k, nu)
+                if f is None or f not in space or f not in labeling.assign:
+                    continue
+                expected = tup[:k - 1] + tup[k:]
+                if labeling.assign[f] != expected:
+                    violations.append(Violation(
+                        "label-face", x,
+                        f"cube {x!r}: face k={k} nu={nu} is labeled "
+                        f"{list(labeling.assign[f])}, expected {list(expected)}",
+                        {"k": k, "nu": nu, "face": f}))
+    return ValidationReport(violations)
+
+
+def _reachable_ref(hda):
+    """All cubes connected to the initial cube by a pointed cube path,
+    i.e. the closure of {initial} under the step relation."""
+    space = hda.space
+    if hda.initial not in space:
+        raise ModelError(f"initial cube {hda.initial!r} does not exist")
+    seen = {hda.initial}
+    queue = [hda.initial]
+    # The steps of `successors`, walked directly: the result is a set, so
+    # their sorted order is not needed.
+    while queue:
+        x = queue.pop()
+        for _k, y in space.cofaces_lower(x):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+        for y in space.cube(x).upper:
+            if y is not None and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+def _parse_faces_ref(raw, cube_id, key):
+    if not isinstance(raw, list):
+        raise ModelError(f"cube {cube_id!r}: {key} must be an array")
+    out: list[str | None] = []
+    for entry in raw:
+        if entry is None:
+            out.append(None)
+        elif isinstance(entry, str):
+            out.append(entry)
+        else:
+            raise ModelError(f"cube {cube_id!r}: {key} entries must be ids or null")
+    return tuple(out)
+
+
+def _model_from_dict_ref(data):
+    if not isinstance(data, dict):
+        raise ModelError("model must be a JSON object")
+    unknown = set(data) - _MODEL_FIELDS
+    if unknown:
+        raise ModelError(f"unknown model fields: {sorted(unknown)}")
+    if "cubes" not in data or "initial" not in data:
+        raise ModelError("model requires 'cubes' and 'initial'")
+
+    raw_cubes = data["cubes"]
+    if not isinstance(raw_cubes, list):
+        raise ModelError("'cubes' must be an array")
+    cubes: list[Cube] = []
+    for raw in raw_cubes:
+        if not isinstance(raw, dict):
+            raise ModelError("each cube must be an object")
+        extra = set(raw) - _CUBE_FIELDS
+        if extra:
+            raise ModelError(f"unknown cube fields: {sorted(extra)}")
+        cid = raw.get("id")
+        dim = raw.get("dim")
+        if not isinstance(cid, str) or not cid:
+            raise ModelError("cube ids must be non-empty strings")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise ModelError(f"cube {cid!r}: dim must be a natural number")
+        lower = _parse_faces_ref(raw.get("d0", []), cid, "d0")
+        upper = _parse_faces_ref(raw.get("d1", []), cid, "d1")
+        if any(f is None for f in lower):
+            raise ModelError(f"cube {cid!r}: d0 entries may not be null")
+        cubes.append(Cube(cid, dim, lower, upper))  # type: ignore[arg-type]
+
+    frontier_raw = data.get("frontier", [])
+    if not isinstance(frontier_raw, list) or not all(
+            isinstance(c, str) for c in frontier_raw):
+        raise ModelError("'frontier' must be an array of cube ids")
+    for cube in cubes:
+        if any(f is None for f in cube.upper) and cube.id not in frontier_raw:
+            raise ModelError(
+                f"cube {cube.id!r} has null upper faces but is not in 'frontier'")
+
+    initial = data["initial"]
+    if not isinstance(initial, str):
+        raise ModelError("'initial' must be a cube id")
+    space = PrecubicalSet(cubes, frontier=frontier_raw)
+    hda = HDA(space, initial)
+
+    labeling = None
+    if "labels" in data and "events" not in data:
+        raise ModelError("'labels' requires 'events'")
+    if "events" in data:
+        raw_events = data["events"]
+        if not isinstance(raw_events, list) or not all(
+                isinstance(e, str) for e in raw_events):
+            raise ModelError("'events' must be an array of names")
+        events = EventSet(tuple(raw_events))
+        raw_labels = data.get("labels", {})
+        if not isinstance(raw_labels, dict):
+            raise ModelError("'labels' must be an object")
+        assign: dict[str, tuple[int, ...]] = {}
+        for cid, tup in raw_labels.items():
+            if cid not in space:
+                raise ModelError(f"label for unknown cube {cid!r}")
+            if not isinstance(tup, list) or not all(
+                    isinstance(i, int) and not isinstance(i, bool) for i in tup):
+                raise ModelError(f"label of {cid!r} must be an array of integers")
+            assign[cid] = tuple(tup)
+        labeling = Labeling(events, assign)
+    return LoadedModel(hda, labeling)
+
+
+# -- inputs -------------------------------------------------------------------
+
+_KINDS = {"face-arity", "missing-face", "dangling-face", "face-dimension",
+          "identity", "label-missing", "label-length", "label-range",
+          "label-unsorted", "label-face"}
+
+
+def _seeded_models():
+    """Seeded random models with labelings, and truncated unfoldings of some
+    of them, whose frontier cubes omit upper faces."""
+    rng = random.Random(4711)
+    grid_events = EventSet(("a", "b", "c"))
+    out = []
+    for trial in range(90):
+        cyclic = trial % 3 == 0
+        hda = random_hda(rng, max_cubes=rng.choice((6, 15, 40)), max_dim=3,
+                         cyclic=cyclic, stray=trial % 2 == 1)
+        if cyclic:
+            labeling = _torus_labeling(hda, EventSet(("a", "b")))
+        else:
+            labeling = grid_labeling(hda, grid_events)
+        out.append((hda, labeling))
+        if trial % 3 != 2:
+            unfolding = hb.unfold(hda, rng.randint(2, 5))
+            tree = unfolding.tree
+            out.append((tree, Labeling(labeling.events, {
+                c: labeling.assign[unfolding.project(c)]
+                for c in tree.space.ids()})))
+    for name in ("fig1_left.json", "fig3.json", "ab_square_abc.json"):
+        loaded = hb.load_model(MODELS / name)
+        out.append((loaded.hda, loaded.labeling))
+    return out
+
+
+def _mutant(rng, hda, labeling):
+    """`hda` and `labeling` with 1-3 faults injected at the cube level,
+    where faults the loader rejects (a null lower face, say) are possible."""
+    cubes = {c: hda.space.cube(c) for c in hda.space.ids()}
+    frontier = set(hda.space.frontier)
+    assign = dict(labeling.assign)
+    nevents = len(labeling.events)
+    for _ in range(rng.randint(1, 3)):
+        ids = sorted(cubes)
+        x = rng.choice(ids)
+        cube = cubes[x]
+        dim, lower, upper = cube.dim, list(cube.lower), list(cube.upper)
+        faces = lower if rng.random() < 0.5 else upper
+        k = rng.randrange(len(faces)) if faces else None
+        fault = rng.choice((
+            "drop-face", "extra-face", "null-face", "null-face", "dangling",
+            "dangling", "self-face", "any-face", "swap-lower", "dim",
+            "drop-cube", "frontier", "label-drop", "label-length",
+            "label-range", "label-unsorted", "label-face", "label-face"))
+        if fault == "drop-face" and faces:
+            faces.pop(k)
+        elif fault == "extra-face":
+            faces.append(rng.choice(ids))
+        elif fault == "null-face" and faces:
+            faces[k] = None
+            if rng.random() < 0.5:
+                frontier.add(x)
+        elif fault == "dangling" and faces:
+            faces[k] = f"ghost{rng.randrange(3)}"
+        elif fault == "self-face" and faces:
+            faces[k] = x
+        elif fault == "any-face" and faces:
+            faces[k] = rng.choice(ids)
+        elif fault == "swap-lower" and len(lower) >= 2:
+            k, ell = rng.sample(range(len(lower)), 2)
+            lower[k], lower[ell] = lower[ell], lower[k]
+        elif fault == "dim":
+            dim = max(0, dim + rng.choice((-1, 1)))
+        elif fault == "drop-cube" and len(cubes) > 1:
+            del cubes[x]
+            continue
+        elif fault == "frontier":
+            frontier.add(x)
+        elif fault == "label-drop":
+            assign.pop(x, None)
+        elif fault == "label-length" and x in assign:
+            assign[x] = assign[x] + (1,) if rng.random() < 0.5 else assign[x][1:]
+        elif fault == "label-range" and assign.get(x):
+            assign[x] = (rng.choice((0, nevents + 1)),) + assign[x][1:]
+        elif fault == "label-unsorted" and len(assign.get(x, ())) >= 2:
+            assign[x] = tuple(sorted(assign[x], reverse=True))
+            if assign[x] == tuple(sorted(assign[x])):
+                assign[x] = (nevents,) + assign[x][1:-1] + (1,)
+        elif fault == "label-face" and assign.get(x):
+            assign[x] = tuple(sorted(rng.randint(1, nevents) for _ in assign[x]))
+        cubes[x] = Cube(x, dim, tuple(lower), tuple(upper))
+    space = PrecubicalSet(cubes.values(), frontier=frontier)
+    return HDA(space, hda.initial), Labeling(labeling.events, assign)
+
+
+def _reachable_outcome(fn, hda):
+    try:
+        return fn(hda)
+    except ModelError as exc:
+        return ("error", str(exc))
+
+
+# -- tests --------------------------------------------------------------------
+
+def test_indexed_core_agrees_with_string_walks():
+    rng = random.Random(2024)
+    kinds = set()
+    unknown_errors = 0
+    for hda, labeling in _seeded_models():
+        variants = [(hda, labeling)]
+        variants += [_mutant(rng, hda, labeling) for _ in range(6)]
+        for x, lx in variants:
+            got = hb.validate_precubical(x.space).to_json()
+            assert got == _validate_precubical_ref(x.space).to_json()
+            got_labels = hb.validate_labeling(x, lx).to_json()
+            assert got_labels == _validate_labeling_ref(x, lx).to_json()
+            reach = _reachable_outcome(hb.reachable, x)
+            assert reach == _reachable_outcome(_reachable_ref, x)
+            unknown_errors += isinstance(reach, tuple) and "unknown" in reach[1]
+            kinds.update(v["kind"] for v in got["violations"])
+            kinds.update(v["kind"] for v in got_labels["violations"])
+    assert kinds == _KINDS
+    assert unknown_errors, "no walk reached a dangling upper face"
+
+
+def test_reachable_raises_for_the_first_dangling_face_popped():
+    # Both dangling upper faces of "sq" are pushed before either is popped;
+    # the string walk raised for the one popped first, the later "ghostB".
+    space = PrecubicalSet([
+        Cube("v", 0), Cube("a", 1, ("v",), ("v",)), Cube("b", 1, ("v",), ("v",)),
+        Cube("sq", 2, ("a", "b"), ("ghostA", "ghostB"))])
+    hda = HDA(space, "v")
+    with pytest.raises(ModelError) as ref:
+        _reachable_ref(hda)
+    with pytest.raises(ModelError) as new:
+        hb.reachable(hda)
+    assert str(new.value) == str(ref.value) == "unknown cube id 'ghostB'"
+
+
+def _refine_error_ref(hda):
+    """The error the string-interning set-up of `_refine` raised on `hda`
+    against itself, or None: the reachable walk's, else the first reachable
+    cube, in (dimension, id) order, with a face outside the reachable part."""
+    try:
+        reach = _reachable_ref(hda)
+    except ModelError as exc:
+        return str(exc)
+    for c in hda.space.ids():
+        cube = hda.space.cube(c)
+        if c in reach and any(f not in reach for f in cube.lower + cube.upper):
+            return (f"a face of the reachable cube {c!r} is not reachable; "
+                    "validate the model first")
+    return None
+
+
+def test_refine_on_the_int_view_matches_string_interning():
+    from hdabisim.bisim import _refine
+
+    rng = random.Random(808)
+    outcomes = set()
+    for hda, labeling in _seeded_models():
+        for x, lx in [_mutant(rng, hda, labeling) for _ in range(4)]:
+            expected = _refine_error_ref(x)
+            try:
+                *blocks, rounds = _refine(x, x, None, None)
+            except ModelError as exc:
+                assert str(exc) == expected
+                outcomes.add("error")
+                continue
+            assert expected is None
+            *naive, naive_rounds = _naive_refine(x, x)
+            assert (_blocks(*blocks), rounds) == (_blocks(*naive), naive_rounds)
+            outcomes.add("refined")
+    assert outcomes == {"error", "refined"}
+
+
+def test_lean_loader_agrees_with_checked_loader():
+    bases = [model_dict(name) for name in (
+        "fig1_left.json", "fig3.json", "fig5_x.json", "ab_square_abc.json")]
+    bases.append(hb.model_to_dict(hb.unfold(
+        hb.load_model(MODELS / "fig5_x.json").hda, 4).tree))
+    rng = random.Random(99)
+    errors, loaded = set(), 0
+    for trial in range(1500):
+        data = mutate_model_dict(rng, rng.choice(bases))
+        outcomes = []
+        for load in (hb.model_from_dict, _model_from_dict_ref):
+            try:
+                m = load(data)
+            except ModelError as exc:
+                outcomes.append(("error", str(exc)))
+            else:
+                outcomes.append((m.hda.space, m.hda.initial, m.labeling))
+        assert outcomes[0] == outcomes[1], (trial, data)
+        if outcomes[0][0] == "error":
+            errors.add(outcomes[0][1].split(":")[0].split("'")[0])
+        else:
+            loaded += 1
+    assert loaded >= 100 and len(errors) >= 10, (loaded, errors)

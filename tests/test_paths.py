@@ -307,8 +307,15 @@ def test_enumerate_order_is_deterministic(fig1_left):
     once = [p.seq for p in hb.enumerate_pointed_paths(fig1_left.hda, 4)]
     twice = [p.seq for p in hb.enumerate_pointed_paths(fig1_left.hda, 4)]
     assert once == twice
-    lengths = [len(s) for s in once]
-    assert lengths == sorted(lengths)
+    # The paths stream out as they are built, in (length, lex) order.
+    rng = random.Random(808)
+    models = [fig1_left.hda] + [random_hda(rng, max_cubes=20, max_dim=3,
+                                           cyclic=trial % 2 == 0)
+                                for trial in range(20)]
+    for hda in models:
+        seqs = [p.seq for p in hb.enumerate_pointed_paths(hda, 6)]
+        assert seqs == sorted(seqs, key=lambda s: (len(s), s))
+        assert len(set(seqs)) == len(seqs)
 
 
 def test_canonical_rep_is_lex_least(fig3):
