@@ -8,6 +8,7 @@ so the generator cannot produce broken face data by construction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import weakref
 from random import Random
@@ -121,6 +122,7 @@ def random_hda(rng: Random, max_cubes: int = 30, max_dim: int = 3,
         ambient, succ = _ambient_grid(rng, tuple(sizes))
     space = ambient.space
     keep: set[str] = {ambient.initial}
+    restarts = [ambient.initial]  # `keep`, sorted as cubes are added
     closed = _face_closure(space, keep)
     floor = min_cubes if min_cubes is not None else max(4, max_cubes // 3)
     budget = rng.randint(min(floor, max_cubes), max_cubes)
@@ -132,7 +134,7 @@ def random_hda(rng: Random, max_cubes: int = 30, max_dim: int = 3,
         if succs is None:
             succs = succ[cur] = space.successors(cur)
         if not succs or rng.random() < 0.15:
-            cur = rng.choice(sorted(keep))
+            cur = rng.choice(restarts)
             continue
         cur = rng.choice(succs)
         if cur not in closed:
@@ -140,6 +142,7 @@ def random_hda(rng: Random, max_cubes: int = 30, max_dim: int = 3,
             if len(grown) > budget:
                 continue
             keep.add(cur)
+            bisect.insort(restarts, cur)
             closed = grown
     if stray:
         extras = [c for c in space.ids() if c not in keep]

@@ -20,6 +20,15 @@ path is homotopic to a *fan-shaped* one, which alternates 0- and 1-cubes
 until it has to climb to the dimension of its end cube; fan shapes realize
 the minimum T = (n_m^2 + m - 1)/2 and `fan_shape` reaches one by rewrite
 iterations that each drop T by exactly 2.
+
+Adjacency, homotopy, homotopy classes and canonical representatives run on
+the int view of the space (`PrecubicalSet.indexed`): paths are translated
+to cube indices on entry and back to ids on exit, and the clauses read the
+view's face tables.  The view orders cubes by (dimension, id), but every
+order these functions expose stays by id: the closure tries the cubes
+between two path entries in id order, so its visiting order and what a cap
+cuts off are those of the id sequences, classes come out sorted by id and
+the canonical representative is the lex-least id sequence.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .core import HDA, CapExceeded, ModelError, PrecubicalSet
+from .core import HDA, CapExceeded, CubeIndex, ModelError, PrecubicalSet
 
 DEFAULT_CAP = 100_000
 
@@ -162,66 +171,76 @@ class AdjacencyInfo:
                 "k": self.k, "ell": self.ell, "swapped": self.swapped}
 
 
-def _clause1(sp: PrecubicalSet, xs, ys, p: int) -> tuple[int, int] | None:
+# The adjacency clauses, written once over the int view
+# (`PrecubicalSet.indexed`): xs and ys are tuples of cube indices and p is
+# the 1-based position of the cube they differ in.  The loops over k and ell
+# stop at the cube's dimension; a face position past the end of its list,
+# like a negative sentinel, names no cube and so matches no path entry.
+
+def _clause1(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
     # Two consecutive starts swap: x takes direction k then ell (k < ell),
     # y takes ell (renumbered ell-1 after the climb) then k.
+    lower, dims = view.lower, view.dims
     xm1, xp, xp1 = xs[p - 2], xs[p - 1], xs[p]
     ym1, yp, yp1 = ys[p - 2], ys[p - 1], ys[p]
-    for k in range(1, sp.dim(xp) + 1):
-        if sp.lower(xp, k) != xm1:
+    top, ylo, ylo1 = lower[xp1][:dims[xp1]], lower[yp], lower[yp1]
+    for k, f in enumerate(lower[xp][:dims[xp]], 1):
+        if f != xm1:
             continue
-        for ell in range(k + 1, sp.dim(xp1) + 1):
-            if sp.lower(xp1, ell) != xp:
-                continue
-            if sp.lower(yp, ell - 1) == ym1 and sp.lower(yp1, k) == yp:
+        for ell in range(k + 1, len(top) + 1):
+            if (top[ell - 1] == xp and len(ylo) >= ell - 1
+                    and ylo[ell - 2] == ym1 and len(ylo1) >= k
+                    and ylo1[k - 1] == yp):
                 return k, ell
     return None
 
 
-def _clause2(sp: PrecubicalSet, xs, ys, p: int) -> tuple[int, int] | None:
+def _clause2(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
     # Two consecutive ends swap: x ends direction k then ell (renumbered
     # ell-1), y ends ell then k, for k < ell in the top cube's indexing.
+    upper, dims = view.upper, view.dims
     xm1, xp, xp1 = xs[p - 2], xs[p - 1], xs[p]
     yp, yp1 = ys[p - 1], ys[p]
-    for k in range(1, sp.dim(xm1) + 1):
-        if sp.upper(xm1, k) != xp:
+    top, xup, yup = upper[xm1][:dims[xm1]], upper[xp], upper[yp]
+    for k, f in enumerate(top, 1):
+        if f != xp:
             continue
-        for ell in range(k + 1, sp.dim(xm1) + 1):
-            if sp.upper(xm1, ell) != yp:
-                continue
-            if sp.upper(xp, ell - 1) == xp1 and sp.upper(yp, k) == yp1:
+        for ell in range(k + 1, len(top) + 1):
+            if (top[ell - 1] == yp and len(xup) >= ell - 1
+                    and xup[ell - 2] == xp1 and len(yup) >= k
+                    and yup[k - 1] == yp1):
                 return k, ell
     return None
 
 
-def _clause3(sp: PrecubicalSet, xs, ys, p: int) -> tuple[int, int] | None:
+def _clause3(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
     # y climbs through the big cube (start k, then end ell); x dips two
     # dimensions below by doing the end first.
     xp = xs[p - 1]
     ym1, yp, yp1 = ys[p - 2], ys[p - 1], ys[p]
-    for k in range(1, sp.dim(yp) + 1):
-        if sp.lower(yp, k) != ym1:
+    n, lo1 = view.dims[yp], view.lower[yp1]
+    up = view.upper[yp][:n]
+    for k, f in enumerate(view.lower[yp][:n], 1):
+        if f != ym1:
             continue
-        for ell in range(k + 1, sp.dim(yp) + 1):
-            if sp.upper(yp, ell) != yp1:
-                continue
-            if sp.lower(yp1, k) == xp:
+        for ell in range(k + 1, len(up) + 1):
+            if up[ell - 1] == yp1 and len(lo1) >= k and lo1[k - 1] == xp:
                 return k, ell
     return None
 
 
-def _clause4(sp: PrecubicalSet, xs, ys, p: int) -> tuple[int, int] | None:
+def _clause4(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
     # Mirror of clause 3: y does end k after not yet starting ell; x takes
     # the end first and stays two dimensions below.
     xp = xs[p - 1]
     ym1, yp, yp1 = ys[p - 2], ys[p - 1], ys[p]
-    for k in range(1, sp.dim(yp) + 1):
-        if sp.upper(yp, k) != yp1:
+    n, up1 = view.dims[yp], view.upper[ym1]
+    lo = view.lower[yp][:n]
+    for k, f in enumerate(view.upper[yp][:n], 1):
+        if f != yp1:
             continue
-        for ell in range(k + 1, sp.dim(yp) + 1):
-            if sp.lower(yp, ell) != ym1:
-                continue
-            if sp.upper(ym1, k) == xp:
+        for ell in range(k + 1, len(lo) + 1):
+            if lo[ell - 1] == ym1 and len(up1) >= k and up1[k - 1] == xp:
                 return k, ell
     return None
 
@@ -229,14 +248,22 @@ def _clause4(sp: PrecubicalSet, xs, ys, p: int) -> tuple[int, int] | None:
 _CLAUSES = ((1, _clause1), (2, _clause2), (3, _clause3), (4, _clause4))
 
 
-def _adjacency_at(space: PrecubicalSet, xs: tuple[str, ...],
-                  ys: tuple[str, ...], p: int) -> AdjacencyInfo | None:
+def _adjacency_at(view: CubeIndex, xs: tuple[int, ...], ys: tuple[int, ...],
+                  p: int) -> AdjacencyInfo | None:
     for swapped, (a, b) in ((False, (xs, ys)), (True, (ys, xs))):
         for num, fn in _CLAUSES:
-            hit = fn(space, a, b, p)
+            hit = fn(view, a, b, p)
             if hit is not None:
                 return AdjacencyInfo(num, p, hit[0], hit[1], swapped)
     return None
+
+
+def _indices(view: CubeIndex, seq: tuple[str, ...]) -> tuple[int, ...]:
+    """The path's cube indices in the int view."""
+    try:
+        return tuple(map(view.pos.__getitem__, seq))
+    except KeyError as missing:
+        raise ModelError(f"unknown cube id {missing.args[0]!r}") from None
 
 
 def adjacency(rho: CubePath, sigma: CubePath) -> AdjacencyInfo | None:
@@ -249,43 +276,57 @@ def adjacency(rho: CubePath, sigma: CubePath) -> AdjacencyInfo | None:
     diff = [j for j in range(len(xs)) if xs[j] != ys[j]]
     if len(diff) != 1:
         return None
-    return _adjacency_at(rho.space, xs, ys, diff[0] + 1)
+    view = rho.space.indexed
+    return _adjacency_at(view, _indices(view, xs), _indices(view, ys),
+                         diff[0] + 1)
 
 
 def is_adjacent(rho: CubePath, sigma: CubePath) -> bool:
     return adjacency(rho, sigma) is not None
 
 
-def _between_candidates(space: PrecubicalSet, a: str, b: str) -> set[str]:
-    # Cubes c with valid steps a -> c -> b.
-    after_a = {x for (_k, x) in space.cofaces_lower(a)}
-    after_a.update(f for f in space.cube(a).upper if f is not None)
-    before_b = {f for f in space.cube(b).lower if f is not None}
-    before_b.update(x for (_k, x) in space.cofaces_upper(b))
-    return after_a & before_b
+def _between_candidates(view: CubeIndex, a: int, b: int) -> set[int]:
+    # Cubes c with valid steps a -> c -> b: a lower coface or an upper face
+    # of a that has b as an upper face or is a lower face of b.
+    upper, before_b = view.upper, view.lower[b]
+    after_a = {c for _k, c in view.cofaces[a]}
+    after_a.update(c for c in upper[a] if c >= 0)
+    return {c for c in after_a if c in before_b or b in upper[c]}
 
 
-def _adjacent_seqs(space: PrecubicalSet, seq: tuple[str, ...]) -> list[tuple[str, ...]]:
+def _adjacent_seqs(view: CubeIndex, seq: tuple[int, ...],
+                   memo: dict[tuple[int, int, int], list[int]]
+                   ) -> list[tuple[int, ...]]:
+    # Adjacency at position p+1 reads only the cubes at p, p+1 and p+2, so
+    # the alternatives for each such triple are found once per closure, in
+    # id order.
     out = []
+    ids = view.ids
     for p in range(1, len(seq) - 1):
-        for cand in sorted(_between_candidates(space, seq[p - 1], seq[p + 1])):
-            if cand == seq[p]:
-                continue
-            other = seq[:p] + (cand,) + seq[p + 1:]
-            if _adjacency_at(space, seq, other, p + 1) is not None:
-                out.append(other)
+        triple = seq[p - 1:p + 2]
+        alts = memo.get(triple)
+        if alts is None:
+            a, x, b = triple
+            alts = memo[triple] = [
+                c for c in sorted(_between_candidates(view, a, b),
+                                  key=ids.__getitem__)
+                if c != x and _adjacency_at(view, triple, (a, c, b), 2)
+                is not None]
+        for cand in alts:
+            out.append(seq[:p] + (cand,) + seq[p + 1:])
     return out
 
 
-def _closure(space: PrecubicalSet, seq: tuple[str, ...], cap: int,
-             stop_at: tuple[str, ...] | None = None):
+def _closure(view: CubeIndex, seq: tuple[int, ...], cap: int,
+             stop_at: tuple[int, ...] | None = None):
     """BFS over adjacency.  Returns (found_stop, seen, capped)."""
     seen = {seq}
     queue = deque([seq])
+    memo: dict[tuple[int, int, int], list[int]] = {}
     capped = False
     while queue:
         cur = queue.popleft()
-        for nxt in _adjacent_seqs(space, cur):
+        for nxt in _adjacent_seqs(view, cur, memo):
             if nxt in seen:
                 continue
             if stop_at is not None and nxt == stop_at:
@@ -310,28 +351,33 @@ def are_homotopic(rho: CubePath, sigma: CubePath,
     if (len(rho) != len(sigma) or rho.start != sigma.start
             or rho.end != sigma.end):
         return False
-    found, _seen, capped = _closure(rho.space, rho.seq, cap, stop_at=sigma.seq)
+    view = rho.space.indexed
+    found, _seen, capped = _closure(view, _indices(view, rho.seq), cap,
+                                    stop_at=_indices(view, sigma.seq))
     if found:
         return True
     return EXHAUSTED if capped else False
 
 
-def homotopy_class(rho: CubePath, cap: int = DEFAULT_CAP) -> list[CubePath]:
-    """The full adjacency closure of rho, sorted; raises CapExceeded."""
-    _found, seen, capped = _closure(rho.space, rho.seq, cap)
+def _class_members(rho: CubePath, cap: int) -> list[tuple[str, ...]]:
+    """The id sequences of rho's homotopy class; raises CapExceeded."""
+    view = rho.space.indexed
+    _found, seen, capped = _closure(view, _indices(view, rho.seq), cap)
     if capped:
         raise CapExceeded(
             f"homotopy class of {rho!r} exceeds the cap of {cap} paths")
-    return [CubePath(rho.space, s) for s in sorted(seen)]
+    ids = view.ids
+    return [tuple(map(ids.__getitem__, seq)) for seq in seen]
+
+
+def homotopy_class(rho: CubePath, cap: int = DEFAULT_CAP) -> list[CubePath]:
+    """The full adjacency closure of rho, sorted; raises CapExceeded."""
+    return [CubePath(rho.space, s) for s in sorted(_class_members(rho, cap))]
 
 
 def canonical_rep(rho: CubePath, cap: int = DEFAULT_CAP) -> CubePath:
     """The lexicographically least member of rho's homotopy class."""
-    _found, seen, capped = _closure(rho.space, rho.seq, cap)
-    if capped:
-        raise CapExceeded(
-            f"homotopy class of {rho!r} exceeds the cap of {cap} paths")
-    return CubePath(rho.space, min(seen))
+    return CubePath(rho.space, min(_class_members(rho, cap)))
 
 
 def t_measure(rho: CubePath) -> int:

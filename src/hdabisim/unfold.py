@@ -11,7 +11,12 @@ A truncation that cut nothing is *complete* and coincides with the full
 unfolding.
 
 The classes are built one path length at a time (`_Quotient`), without
-enumerating their members, and `cap` bounds how many classes are built.
+enumerating their members, and `cap` bounds how many classes are built; the
+layers stop at the first length with no class, so a depth past the longest
+path costs nothing more.  The quotient works on the int view of the base
+(`PrecubicalSet.indexed`) and takes steps in id order, so representatives
+and node ids are those of the id sequences; the tree, its node ids, the
+projection and the lifts are strings, converted once per class.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (HDA, CapExceeded, Cube, EventSet, ModelError,
-                   PrecubicalMorphism, PrecubicalSet, torus_cube_id)
+from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, Cube, EventSet,
+                   ModelError, PrecubicalMorphism, PrecubicalSet,
+                   torus_cube_id)
 from .paths import DEFAULT_CAP, CubePath, _adjacency_at
 
 
@@ -86,6 +92,29 @@ class Unfolding:
         return {nid: self.nodes[nid].rep[-1] for nid in sorted(self.nodes)}
 
 
+class _Successors(dict):
+    """Cube index -> the indices of the cubes one step after it, in
+    ascending id order: the sets `PrecubicalSet.successors` lists, read from
+    the int view as they are first asked for.  An upper face naming no cube
+    raises, as looking that id up does."""
+
+    def __init__(self, space: PrecubicalSet):
+        super().__init__()
+        self.space, self.view = space, space.indexed
+
+    def __missing__(self, i: int) -> tuple[int, ...]:
+        view = self.view
+        after = {j for _k, j in view.cofaces[i]}
+        for k, j in enumerate(view.upper[i]):
+            if j >= 0:
+                after.add(j)
+            elif j == UNKNOWN:
+                ref = self.space.cube(view.ids[i]).upper[k]
+                raise ModelError(f"unknown cube id {ref!r}")
+        out = self[i] = tuple(sorted(after, key=view.ids.__getitem__))
+        return out
+
+
 class _Quotient:
     """Homotopy classes of pointed cube paths, built one length at a time.
 
@@ -101,46 +130,55 @@ class _Quotient:
     the root's member is the class representative, and a layer's classes
     come out sorted.
 
-    Classes are numbered globally: `reps[c]` is the representative of
-    class c, `child[(c, y)]` the class of its extension by y, and
-    `via[c]` maps the end of each class whose extension lies in c to the
-    lex-least such class (the lower faces of c).
+    Paths are tuples of indices into the int view (`PrecubicalSet.indexed`),
+    which orders cubes by (dimension, id); steps are taken in id order, so
+    "lex" above is the order of the id sequences.  Classes are numbered
+    globally: `reps[c]` is the representative of class c, `child[(c, y)]`
+    the class of its extension by y, and `via[c]` maps the end of each class
+    whose extension lies in c to the lex-least such class (the lower faces
+    of c).
     """
 
     def __init__(self, hda: HDA, cap: int):
-        space = hda.space
-        if hda.initial not in space or space.dim(hda.initial) != 0:
+        view = hda.space.indexed
+        start = view.pos.get(hda.initial)
+        if start is None or view.dims[start] != 0:
             raise ModelError("unfolding requires a valid initial 0-cube")
-        self.space = space
+        self.view = view
         self.cap = cap
-        self.reps: list[tuple[str, ...]] = [(hda.initial,)]
-        self.child: dict[tuple[int, str], int] = {}
-        self.via: list[dict[str, int]] = [{}]
-        self._merges: dict[str, list[tuple[str, str, str]]] = {}
+        self.successors = _Successors(hda.space)
+        self.reps: list[tuple[int, ...]] = [(start,)]
+        self.child: dict[tuple[int, int], int] = {}
+        self.via: list[dict[int, int]] = [{}]
+        self._merges: dict[int, list[tuple[int, int, int]]] = {}
 
-    def _merges_after(self, g: str) -> list[tuple[str, str, str]]:
+    def _merges_after(self, g: int) -> list[tuple[int, int, int]]:
         """The (a, a', y) with (g, a, y) adjacent to (g, a', y)."""
         hit = self._merges.get(g)
         if hit is None:
-            space = self.space
+            view, successors = self.view, self.successors
             hit = []
-            for a, b in itertools.combinations(space.successors(g), 2):
-                common = set(space.successors(a)).intersection(space.successors(b))
-                for y in sorted(common):
-                    if _adjacency_at(space, (g, a, y), (g, b, y), 2) is not None:
+            for a, b in itertools.combinations(successors[g], 2):
+                after_b = set(successors[b])
+                for y in successors[a]:
+                    if (y in after_b and _adjacency_at(
+                            view, (g, a, y), (g, b, y), 2) is not None):
                         hit.append((a, b, y))
             self._merges[g] = hit
         return hit
 
     def layers(self, depth: int) -> Iterator[list[int]]:
-        """The classes at lengths 1..depth, one sorted layer at a time."""
+        """The classes at lengths 1..depth, one sorted layer at a time,
+        stopping early at the first length with no class."""
         reps, child, via = self.reps, self.child, self.via
-        successors = self.space.successors
+        successors = self.successors
         grand: list[int] = []
         layer = [0]
         yield layer
         for _length in range(2, depth + 1):
-            keys = [(c, y) for c in layer for y in successors(reps[c][-1])]
+            keys = [(c, y) for c in layer for y in successors[reps[c][-1]]]
+            if not keys:
+                return
             index = {key: i for i, key in enumerate(keys)}
             parent = list(range(len(keys)))
 
@@ -187,47 +225,50 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
         raise ModelError("unfolding depth must be >= 1")
     quotient = _Quotient(hda, cap)
     order = [c for layer in quotient.layers(depth) for c in layer]
-    space, reps = hda.space, quotient.reps
-    ids = [node_id_of(rep) for rep in reps]
+    view, reps = quotient.view, quotient.reps
+    names, dims, lower, upper = view.ids, view.dims, view.lower, view.upper
+    # Each class's representative and node id as strings, built once.
+    paths = [tuple(map(names.__getitem__, rep)) for rep in reps]
+    ids = [node_id_of(path) for path in paths]
 
     cubes: list[Cube] = []
     frontier: set[str] = set()
     for c in order:
-        rep = reps[c]
+        rep, via = reps[c], quotient.via[c]
         m, end = len(rep), rep[-1]
-        n = space.dim(end)
-        lower = []
-        for k in range(1, n + 1):
-            face = quotient.via[c].get(space.lower(end, k))
+        n, lo, up = dims[end], lower[end], upper[end]
+        faces = []
+        for k in range(n):
+            face = via.get(lo[k]) if k < len(lo) else None
             if face is None:
                 raise RuntimeError(
-                    f"class {ids[c]} has no member through lower face k={k}; "
-                    "the face class is unexpectedly empty")
-            lower.append(ids[face])
-        upper: list[str | None] = []
+                    f"class {ids[c]} has no member through lower face "
+                    f"k={k + 1}; the face class is unexpectedly empty")
+            faces.append(ids[face])
+        ups: list[str | None] = []
         cut = False
-        for k in range(1, n + 1):
-            up = space.upper(end, k)
-            if up is None:
+        for k in range(n):
+            if k >= len(up) or up[k] == OMITTED:
                 raise ModelError("cannot unfold a truncated base")
             if m + 1 <= depth:
-                upper.append(ids[quotient.child[c, up]])
+                ups.append(ids[quotient.child[c, up[k]]])
             else:
-                upper.append(None)
+                ups.append(None)
                 cut = True
-        if m == depth and (cut or space.cofaces_lower(end)):
+        if m == depth and (cut or view.cofaces[end]):
             frontier.add(ids[c])
-        cubes.append(Cube(ids[c], n, tuple(lower), tuple(upper)))
+        cubes.append(Cube(ids[c], n, tuple(faces), tuple(ups)))
 
     tree_space = PrecubicalSet(cubes, frontier=frontier)
     tree = HDA(tree_space, ids[0])
     projection = PrecubicalMorphism(
-        source=tree_space, target=space,
-        mapping={ids[c]: reps[c][-1] for c in order},
+        source=tree_space, target=hda.space,
+        mapping={ids[c]: paths[c][-1] for c in order},
         pointed=True, source_initial=ids[0], target_initial=hda.initial)
-    nodes = {ids[c]: UnfoldNode(reps[c], space.dim(reps[c][-1])) for c in order}
-    node_of_rep = {reps[c]: ids[c] for c in order}
-    children = {(ids[c], y): ids[d] for (c, y), d in quotient.child.items()}
+    nodes = {ids[c]: UnfoldNode(paths[c], dims[reps[c][-1]]) for c in order}
+    node_of_rep = {paths[c]: ids[c] for c in order}
+    children = {(ids[c], names[y]): ids[d]
+                for (c, y), d in quotient.child.items()}
     return Unfolding(hda, depth, tree, projection, nodes, node_of_rep,
                      frozenset(frontier), cap, children)
 
@@ -237,7 +278,7 @@ def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
     one homotopy class of pointed cube paths of length <= depth; raises
     CapExceeded past `cap` classes."""
     quotient = _Quotient(hda, cap)
-    ends: set[str] = set()
+    ends: set[int] = set()
     for layer in quotient.layers(depth):
         for c in layer:
             end = quotient.reps[c][-1]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shutil
 
 import hdabisim as hb
 from hdabisim.cli import main
@@ -359,3 +360,47 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     assert [code for code, *_ in reused] == [1, 2, 0, 0]
     assert "required: fileY" in reused[1][3]
     assert reused[2][2].strip() == hb.__version__
+
+
+def test_huge_depth_reports_equal_the_complete_depth():
+    # Each model's unfolding is complete well within depth 50, so the
+    # layers stop once the classes run out and depth 10**9 costs no more.
+    huge = str(10**9)
+    for argv in (("unfold", model("fig2_square.json")),
+                 ("unfold", model("fig3.json")),
+                 ("is-tree", model("fig2_square.json")),
+                 ("is-tree", model("fig1_left.json")),
+                 ("oracle", model("fig2_square.json"), model("fig2_square.json")),
+                 ("oracle", model("fig1_left.json"), model("fig1_right.json"))):
+        code, report = run_json(*argv, "--depth", "50")
+        big_code, big = run_json(*argv, "--depth", huge)
+        assert big.pop("depth") == 10**9 and report.pop("depth") == 50
+        assert (big_code, big) == (code, report), argv
+
+
+def _readme_cli_lines():
+    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    lines, in_sh = [], False
+    for line in readme.splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("hdabisim "):
+            lines.append(line.split("#")[0].split()[1:])
+    return lines
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # Run from a copy, so that `unfold --out` writes next to the copy.
+    shutil.copytree(MODELS, tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 13
+    for argv in lines:
+        code, text = run(*argv)
+        assert code in (0, 1, 3), (argv, text)
+        report = json.loads(text)
+        if argv[0] == "open-map":
+            assert code == 1
+            assert report["counterexample"] == {"x1": "a", "y2": "ab", "k": 2}
+    assert (tmp_path / "tree.json").exists()
+    assert (tmp_path / "tree.projection.json").exists()

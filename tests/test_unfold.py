@@ -8,7 +8,7 @@ import pytest
 import hdabisim as hb
 from hdabisim import HDA, Cube, CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, sub_hda
-from hdabisim.paths import _closure
+from homotopy_reference import closure
 
 # Large enough that the reference never stops early on the corpus below.
 REFERENCE_CAP = 1_000_000
@@ -23,7 +23,7 @@ def _reference_layers(hda, depth):
 
     def canonical(seq):
         if seq not in canon:
-            _found, seen, capped = _closure(space, seq, REFERENCE_CAP)
+            _found, seen, capped = closure(space, seq, REFERENCE_CAP)
             assert not capped
             ordered = sorted(seen)
             canon.update(dict.fromkeys(ordered, ordered[0]))
@@ -65,7 +65,7 @@ def reference_is_tree(hda, depth):
     for path in hb.enumerate_pointed_paths(hda, depth):
         by_end.setdefault(path.end, []).append(path.seq)
     for seqs in by_end.values():
-        _found, cls, capped = _closure(hda.space, seqs[0], REFERENCE_CAP)
+        _found, cls, capped = closure(hda.space, seqs[0], REFERENCE_CAP)
         assert not capped
         if any(seq not in cls for seq in seqs[1:]):
             return False
@@ -316,8 +316,6 @@ def test_lower_face_class_is_member_independent():
     # The lower face of a node is defined through *some* member whose
     # second-to-last cube matches; every matching member must induce the
     # same face node, otherwise the face would be ill-defined.
-    from hdabisim.paths import _closure
-
     rng = random.Random(1111)
     for trial in range(6):
         hda = random_hda(rng, max_cubes=14, max_dim=3, cyclic=bool(trial % 2))
@@ -326,7 +324,7 @@ def test_lower_face_class_is_member_independent():
         for node in unfolding.nodes.values():
             if node.dim == 0:
                 continue
-            _f, members, capped = _closure(space, node.rep, 100_000)
+            _f, members, capped = closure(space, node.rep, 100_000)
             assert not capped
             for k in range(1, node.dim + 1):
                 want = space.lower(node.rep[-1], k)
