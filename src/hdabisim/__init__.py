@@ -22,10 +22,10 @@ from .paths import (DEFAULT_CAP, EXHAUSTED, AdjacencyInfo, CubePath,
                     fan_shape_trace, fan_t_bound, homotopy_class, is_adjacent,
                     is_cube_path, is_fan_shaped, is_path_object, is_prefix,
                     t_measure)
-from .unfold import (DepthExceeded, UnfoldNode, Unfolding,
-                     find_pointed_isomorphism, is_acyclic, is_tree, lift_path,
-                     longest_pointed_path_length, morphism_is_isomorphism,
-                     node_id_of, torus_unfolding, unfold)
+from .unfold import (DepthExceeded, UnfoldNode, Unfolding, is_acyclic,
+                     is_tree, lift_path, longest_pointed_path_length,
+                     morphism_is_isomorphism, node_id_of, torus_unfolding,
+                     unfold)
 from .bisim import (BisimDecision, OpenMapResult, bisimilar, hp_bisimilar,
                     hp_oracle, labeled_bisimilar, open_map_check,
                     verify_bisim_relation)

@@ -59,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                "HDABISIM_DEPTH supplies a default for --depth where it is "
                "omitted.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for randomized harness utilities; the analyses themselves "
-             "are deterministic and ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
@@ -178,12 +174,10 @@ def _parse_path(loaded: LoadedModel, raw: str) -> CubePath:
     return CubePath(loaded.hda.space, seq)
 
 
-def _depth_arg(args, required: bool = True) -> int:
+def _depth_arg(args) -> int:
     depth = args.depth if args.depth is not None else _env_int("HDABISIM_DEPTH", None)
     if depth is None:
-        if required:
-            raise ModelError("--depth is required (or set HDABISIM_DEPTH)")
-        return 0
+        raise ModelError("--depth is required (or set HDABISIM_DEPTH)")
     if depth < 1:
         raise ModelError("depth must be >= 1")
     return depth

@@ -578,7 +578,8 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
     Paths are yielded as they are built, so a consumer that stops early
     never holds more than the layer built so far.  Extending the previous
     layer, which is in lex order, by each end's sorted successors gives the
-    next layer in lex order too.
+    next layer in lex order too.  The layers stop at the first length with
+    no path, so a bound past the longest path costs nothing more.
     """
     if max_len < 1:
         return
@@ -588,6 +589,8 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
     layer = [(hda.initial,)]
     yield CubePath(space, layer[0])
     for length in range(2, max_len + 1):
+        if not layer:
+            return
         nxt = []
         for seq in layer:
             for y in space.successors(seq[-1]):

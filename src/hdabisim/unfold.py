@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, Cube, EventSet,
                    ModelError, PrecubicalMorphism, PrecubicalSet,
-                   torus_cube_id)
+                   check_morphism, torus_cube_id)
 from .paths import DEFAULT_CAP, CubePath, _adjacency_at
 
 
@@ -343,7 +343,10 @@ def torus_unfolding(events: EventSet, depth: int,
     order for maxdim 1), without ``:<c>`` when c is empty; the root is
     ``()@0``.  The result is isomorphic to
     ``unfold(torus_hda(events, maxdim)[0], depth).tree``, and with maxdim
-    None to the same for any maxdim >= depth - 1.
+    None to the same for any maxdim >= depth, frontier included.  The
+    isomorphism is the key itself: it sends each tree node, whose
+    representative path ends in x and started the events c (in start order
+    when below dimension 2), to ``<x>@<m>:<c>``.
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
@@ -362,7 +365,9 @@ def torus_unfolding(events: EventSet, depth: int,
 
     cubes: list[Cube] = []
     frontier: set[str] = set()
-    for size in range(depth if top else 1):
+    # A history of size s keeps a node only if 2s - n <= depth - 1 for some
+    # n <= min(s, top); no larger size does.
+    for size in range(min(depth, (depth + top + 1) // 2) if top else 1):
         histories = (itertools.product(events.names, repeat=size) if ordered
                      else itertools.combinations_with_replacement(events.names, size))
         for c in histories:
@@ -424,9 +429,8 @@ def is_acyclic(hda: HDA) -> bool:
 def morphism_is_isomorphism(f: PrecubicalMorphism) -> bool:
     """True iff f is a bijective morphism whose inverse also matches the
     omitted-face pattern."""
-    from .core import check_morphism
-
-    if len(f.mapping) != len(f.source) or len(set(f.mapping.values())) != len(f.target):
+    n = len(f.source)
+    if len(f.mapping) != n or len(f.target) != n or len(set(f.mapping.values())) != n:
         return False
     if not check_morphism(f):
         return False
@@ -436,60 +440,3 @@ def morphism_is_isomorphism(f: PrecubicalMorphism) -> bool:
             if (f.source.upper(x, k) is None) != (f.target.upper(fx, k) is None):
                 return False
     return True
-
-
-def find_pointed_isomorphism(x_hda: HDA, y_hda: HDA) -> dict[str, str] | None:
-    """Exhaustive search for a pointed, face-preserving bijection; None when
-    there is none.  Meant for desk-scale structures."""
-    xs, ys = x_hda.space, y_hda.space
-    if len(xs) != len(ys):
-        return None
-    for n in range(max(xs.max_dim(), ys.max_dim()) + 1):
-        if len(xs.by_dim(n)) != len(ys.by_dim(n)):
-            return None
-
-    order = sorted(xs.ids(), key=lambda c: (-xs.dim(c), c))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(x: str, y: str) -> bool:
-        if xs.dim(x) != ys.dim(y):
-            return False
-        if (x == x_hda.initial) != (y == y_hda.initial):
-            return False
-        for nu in (0, 1):
-            for k in range(1, xs.dim(x) + 1):
-                fx, fy = xs.face(x, k, nu), ys.face(y, k, nu)
-                if (fx is None) != (fy is None):
-                    return False
-                if fx is not None and fx in assignment and assignment[fx] != fy:
-                    return False
-        # Reverse constraints from already-assigned parents.
-        for k, parent in xs.cofaces_lower(x):
-            if parent in assignment and ys.lower(assignment[parent], k) != y:
-                return False
-        for k, parent in xs.cofaces_upper(x):
-            if parent in assignment and ys.upper(assignment[parent], k) != y:
-                return False
-        return True
-
-    # Depth-first search with an explicit stack: stack[i] iterates the
-    # remaining candidates for order[i], so long chains need no recursion.
-    pools = {n: ys.by_dim(n) for n in range(ys.max_dim() + 1)}
-    stack = [iter(pools[xs.dim(order[0])])] if order else []
-    while len(assignment) < len(order):
-        if not stack:
-            return None
-        x = order[len(stack) - 1]
-        if x in assignment:
-            used.remove(assignment.pop(x))
-        for y in stack[-1]:
-            if y not in used and consistent(x, y):
-                assignment[x] = y
-                used.add(y)
-                break
-        if x not in assignment:
-            stack.pop()
-        elif len(stack) < len(order):
-            stack.append(iter(pools[xs.dim(order[len(stack)])]))
-    return dict(assignment)

@@ -1,5 +1,6 @@
 import copy
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,38 @@ def square_homotopy_chain(space: hb.PrecubicalSet) -> list[hb.CubePath]:
         ("i", "a", "x", "cb", "y", "tb", "z", "d"),
     ]
     return [hb.CubePath(space, seq) for seq in seqs]
+
+
+def torus_closed_form_map(events: hb.EventSet, depth: int,
+                          maxdim: int | None = None) -> hb.PrecubicalMorphism:
+    """The map from the computed unfolding of the event torus to its closed
+    form `torus_unfolding(events, depth, maxdim)`.
+
+    The computed unfolding is `unfold(torus_hda(events, maxdim), depth)`,
+    with maxdim = depth when it is None.  Each node goes to
+    ``<x>@<2|c| - dim x>:<c>``: x is the end cube of the node's
+    representative path and c lists the events that path started (a start
+    step adds one event to the cube, an end step removes one), in start
+    order below dimension 2 and in alphabet order otherwise."""
+    top = depth if maxdim is None else maxdim
+    base, labeling = hb.torus_hda(events, top)
+    unfolding = hb.unfold(base, depth)
+    closed = hb.torus_unfolding(events, depth, maxdim)
+    mapping = {}
+    for nid, node in unfolding.nodes.items():
+        started = []
+        for a, b in zip(node.rep, node.rep[1:]):
+            started += (Counter(labeling.names(b))
+                        - Counter(labeling.names(a))).elements()
+        if top >= 2:
+            started.sort(key=events.names.index)
+        key = (f"{hb.torus_cube_id(labeling.names(node.rep[-1]))}"
+               f"@{2 * len(started) - node.dim}")
+        mapping[nid] = (f"{key}:{hb.torus_cube_id(tuple(started))}"
+                        if started else key)
+    return hb.PrecubicalMorphism(
+        unfolding.tree.space, closed.space, mapping, pointed=True,
+        source_initial=unfolding.tree.initial, target_initial=closed.initial)
 
 
 # JSON values that are wrong almost anywhere in a model file.

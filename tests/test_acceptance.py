@@ -14,7 +14,8 @@ import hdabisim as hb
 from hdabisim import EventSet
 from hdabisim.generators import grid_labeling, random_hda, random_pointed_path
 
-from conftest import square_homotopy_chain, load, model_dict
+from conftest import (square_homotopy_chain, load, model_dict,
+                      torus_closed_form_map)
 
 
 @contextlib.contextmanager
@@ -219,11 +220,13 @@ def test_criterion_7_torus_unfolding():
         for names in ((), ("a",), ("a", "b")):
             events = EventSet(names)
             for depth in range(1, 6):
-                base, _lab = hb.torus_hda(events, depth - 1)
-                unfolding = hb.unfold(base, depth)
-                closed = hb.torus_unfolding(events, depth)
-                if hb.find_pointed_isomorphism(unfolding.tree, closed) is None:
+                # The (end cube, started events) map must be an isomorphism
+                # that keeps the frontier.
+                f = torus_closed_form_map(events, depth)
+                if not hb.morphism_is_isomorphism(f):
                     violations.append((names, depth, "not isomorphic"))
+                if {f.mapping[c] for c in f.source.frontier} != f.target.frontier:
+                    violations.append((names, depth, "frontier differs"))
             # Collapse: the key is (end, started events), not (end, length),
             # since after a+a- and after b+b- are different histories.
             base, lab = hb.torus_hda(events, 4)

@@ -4,6 +4,8 @@ import io
 import json
 import shutil
 
+import pytest
+
 import hdabisim as hb
 from hdabisim.cli import main
 from hdabisim.generators import grid_hda
@@ -265,9 +267,41 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
-def test_global_seed_flag_is_accepted():
-    code, report = run_json("--seed", "7", "validate", model("fig2_square.json"))
-    assert code == 0 and report["result"] is True
+_OPEN_MAP = ("open-map", model("fig1_right.json"), model("fig1_left.json"),
+             "--map", "MAP")
+
+
+@pytest.mark.parametrize("argv, env, map_text", [
+    pytest.param(("unfold", model("fig3.json"), "--depth", "3", "--cap", "0"),
+                 {}, None, id="cap-zero"),
+    pytest.param(("is-tree", model("fig3.json"), "--depth", "3"),
+                 {"HDABISIM_CAP": "abc"}, None, id="cap-env-not-an-integer"),
+    pytest.param(("paths", model("fig3.json"), "--max-len", "0"),
+                 {}, None, id="paths-max-len-zero"),
+    pytest.param(("homotopic", model("fig3.json"), "--path", "i,a,x,b,bc,c,z,d"),
+                 {}, None, id="homotopic-one-path"),
+    pytest.param(_OPEN_MAP, {}, None, id="open-map-missing-file"),
+    pytest.param(_OPEN_MAP, {}, '["i"]', id="open-map-not-an-object"),
+    # Every cube, edges included, sent to the initial vertex.
+    pytest.param(_OPEN_MAP, {}, json.dumps(dict.fromkeys(
+        ("a", "a2", "b", "b2", "f", "i", "p", "q"), "i")),
+        id="open-map-not-a-morphism"),
+    pytest.param(("torus", "--events", "a", "--maxdim", "-1"),
+                 {}, None, id="torus-negative-maxdim"),
+    pytest.param(("torus", "--events", "a", "--maxdim", "1",
+                  "--unfold-depth", "0"), {}, None, id="torus-unfold-depth-zero"),
+])
+def test_input_errors_exit_2_with_one_report(argv, env, map_text, tmp_path,
+                                             monkeypatch):
+    map_file = tmp_path / "map.json"
+    if map_text is not None:
+        map_file.write_text(map_text)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, text = run(*(str(map_file) if arg == "MAP" else arg for arg in argv))
+    assert code == 2, text
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert json.loads(text)["result"] == "error"
 
 
 def test_hp_bisim_labeled():
@@ -376,6 +410,10 @@ def test_huge_depth_reports_equal_the_complete_depth():
         big_code, big = run_json(*argv, "--depth", huge)
         assert big.pop("depth") == 10**9 and report.pop("depth") == 50
         assert (big_code, big) == (code, report), argv
+    # The path enumeration stops at its first empty length as well.
+    for name in ("fig2_square.json", "fig3.json"):
+        report = run_json("paths", model(name), "--max-len", "50")
+        assert run_json("paths", model(name), "--max-len", huge) == report
 
 
 def _readme_cli_lines():

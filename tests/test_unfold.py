@@ -6,8 +6,9 @@ from collections import Counter
 import pytest
 
 import hdabisim as hb
-from hdabisim import HDA, Cube, CubePath, EventSet, PrecubicalSet
+from hdabisim import Cube, CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, sub_hda
+from conftest import torus_closed_form_map
 from homotopy_reference import closure
 
 # Large enough that the reference never stops early on the corpus below.
@@ -222,32 +223,31 @@ def test_torus_unfolding_depth_one():
     assert list(hda.space.ids()) == ["()@0"]
 
 
+def _assert_closed_form(events, depth, maxdim=None):
+    """The (end cube, started events) map from the computed unfolding to
+    the closed form is an isomorphism that keeps the frontier."""
+    f = torus_closed_form_map(events, depth, maxdim)
+    case = (events.names, maxdim, depth)
+    assert hb.validate_precubical(f.target).ok, case
+    assert hb.morphism_is_isomorphism(f), case
+    assert {f.mapping[c] for c in f.source.frontier} == f.target.frontier, case
+
+
 def test_torus_unfolding_matches_unfold_single_event():
     # With one event the closed form agrees with the real unfolding at
     # every depth.
     for depth in range(1, 6):
-        base, _lab = hb.torus_hda(EventSet(("a",)), depth - 1)
-        unfolding = hb.unfold(base, depth)
-        closed = hb.torus_unfolding(EventSet(("a",)), depth)
-        assert hb.find_pointed_isomorphism(unfolding.tree, closed) is not None
+        _assert_closed_form(EventSet(("a",)), depth)
 
 
 def test_torus_unfolding_two_events_shallow():
     for depth in range(1, 6):
-        base, _lab = hb.torus_hda(EventSet(("a", "b")), depth - 1)
-        unfolding = hb.unfold(base, depth)
-        closed = hb.torus_unfolding(EventSet(("a", "b")), depth)
-        assert hb.find_pointed_isomorphism(unfolding.tree, closed) is not None
+        _assert_closed_form(EventSet(("a", "b")), depth)
 
 
 def test_torus_unfolding_three_events():
-    events = EventSet(("a", "b", "c"))
     for depth in range(1, 6):
-        base, _lab = hb.torus_hda(events, depth - 1)
-        unfolding = hb.unfold(base, depth)
-        closed = hb.torus_unfolding(events, depth)
-        assert hb.validate_precubical(closed.space).ok
-        assert hb.find_pointed_isomorphism(unfolding.tree, closed) is not None
+        _assert_closed_form(EventSet(("a", "b", "c")), depth)
 
 
 def test_torus_unfolding_nodes_track_started_events():
@@ -341,17 +341,9 @@ def test_torus_unfolding_with_maxdim_matches_unfold():
     # The closed form of the truncated torus, frontier included; below
     # dimension 2 events cannot be reordered, so histories are sequences.
     for names in ((), ("a",), ("a", "b")):
-        events = EventSet(names)
         for maxdim in range(4):
-            base, _lab = hb.torus_hda(events, maxdim)
             for depth in range(1, 6):
-                unfolding = hb.unfold(base, depth)
-                closed = hb.torus_unfolding(events, depth, maxdim)
-                assert hb.validate_precubical(closed.space).ok
-                iso = hb.find_pointed_isomorphism(unfolding.tree, closed)
-                assert iso is not None, (names, maxdim, depth)
-                assert {iso[c] for c in unfolding.frontier} == \
-                    closed.space.frontier, (names, maxdim, depth)
+                _assert_closed_form(EventSet(names), depth, maxdim)
 
 
 def test_torus_unfolding_one_dimensional_histories_are_ordered():
@@ -380,53 +372,56 @@ def test_layered_quotient_agrees_with_closure_reference():
     assert min(verdicts.values()) >= 100, verdicts
 
 
-def _torus_node_key(labeling, rep, ordered):
-    """(end cube's events, started events) of a pointed torus path: each
-    start step adds one event to the cube, each end step removes one."""
-    started = []
-    for a, b in zip(rep, rep[1:]):
-        started += (Counter(labeling.names(b)) - Counter(labeling.names(a))).elements()
-    if not ordered:
-        started.sort(key=labeling.events.names.index)
-    return labeling.names(rep[-1]), tuple(started)
-
-
 def test_torus_unfolding_three_events_maps_by_started_events():
-    # Every unfold node maps to the closed-form node (end cube, started
-    # events), and that map is an isomorphism that keeps the frontier.
-    events = EventSet(("a", "b", "c"))
+    # Includes the 25-node unfolding at maxdim 1, depth 5.
     for maxdim in range(4):
-        base, labeling = hb.torus_hda(events, maxdim)
         for depth in range(1, 6):
-            unfolding = hb.unfold(base, depth)
-            closed = hb.torus_unfolding(events, depth, maxdim)
-            mapping = {}
-            for nid, node in unfolding.nodes.items():
-                x, c = _torus_node_key(labeling, node.rep, maxdim == 1)
-                cid = f"{hb.torus_cube_id(x)}@{2 * len(c) - len(x)}"
-                mapping[nid] = f"{cid}:{hb.torus_cube_id(c)}" if c else cid
-            iso = hb.PrecubicalMorphism(
-                unfolding.tree.space, closed.space, mapping, pointed=True,
-                source_initial=unfolding.tree.initial,
-                target_initial=closed.initial)
-            assert hb.morphism_is_isomorphism(iso), (maxdim, depth)
-            assert {mapping[c] for c in unfolding.frontier} == \
-                closed.space.frontier, (maxdim, depth)
+            _assert_closed_form(EventSet(("a", "b", "c")), depth, maxdim)
 
 
-def _chain(n, prefix):
-    cubes = [Cube(f"{prefix}v{i}", 0) for i in range(n + 1)]
-    cubes += [Cube(f"{prefix}e{i}", 1, (f"{prefix}v{i - 1}",), (f"{prefix}v{i}",))
-              for i in range(1, n + 1)]
-    return HDA(PrecubicalSet(cubes), f"{prefix}v0")
+def test_torus_unfolding_four_events_maps_by_started_events():
+    events = EventSet(("a", "b", "c", "d"))
+    for maxdim in (None, 0, 1, 2, 3):
+        for depth in range(1, 8):
+            _assert_closed_form(events, depth, maxdim)
 
 
-def test_pointed_isomorphism_of_a_long_chain():
-    # Deeper than the interpreter's default recursion limit.
-    iso = hb.find_pointed_isomorphism(_chain(1500, ""), _chain(1500, "r"))
-    assert iso is not None and all(iso[c] == "r" + c for c in iso)
-    # Equal cube counts, but both edges of the fork leave the initial cube.
-    fork = HDA(PrecubicalSet([Cube("v0", 0), Cube("v1", 0), Cube("v2", 0),
-                              Cube("e1", 1, ("v0",), ("v1",)),
-                              Cube("e2", 1, ("v0",), ("v2",))]), "v0")
-    assert hb.find_pointed_isomorphism(_chain(2, ""), fork) is None
+def test_torus_unfolding_deep_ordered_histories():
+    # Below dimension 2 a history is the sequence of started events.
+    for names in (("a", "b"), ("a", "b", "c")):
+        _assert_closed_form(EventSet(names), 12, maxdim=1)
+
+
+def _iso_case(source, target, mapping):
+    return hb.PrecubicalMorphism(
+        PrecubicalSet(source), PrecubicalSet(target), mapping, pointed=True,
+        source_initial="v0", target_initial="u0")
+
+
+_EDGE = [Cube("v0", 0), Cube("v1", 0), Cube("e", 1, ("v0",), ("v1",))]
+_LOOP = [Cube("u0", 0), Cube("l", 1, ("u0",), ("u0",))]
+
+
+@pytest.mark.parametrize("f", [
+    # Not injective: both ends of the edge go to the loop's vertex, and the
+    # stray vertex u1 keeps the sizes equal.
+    _iso_case(_EDGE, _LOOP + [Cube("u1", 0)],
+              {"v0": "u0", "v1": "u0", "e": "l"}),
+    # The same collapse onto the loop alone: the image fills the target,
+    # yet the map is still not injective.
+    _iso_case(_EDGE, _LOOP, {"v0": "u0", "v1": "u0", "e": "l"}),
+    # Injective but not onto: the stray vertex u2 is missed.
+    _iso_case(_EDGE, [Cube("u0", 0), Cube("u1", 0), Cube("u2", 0),
+                      Cube("f", 1, ("u0",), ("u1",))],
+              {"v0": "u0", "v1": "u1", "e": "f"}),
+    # A bijection that breaks the face equation d_1^1 e = v1.
+    _iso_case(_EDGE, _LOOP + [Cube("u1", 0)],
+              {"v0": "u0", "v1": "u1", "e": "l"}),
+    # The edge's upper face is omitted, its image's is present.
+    _iso_case([Cube("v0", 0), Cube("v1", 0), Cube("e", 1, ("v0",), (None,))],
+              [Cube("u0", 0), Cube("u1", 0), Cube("f", 1, ("u0",), ("u1",))],
+              {"v0": "u0", "v1": "u1", "e": "f"}),
+], ids=["not-injective", "collapse", "not-surjective", "face-equation",
+        "omitted-face"])
+def test_morphism_is_isomorphism_rejects(f):
+    assert hb.morphism_is_isomorphism(f) is False
