@@ -384,15 +384,15 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
         problems.append("initial pair missing")
     reach_x, reach_y = reachable(x_hda), reachable(y_hda)
     for x, y in sorted(rel):
-        cx, cy = xs.cube(x), ys.cube(y)
-        if cx.dim != cy.dim:
+        (dim, lower_x, upper_x), (dim_y, lower_y, upper_y) = xs.row(x), ys.row(y)
+        if dim != dim_y:
             problems.append(f"dimension mismatch in pair ({x}, {y})")
             continue
         if lx is not None and lx.assign.get(x) != ly.assign.get(y):
             problems.append(f"label mismatch in pair ({x}, {y})")
-        for nu, faces_x, faces_y in ((0, cx.lower, cy.lower), (1, cx.upper, cy.upper)):
+        for nu, faces_x, faces_y in ((0, lower_x, lower_y), (1, upper_x, upper_y)):
             # Positions past either face list are absent, as in `face`.
-            for k, (fx, fy) in enumerate(zip(faces_x[:cx.dim], faces_y), start=1):
+            for k, (fx, fy) in enumerate(zip(faces_x[:dim], faces_y), start=1):
                 if fx is None or fy is None:
                     continue
                 if (fx, fy) not in rel:

@@ -31,7 +31,8 @@ from . import __version__
 from .bisim import bisimilar, hp_bisimilar, hp_oracle, labeled_bisimilar, open_map_check
 from .core import (CapExceeded, EventSet, ModelError, PrecubicalMorphism,
                    check_morphism, reachable, torus_hda, validate_model)
-from .model_io import LoadedModel, dump_model, load_model, model_to_dict
+from .model_io import (LoadedModel, dump_id_map, dump_model, load_model,
+                       model_to_dict)
 from .paths import (DEFAULT_CAP, EXHAUSTED, CubePath, enumerate_pointed_paths,
                     fan_shape_trace, is_cube_path, is_fan_shaped, t_measure)
 from .unfold import is_tree, unfold
@@ -269,9 +270,7 @@ def _run_unfold(args, out) -> int:
     if args.out:
         dump_model(unfolding.tree, args.out)
         sidecar = str(Path(args.out).with_suffix(".projection.json"))
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            json.dump(unfolding.projection_table(), handle, indent=1)
-            handle.write("\n")
+        dump_id_map(unfolding.projection_table(), sidecar)
         report["out"] = args.out
         report["projection"] = sidecar
     return _emit(report, args.pretty, out)

@@ -58,6 +58,9 @@ class Cube:
     upper: tuple[str | None, ...] = ()
 
 
+#: A cube as `PrecubicalSet` stores it: (dim, lower faces, upper faces).
+Row = tuple[int, tuple[str, ...], tuple[str | None, ...]]
+
 #: Face entries of the int view that name no cube of the set: a reference to
 #: an id the set does not contain, and an upper face omitted by truncation.
 #: Both are negative, so a test ``j >= 0`` admits exactly the cube indices.
@@ -66,7 +69,7 @@ OMITTED = -2
 
 
 class CubeIndex:
-    """The int view of a precubical set, built once from its string data.
+    """The int view of a precubical set, built once from its string rows.
 
     Cube ``i`` is the i-th id in ascending (dimension, id) order.
     ``lower[i]``/``upper[i]`` hold the indices of its faces in position
@@ -77,14 +80,14 @@ class CubeIndex:
 
     __slots__ = ("ids", "pos", "dims", "lower", "upper", "cofaces")
 
-    def __init__(self, ids: tuple[str, ...], cubes: Mapping[str, Cube]):
+    def __init__(self, ids: tuple[str, ...], rows: Mapping[str, Row]):
         self.ids = ids
         self.pos = dict(zip(ids, range(len(ids))))
         get, unknown = {**self.pos, None: OMITTED}.get, itertools.repeat(UNKNOWN)
-        ordered = list(map(cubes.__getitem__, ids))
-        self.dims = tuple([c.dim for c in ordered])
-        self.lower = tuple([tuple(map(get, c.lower, unknown)) for c in ordered])
-        self.upper = tuple([tuple(map(get, c.upper, unknown)) for c in ordered])
+        ordered = list(map(rows.__getitem__, ids))
+        self.dims = tuple([row[0] for row in ordered])
+        self.lower = tuple([tuple(map(get, row[1], unknown)) for row in ordered])
+        self.upper = tuple([tuple(map(get, row[2], unknown)) for row in ordered])
         cofaces: list[list[tuple[int, int]]] = [[] for _ in ids]
         for i, faces in enumerate(self.lower):
             k = 1
@@ -95,44 +98,68 @@ class CubeIndex:
         self.cofaces = cofaces
 
 
+def raise_first_duplicate(ids: Iterable[str]) -> None:
+    """Raise ModelError naming the first id that repeats an earlier one."""
+    seen: set[str] = set()
+    for cid in ids:
+        if cid in seen:
+            raise ModelError(f"duplicate cube id {cid!r}")
+        seen.add(cid)
+
+
 class PrecubicalSet:
     """A finite graded set of cubes closed under the face maps.
 
-    Construction only stores the cubes and sorts their ids; structural
-    validity (face closure, arity, the face identity) is checked by
-    :func:`validate_precubical`.  Two indexes are built lazily, each the
-    first time it is read, and then kept: the string coface tables behind
-    `cofaces_lower`, `cofaces_upper` and `successors`, and `indexed`, the
-    int view (:class:`CubeIndex`) that validation, reachability and the
-    bisimulation engine read.  Callers that use neither pay for neither.
+    Each cube is stored as a row ``(dim, lower, upper)`` keyed by its id
+    (`rows`); a :class:`Cube` is built only when `cube` asks for one, and
+    every other accessor reads the rows.  Construction stores the rows and
+    sorts the ids; structural validity (face closure, arity, the face
+    identity) is checked by :func:`validate_precubical`.  Two indexes are
+    built lazily, each the first time it is read, and then kept: the string
+    coface tables behind `cofaces_lower`, `cofaces_upper` and `successors`,
+    and `indexed`, the int view (:class:`CubeIndex`) that validation,
+    reachability and the bisimulation engine read.  Callers that use
+    neither pay for neither.
     """
 
     def __init__(self, cubes: Iterable[Cube], frontier: Iterable[str] = ()):
         cubes = list(cubes)
-        self._cubes: dict[str, Cube] = {cube.id: cube for cube in cubes}
-        if len(self._cubes) != len(cubes):
-            seen: set[str] = set()
-            for cube in cubes:
-                if cube.id in seen:
-                    raise ModelError(f"duplicate cube id {cube.id!r}")
-                seen.add(cube.id)
+        rows = {cube.id: (cube.dim, cube.lower, cube.upper) for cube in cubes}
+        if len(rows) != len(cubes):
+            raise_first_duplicate(cube.id for cube in cubes)
+        self._store(rows, frontier)
+
+    @classmethod
+    def from_rows(cls, rows: dict[str, Row],
+                  frontier: Iterable[str] = ()) -> PrecubicalSet:
+        """The set whose cube ``cid`` has dimension ``rows[cid][0]`` and
+        lower/upper face tuples ``rows[cid][1]``/``rows[cid][2]``.  The dict
+        is kept, not copied, so the caller must not change it afterwards."""
+        space = cls.__new__(cls)
+        space._store(rows, frontier)
+        return space
+
+    def _store(self, rows: dict[str, Row], frontier: Iterable[str]) -> None:
+        self._rows = rows
         self.frontier = frozenset(frontier)
-        # Ids are unique, so sorting (dim, id) pairs gives (dim, id) order.
-        self._ids = tuple([cid for _dim, cid in sorted(
-            [(cube.dim, cid) for cid, cube in self._cubes.items()])])
+        # Ids are unique: sorting them, then stably by dimension, gives
+        # (dim, id) order, and both sorts compare one plain type.
+        ids = sorted(rows)
+        ids.sort(key=lambda cid: rows[cid][0])
+        self._ids = tuple(ids)
 
     @functools.cached_property
     def indexed(self) -> CubeIndex:
         """The int view of the set, built on first use and kept."""
-        return CubeIndex(self._ids, self._cubes)
+        return CubeIndex(self._ids, self._rows)
 
     def _coface_table(self, upper: bool) -> dict[str, tuple[tuple[int, str], ...]]:
         # For each cube f, the parents x with delta_k^nu x = f, in (x, k) order.
+        rows, side = self._rows, 2 if upper else 1
         table: dict[str, list[tuple[int, str]]] = {}
         for x in self._ids:
-            cube = self._cubes[x]
-            for k, f in enumerate(cube.upper if upper else cube.lower, start=1):
-                if f in self._cubes:
+            for k, f in enumerate(rows[x][side], start=1):
+                if f in rows:
                     table.setdefault(f, []).append((k, x))
         return {c: tuple(v) for c, v in table.items()}
 
@@ -147,10 +174,10 @@ class PrecubicalSet:
         return self._coface_table(upper=True)
 
     def __contains__(self, cid: str) -> bool:
-        return cid in self._cubes
+        return cid in self._rows
 
     def __len__(self) -> int:
-        return len(self._cubes)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._ids)
@@ -158,38 +185,49 @@ class PrecubicalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrecubicalSet):
             return NotImplemented
-        return self._cubes == other._cubes and self.frontier == other.frontier
+        return self._rows == other._rows and self.frontier == other.frontier
 
     def __repr__(self) -> str:
-        return f"PrecubicalSet({len(self._cubes)} cubes, max dim {self.max_dim()})"
+        return f"PrecubicalSet({len(self._rows)} cubes, max dim {self.max_dim()})"
 
     def ids(self) -> tuple[str, ...]:
         """All cube ids in ascending (dimension, id) order."""
         return self._ids
 
-    def cube(self, cid: str) -> Cube:
+    def rows(self) -> Mapping[str, Row]:
+        """Every cube's ``(dim, lower, upper)`` row by id; read-only by
+        convention."""
+        return self._rows
+
+    def row(self, cid: str) -> Row:
+        """The cube's ``(dim, lower, upper)`` row."""
         try:
-            return self._cubes[cid]
+            return self._rows[cid]
         except KeyError:
             raise ModelError(f"unknown cube id {cid!r}") from None
 
+    def cube(self, cid: str) -> Cube:
+        """The cube as a :class:`Cube`, built on each call."""
+        return Cube(cid, *self.row(cid))
+
     def dim(self, cid: str) -> int:
-        return self.cube(cid).dim
+        return self.row(cid)[0]
 
     def by_dim(self, n: int) -> tuple[str, ...]:
-        return tuple(c for c in self._ids if self._cubes[c].dim == n)
+        rows = self._rows
+        return tuple(c for c in self._ids if rows[c][0] == n)
 
     def max_dim(self) -> int:
-        return max((c.dim for c in self._cubes.values()), default=0)
+        return max((row[0] for row in self._rows.values()), default=0)
 
     def lower(self, cid: str, k: int) -> str | None:
         """delta_k^0 of the cube, 1-based k; None when out of range."""
-        faces = self.cube(cid).lower
+        faces = self.row(cid)[1]
         return faces[k - 1] if 1 <= k <= len(faces) else None
 
     def upper(self, cid: str, k: int) -> str | None:
         """delta_k^1 of the cube, 1-based k; None when out of range or omitted."""
-        faces = self.cube(cid).upper
+        faces = self.row(cid)[2]
         return faces[k - 1] if 1 <= k <= len(faces) else None
 
     def face(self, cid: str, k: int, nu: int) -> str | None:
@@ -209,7 +247,7 @@ class PrecubicalSet:
     def successors(self, cid: str) -> tuple[str, ...]:
         """Cubes y one step after cid: cid = delta_k^0 y or y = delta_k^1 cid."""
         nxt = {x for (_k, x) in self.cofaces_lower(cid)}
-        nxt.update(f for f in self.cube(cid).upper if f is not None)
+        nxt.update(f for f in self.row(cid)[2] if f is not None)
         return tuple(sorted(nxt))
 
 
@@ -322,7 +360,7 @@ def validate_precubical(space: PrecubicalSet) -> ValidationReport:
             else:
                 clean[i] = 1
                 continue
-        cube = space._cubes[x]
+        _dim, lower_ids, upper_ids = space._rows[x]
         good = True
         if len(lo) != dim or len(up) != dim:
             violations.append(Violation(
@@ -332,7 +370,7 @@ def validate_precubical(space: PrecubicalSet) -> ValidationReport:
                 {"dim": dim, "lower": len(lo), "upper": len(up)},
             ))
             good = False
-        for nu, faces, names in ((0, lo, cube.lower), (1, up, cube.upper)):
+        for nu, faces, names in ((0, lo, lower_ids), (1, up, upper_ids)):
             for k, j in enumerate(faces, start=1):
                 if j == OMITTED:
                     if nu == 1 and x in space.frontier:
@@ -397,7 +435,7 @@ def validate_model(hda: HDA, labeling: Labeling | None = None) -> ValidationRepo
     """Validate an HDA: the precubical structure, the initial cube, and the
     labeling when one is supplied."""
     report = validate_precubical(hda.space)
-    if not hda.space._cubes:
+    if not hda.space._rows:
         report.violations.append(Violation(
             "empty-model", None, "model has no cubes at all", {}))
     if hda.initial not in hda.space:
@@ -552,7 +590,7 @@ def reachable_mask(hda: HDA) -> bytearray:
                     seen[j] = 1
                     stack.append(j)
             elif j == UNKNOWN:
-                ref = hda.space._cubes[view.ids[i]].upper[k]
+                ref = hda.space._rows[view.ids[i]][2][k]
                 if ref not in unknown:
                     unknown.append(ref)
                     stack.append(-3 - unknown.index(ref))

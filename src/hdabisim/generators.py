@@ -62,11 +62,12 @@ def grid_hda(sizes: tuple[int, ...]) -> HDA:
 
 
 def _face_closure(space: PrecubicalSet, seed_ids: set[str]) -> set[str]:
+    row = space.row
     todo = list(seed_ids)
     out = set(seed_ids)
     while todo:
-        x = todo.pop()
-        for f in space.cube(x).lower + space.cube(x).upper:
+        _dim, lower, upper = row(todo.pop())
+        for f in lower + upper:
             if f is not None and f not in out:
                 out.add(f)
                 todo.append(f)
@@ -77,9 +78,10 @@ def sub_hda(ambient: HDA, keep: set[str]) -> HDA:
     """The face-closed sub-HDA of `ambient` spanned by `keep` plus the
     initial cube."""
     space = ambient.space
+    rows = space.rows()
     chosen = _face_closure(space, set(keep) | {ambient.initial})
-    cubes = [space.cube(c) for c in sorted(chosen, key=lambda c: (space.dim(c), c))]
-    return HDA(PrecubicalSet(cubes), ambient.initial)
+    return HDA(PrecubicalSet.from_rows({c: rows[c] for c in chosen}),
+               ambient.initial)
 
 
 # Ambient grids of earlier draws, per generator: draws from one Random reuse

@@ -13,6 +13,16 @@ A model file looks like::
 into ``events``, sorted ascending.  ``frontier`` (optional) lists cubes whose
 upper faces were omitted by truncation; only those may carry ``null`` inside
 ``d1``.  Unknown fields are rejected.
+
+The loader fills the rows of a `PrecubicalSet` directly, so no `Cube` is
+built.  `dump_model` (and `dump_id_map`, for the unfolding's projection
+sidecar) writes the bytes that ``json.dump(model_to_dict(...), handle,
+indent=1)`` followed by a newline writes: one member per line, indented by
+one space per level, items ending in ``","`` and keys followed by ``": "``,
+empty arrays and objects as ``[]`` and ``{}``, and strings escaped to
+ASCII.  They join strings escaped by the C
+``json.encoder.encode_basestring_ascii`` instead of running ``json.dump``,
+which with ``indent`` always takes the pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -20,15 +30,16 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Mapping
 
-from .core import HDA, Cube, EventSet, Labeling, ModelError, PrecubicalSet
+from .core import (HDA, EventSet, Labeling, ModelError, PrecubicalSet, Row,
+                   raise_first_duplicate)
 
 _MODEL_FIELDS = {"cubes", "initial", "events", "labels", "frontier"}
 _CUBE_FIELDS = {"id", "dim", "d0", "d1"}
-# Second argument for `map(isinstance, entries, _STR)`, a type check per
-# entry without a Python-level loop.
-_STR = itertools.repeat(str)
+_STR, _STR_OR_NULL = {str}, {str, type(None)}
 
 
 @dataclass
@@ -51,8 +62,9 @@ def _parse_faces(raw: object, cube_id: str, key: str) -> tuple[str | None, ...]:
     return tuple(out)
 
 
-def _parse_cube(raw: object) -> Cube:
-    """One cube entry, with every field check and its error message."""
+def _parse_cube(raw: object) -> tuple[str, Row]:
+    """One cube entry as (id, row), with every field check and its error
+    message."""
     if not isinstance(raw, dict):
         raise ModelError("each cube must be an object")
     extra = set(raw) - _CUBE_FIELDS
@@ -68,7 +80,41 @@ def _parse_cube(raw: object) -> Cube:
     upper = _parse_faces(raw.get("d1", []), cid, "d1")
     if any(f is None for f in lower):
         raise ModelError(f"cube {cid!r}: d0 entries may not be null")
-    return Cube(cid, dim, lower, upper)  # type: ignore[arg-type]
+    return cid, (dim, lower, upper)  # type: ignore[return-value]
+
+
+def _rows_at_once(raw_cubes: list) -> tuple[dict[str, Row], list[str]] | None:
+    """The rows of the cube entries and the ids of those with a null upper
+    face (in file order, duplicates included), or None when some entry is
+    not plain JSON of the expected types, which the checked path must see.
+
+    Each check reads one field of every entry in a single C-level pass; an
+    entry that passes them all is one `_parse_cube` accepts, as the same
+    row.
+    """
+    if not set(map(type, raw_cubes)) <= {dict} or not all(
+            map(_CUBE_FIELDS.issuperset, raw_cubes)):
+        return None
+
+    def field(key: str, default: object = None) -> list:
+        return list(map(dict.get, raw_cubes, itertools.repeat(key),
+                        itertools.repeat(default)))
+
+    ids, dims = field("id"), field("dim")
+    lower, upper = field("d0", []), field("d1", [])
+    if not (set(map(type, ids)) <= _STR and all(ids)
+            and set(map(type, dims)) <= {int} and min(dims, default=0) >= 0
+            and set(map(type, lower)) <= {list}
+            and set(map(type, upper)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(lower))) <= _STR):
+        return None
+    d1_types = set(map(type, itertools.chain.from_iterable(upper)))
+    if not d1_types <= _STR_OR_NULL:
+        return None
+    rows = dict(zip(ids, zip(dims, map(tuple, lower), map(tuple, upper))))
+    nulls = ([cid for cid, faces in zip(ids, upper) if None in faces]
+             if type(None) in d1_types else [])
+    return rows, nulls
 
 
 def _is_label(tup: object) -> bool:
@@ -88,36 +134,36 @@ def model_from_dict(data: object) -> LoadedModel:
     raw_cubes = data["cubes"]
     if not isinstance(raw_cubes, list):
         raise ModelError("'cubes' must be an array")
-    cubes: list[Cube] = []
-    for raw in raw_cubes:
-        # Fast path for the common entry: plain JSON types, known fields,
-        # no null face.  Anything else takes the checked path, which raises
-        # the first error in the usual order or accepts the entry.
-        if type(raw) is dict and raw.keys() <= _CUBE_FIELDS:
-            cid, dim = raw.get("id"), raw.get("dim")
-            d0, d1 = raw.get("d0", []), raw.get("d1", [])
-            if (type(cid) is str and cid and type(dim) is int and dim >= 0
-                    and type(d0) is list and type(d1) is list
-                    and all(map(isinstance, d0, _STR))
-                    and all(map(isinstance, d1, _STR))):
-                cubes.append(Cube(cid, dim, tuple(d0), tuple(d1)))
-                continue
-        cubes.append(_parse_cube(raw))
+    parsed = _rows_at_once(raw_cubes)
+    if parsed is not None:
+        rows, nulls = parsed
+    else:
+        # Some entry is malformed (or of an unusual type): check entry by
+        # entry, which raises the first error in file order.
+        rows, nulls = {}, []
+        for raw in raw_cubes:
+            cid, row = _parse_cube(raw)
+            rows[cid] = row
+            if None in row[2]:
+                nulls.append(cid)
 
     frontier_raw = data.get("frontier", [])
     if not isinstance(frontier_raw, list) or not all(
             isinstance(c, str) for c in frontier_raw):
         raise ModelError("'frontier' must be an array of cube ids")
     frontier = set(frontier_raw)
-    for cube in cubes:
-        if None in cube.upper and cube.id not in frontier:
+    for cid in nulls:
+        if cid not in frontier:
             raise ModelError(
-                f"cube {cube.id!r} has null upper faces but is not in 'frontier'")
+                f"cube {cid!r} has null upper faces but is not in 'frontier'")
 
     initial = data["initial"]
     if not isinstance(initial, str):
         raise ModelError("'initial' must be a cube id")
-    space = PrecubicalSet(cubes, frontier=frontier)
+    if len(rows) != len(raw_cubes):
+        # Every entry was accepted above, so each has a string id.
+        raise_first_duplicate(raw["id"] for raw in raw_cubes)
+    space = PrecubicalSet.from_rows(rows, frontier=frontier)
     hda = HDA(space, initial)
 
     labeling = None
@@ -157,15 +203,11 @@ def load_model(path: str | Path) -> LoadedModel:
 
 def model_to_dict(hda: HDA, labeling: Labeling | None = None) -> dict:
     space = hda.space
+    rows = space.rows()
     out: dict = {
         "cubes": [
-            {
-                "id": cid,
-                "dim": space.dim(cid),
-                "d0": list(space.cube(cid).lower),
-                "d1": list(space.cube(cid).upper),
-            }
-            for cid in space.ids()
+            {"id": cid, "dim": dim, "d0": list(lower), "d1": list(upper)}
+            for cid in space.ids() for dim, lower, upper in [rows[cid]]
         ],
         "initial": hda.initial,
     }
@@ -180,8 +222,85 @@ def model_to_dict(hda: HDA, labeling: Labeling | None = None) -> dict:
     return out
 
 
+# The separators of ``json.dump(..., indent=1)`` at each nesting depth: an
+# item of a container at depth d starts on a new line indented by d spaces.
+_PAD = ["\n" + " " * depth for depth in range(4)]
+_CUBE = '{\n   "id": %s,\n   "dim": %s,\n   "d0": %s,\n   "d1": %s\n  }'
+
+
+def _join(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array of encoded `items`, or with brackets ``"{}"`` an object
+    of encoded ``key: value`` items, at `depth`, laid out as with
+    ``indent=1``."""
+    if not items:
+        return brackets
+    inner = _PAD[depth + 1]
+    return (brackets[0] + inner + ("," + inner).join(items) + _PAD[depth]
+            + brackets[1])
+
+
+def _faces(faces: tuple[str | None, ...], text) -> str:
+    """A cube's face array (depth 3), its entries encoded by `text`."""
+    if not faces:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(text, faces)) + "\n   ]"
+
+
+class _Quoted(dict):
+    """Id -> its JSON text, with ``None`` -> ``null``; an id not stored yet
+    (a face outside the set) is encoded on lookup."""
+
+    def __missing__(self, cid: str) -> str:
+        return _quote(cid)
+
+
+def _model_json(hda: HDA, labeling: Labeling | None = None) -> str:
+    """``json.dumps(model_to_dict(hda, labeling), indent=1)``, built by
+    joining strings escaped by the C encoder."""
+    space = hda.space
+    rows, ids = space.rows(), space.ids()
+    quoted = _Quoted(zip(ids, map(_quote, ids)))
+    quoted[None] = "null"
+    text = quoted.__getitem__
+    cubes = []
+    for cid in ids:
+        dim, lower, upper = rows[cid]
+        cubes.append(_CUBE % (quoted[cid], dim, _faces(lower, text),
+                              _faces(upper, text)))
+    members = ['"cubes": ' + _join(cubes, 1),
+               '"initial": ' + text(hda.initial)]
+    if space.frontier:
+        members.append('"frontier": '
+                       + _join(list(map(text, sorted(space.frontier))), 1))
+    if labeling is not None:
+        assign = labeling.assign
+        members.append('"events": '
+                       + _join(list(map(_quote, labeling.events.names)), 1))
+        members.append('"labels": ' + _join(
+            [quoted[cid] + ": " + _join(list(map(str, assign[cid])), 2)
+             for cid in ids if cid in assign], 1, "{}"))
+    return _join(members, 0, "{}")
+
+
+def _id_map_json(table: Mapping[str, str]) -> str:
+    """``json.dumps(table, indent=1)`` for a map of ids to ids."""
+    return _join([_quote(k) + ": " + _quote(v) for k, v in table.items()],
+                 0, "{}")
+
+
+def _write(text: str, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
+
+
 def dump_model(hda: HDA, path: str | Path,
                labeling: Labeling | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(hda, labeling), handle, indent=1)
-        handle.write("\n")
+    """Write the model file: ``json.dump(model_to_dict(hda, labeling),
+    handle, indent=1)`` and a newline, byte for byte."""
+    _write(_model_json(hda, labeling), path)
+
+
+def dump_id_map(table: Mapping[str, str], path: str | Path) -> None:
+    """Write a map of ids to ids (the unfolding's projection sidecar): the
+    bytes of ``json.dump(table, handle, indent=1)`` and a newline."""
+    _write(_id_map_json(table), path)

@@ -131,7 +131,7 @@ def is_cube_path(space: PrecubicalSet, seq: tuple[str, ...] | list[str]) -> Path
     if not seq:
         raise ModelError("empty sequence is not a cube path")
     for c in seq:
-        space.cube(c)  # raises on unresolved ids
+        space.row(c)  # raises on unresolved ids
     steps: list[StepDiag] = []
     for j in range(len(seq) - 1):
         diag = _step(space, seq[j], seq[j + 1])

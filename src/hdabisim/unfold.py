@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, Cube, EventSet,
-                   ModelError, PrecubicalMorphism, PrecubicalSet,
+                   ModelError, PrecubicalMorphism, PrecubicalSet, Row,
                    check_morphism, torus_cube_id)
 from .paths import DEFAULT_CAP, CubePath, _adjacency_at
 
@@ -109,7 +109,7 @@ class _Successors(dict):
             if j >= 0:
                 after.add(j)
             elif j == UNKNOWN:
-                ref = self.space.cube(view.ids[i]).upper[k]
+                ref = self.space.row(view.ids[i])[2][k]
                 raise ModelError(f"unknown cube id {ref!r}")
         out = self[i] = tuple(sorted(after, key=view.ids.__getitem__))
         return out
@@ -231,7 +231,7 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
     paths = [tuple(map(names.__getitem__, rep)) for rep in reps]
     ids = [node_id_of(path) for path in paths]
 
-    cubes: list[Cube] = []
+    rows: dict[str, Row] = {}
     frontier: set[str] = set()
     for c in order:
         rep, via = reps[c], quotient.via[c]
@@ -257,9 +257,10 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
                 cut = True
         if m == depth and (cut or view.cofaces[end]):
             frontier.add(ids[c])
-        cubes.append(Cube(ids[c], n, tuple(faces), tuple(ups)))
+        rows[ids[c]] = (n, tuple(faces), tuple(ups))
 
-    tree_space = PrecubicalSet(cubes, frontier=frontier)
+    # Node ids name distinct classes, so no row is overwritten.
+    tree_space = PrecubicalSet.from_rows(rows, frontier=frontier)
     tree = HDA(tree_space, ids[0])
     projection = PrecubicalMorphism(
         source=tree_space, target=hda.space,
@@ -428,9 +429,13 @@ def is_acyclic(hda: HDA) -> bool:
 
 def morphism_is_isomorphism(f: PrecubicalMorphism) -> bool:
     """True iff f is a bijective morphism whose inverse also matches the
-    omitted-face pattern."""
-    n = len(f.source)
-    if len(f.mapping) != n or len(f.target) != n or len(set(f.mapping.values())) != n:
+    omitted-face pattern.  A mapping that misses a source cube or names a
+    cube the target lacks is no isomorphism, so it gives False."""
+    n, mapping = len(f.source), f.mapping
+    if len(mapping) != n or len(f.target) != n or len(set(mapping.values())) != n:
+        return False
+    if not (all(x in mapping for x in f.source.ids())
+            and all(y in f.target for y in mapping.values())):
         return False
     if not check_morphism(f):
         return False

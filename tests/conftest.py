@@ -19,6 +19,34 @@ def model_dict(name: str) -> dict:
         return json.load(handle)
 
 
+def model_dict_ref(hda: hb.HDA, labeling: hb.Labeling | None = None) -> dict:
+    """`model_to_dict` as it was before the row store: built from the `Cube`
+    that `PrecubicalSet.cube` returns for each id."""
+    space = hda.space
+    cubes = [space.cube(cid) for cid in space.ids()]
+    out: dict = {
+        "cubes": [{"id": c.id, "dim": c.dim, "d0": list(c.lower),
+                   "d1": list(c.upper)} for c in cubes],
+        "initial": hda.initial,
+    }
+    if space.frontier:
+        out["frontier"] = sorted(space.frontier)
+    if labeling is not None:
+        out["events"] = list(labeling.events.names)
+        out["labels"] = {c.id: list(labeling.assign[c.id])
+                         for c in cubes if c.id in labeling.assign}
+    return out
+
+
+def json_dump_ref(obj: object, path: Path) -> None:
+    """The writer that `dump_model` and the projection sidecar replaced:
+    ``json.dump(..., indent=1)``, which runs the pure-Python encoder, and a
+    newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=1)
+        handle.write("\n")
+
+
 @pytest.fixture(scope="session")
 def models_dir() -> Path:
     return MODELS

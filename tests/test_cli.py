@@ -10,7 +10,7 @@ import hdabisim as hb
 from hdabisim.cli import main
 from hdabisim.generators import grid_hda
 
-from conftest import MODELS
+from conftest import MODELS, json_dump_ref, model_dict_ref
 
 
 def run(*argv):
@@ -168,6 +168,23 @@ def test_unfold_truncated_round_trip(tmp_path):
     assert code == 0
     code, _ = run_json("is-tree", str(out), "--depth", "4")
     assert code == 0
+
+
+def test_unfold_out_files_match_json_dump(tmp_path):
+    """`unfold --out` writes the bytes of ``json.dump(..., indent=1)`` for
+    both the tree and its projection sidecar."""
+    for name, depth in (("fig5_x.json", 4), ("fig3.json", 9),
+                        ("ab_square_abc.json", 5)):
+        out = tmp_path / "tree.json"
+        code, _ = run_json("unfold", model(name), "--depth", str(depth),
+                           "--out", str(out))
+        assert code == 0
+        unfolding = hb.unfold(hb.load_model(MODELS / name).hda, depth)
+        json_dump_ref(model_dict_ref(unfolding.tree), tmp_path / "ref.json")
+        json_dump_ref(unfolding.projection_table(), tmp_path / "ref-side.json")
+        assert out.read_bytes() == (tmp_path / "ref.json").read_bytes(), name
+        assert ((tmp_path / "tree.projection.json").read_bytes()
+                == (tmp_path / "ref-side.json").read_bytes()), name
 
 
 def test_oracle_exit_codes():

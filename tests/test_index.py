@@ -8,6 +8,7 @@ content and order, reachable sets equal, and loader errors equal in
 message.
 """
 
+import copy
 import itertools
 import random
 
@@ -16,8 +17,8 @@ import pytest
 import hdabisim as hb
 from hdabisim import (HDA, Cube, EventSet, Labeling, LoadedModel, ModelError,
                       PrecubicalSet, ValidationReport, Violation)
-from hdabisim.generators import grid_labeling, random_hda
-from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS
+from hdabisim.generators import grid_hda, grid_labeling, random_hda
+from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS, dump_id_map
 
 from conftest import MODELS, model_dict, mutate_model_dict
 from test_bisim import _blocks, _naive_refine, _torus_labeling
@@ -430,7 +431,25 @@ def test_refine_on_the_int_view_matches_string_interning():
     assert outcomes == {"error", "refined"}
 
 
+def _space_view(space):
+    """Everything the string accessors report about a set, cube by cube.
+    `successors` raises on an upper face that names no cube, so it is read
+    only where there is none."""
+    view = []
+    for x in space.ids():
+        cube = space.cube(x)
+        closed = all(f is None or f in space for f in cube.upper)
+        view.append((
+            cube, space.dim(x),
+            [space.lower(x, k) for k in range(1, len(cube.lower) + 1)],
+            [space.upper(x, k) for k in range(1, len(cube.upper) + 1)],
+            space.cofaces_lower(x), space.successors(x) if closed else None))
+    return space.ids(), space.frontier, view
+
+
 def test_lean_loader_agrees_with_checked_loader():
+    """The row-filling loader against the reference, which builds a `Cube`
+    per entry: equal sets, accessors, written dicts and error text."""
     bases = [model_dict(name) for name in (
         "fig1_left.json", "fig3.json", "fig5_x.json", "ab_square_abc.json")]
     bases.append(hb.model_to_dict(hb.unfold(
@@ -446,10 +465,57 @@ def test_lean_loader_agrees_with_checked_loader():
             except ModelError as exc:
                 outcomes.append(("error", str(exc)))
             else:
-                outcomes.append((m.hda.space, m.hda.initial, m.labeling))
+                outcomes.append((m.hda.space, m.hda.initial, m.labeling,
+                                 hb.model_to_dict(m.hda, m.labeling),
+                                 _space_view(m.hda.space)))
         assert outcomes[0] == outcomes[1], (trial, data)
         if outcomes[0][0] == "error":
             errors.add(outcomes[0][1].split(":")[0].split("'")[0])
         else:
             loaded += 1
     assert loaded >= 100 and len(errors) >= 10, (loaded, errors)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"initial": 5}, "'initial' must be a cube id"),
+    ({"frontier": "x"}, "'frontier' must be an array of cube ids"),
+    ({"null": True}, "has null upper faces but is not in 'frontier'"),
+    ({}, "duplicate cube id"),
+])
+def test_duplicate_id_is_reported_after_earlier_faults(fault, message):
+    """A duplicate id is found once the cubes are stored, after the
+    frontier, null-face and initial checks, in both loaders."""
+    data = model_dict("fig2_square.json")
+    data["cubes"].append(copy.deepcopy(data["cubes"][-1]))
+    if fault.pop("null", False):
+        # The first copy has a null upper face; the second, which the
+        # row store keeps, has none.
+        data["cubes"][-2]["d1"][0] = None
+    data.update(fault)
+    for load in (hb.model_from_dict, _model_from_dict_ref):
+        with pytest.raises(ModelError, match=message):
+            load(data)
+
+
+def test_grid_pipeline_builds_no_cube(tmp_path, monkeypatch):
+    """Loading, validating, unfolding, the tree check and writing a grid
+    model read and fill rows only: no `Cube` is constructed."""
+    model = tmp_path / "grid.json"
+    hb.dump_model(grid_hda((3, 2, 2)), model)
+    built = []
+    original = Cube.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cube, "__init__", counting_init)
+    loaded = hb.load_model(model)
+    assert hb.validate_model(loaded.hda).ok
+    unfolding = hb.unfold(loaded.hda, 6)
+    assert hb.is_tree(loaded.hda, 3) and hb.is_tree(unfolding.tree, 6)
+    hb.dump_model(unfolding.tree, tmp_path / "tree.json")
+    dump_id_map(unfolding.projection_table(), tmp_path / "tree.projection.json")
+    assert built == []
+    loaded.hda.space.cube(loaded.hda.initial)  # the counter does count
+    assert len(built) == 1

@@ -1,10 +1,14 @@
-"""JSON model format: round trips and strictness."""
+"""JSON model format: round trips, strictness, and the writers' bytes."""
+
+import random
 
 import pytest
 
 import hdabisim as hb
+from hdabisim.generators import grid_labeling, random_hda
+from hdabisim.model_io import dump_id_map
 
-from conftest import load, model_dict
+from conftest import json_dump_ref, load, model_dict, model_dict_ref
 
 
 def test_round_trip(tmp_path):
@@ -73,3 +77,80 @@ def test_truncated_model_round_trip(tmp_path, fig5_x):
     hb.dump_model(tree, out)
     again = hb.load_model(out)
     assert again.hda.space == tree.space
+
+
+# -- the C-escaped writers against json.dump(..., indent=1) ------------------
+
+# Ids that JSON must escape: non-ASCII (one a surrogate pair), quotes,
+# backslashes, control characters and the line separators JavaScript
+# rejects.
+_ODD = ("é", 'q"uote', "back\\slash", "tab\tnew\nline", "\U0001F600",
+        "\x00nul", " sep", "plain")
+
+
+def _odd_model():
+    """A truncated model over the ids above: two vertices, an edge with an
+    omitted upper face, and an edge whose upper face names a missing cube
+    (a model can be written before it is validated)."""
+    a, b, e, f = _ODD[0], _ODD[1], _ODD[2], _ODD[3]
+    space = hb.PrecubicalSet(
+        [hb.Cube(a, 0), hb.Cube(b, 0), hb.Cube(e, 1, (a,), (None,)),
+         hb.Cube(f, 1, (b,), ("gh\"ost\\" + _ODD[4],)),
+         *(hb.Cube(x, 0) for x in _ODD[4:])],
+        frontier=[e])
+    labeling = hb.Labeling(hb.EventSet(("é", "b")), {
+        x: ((1,) if space.dim(x) else ()) for x in space.ids()})
+    return hb.HDA(space, a), labeling
+
+
+def _writer_cases():
+    rng = random.Random(5)
+    events = hb.EventSet(("a", "b", "c"))
+    for name in ("fig1_left.json", "fig3.json", "fig5_x.json",
+                 "ab_square_abc.json"):
+        loaded = load(name)
+        yield name, loaded.hda, loaded.labeling
+        yield name + " unlabeled", loaded.hda, None
+    for name, depth in (("fig5_x.json", 4), ("fig1_right.json", 3),
+                        ("fig3.json", 6)):
+        unfolding = hb.unfold(load(name).hda, depth)
+        yield f"{name} tree {depth}", unfolding.tree, None
+    for trial in range(12):
+        hda = random_hda(rng, max_cubes=rng.choice((6, 20, 40)), max_dim=3,
+                         cyclic=trial % 3 == 0, stray=trial % 2 == 1)
+        if trial % 3:
+            yield f"random {trial}", hda, grid_labeling(hda, events)
+        tree = hb.unfold(hda, rng.randint(2, 6)).tree
+        yield f"random {trial} tree", tree, None
+    fig3 = load("fig3.json")
+    yield "empty labels", fig3.hda, hb.Labeling(fig3.labeling.events, {})
+    yield "no events", fig3.hda, hb.Labeling(hb.EventSet(()), {})
+    for maxdim in (None, 1):
+        yield (f"torus unfolding {maxdim}",
+               hb.torus_unfolding(hb.EventSet(("a", "b")), 5, maxdim), None)
+    yield "escaped ids", *_odd_model()
+    yield "escaped ids unlabeled", _odd_model()[0], None
+
+
+def test_dump_model_writes_json_dump_bytes(tmp_path):
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    cases = 0
+    for name, hda, labeling in _writer_cases():
+        assert hb.model_to_dict(hda, labeling) == model_dict_ref(hda, labeling), name
+        hb.dump_model(hda, ours, labeling)
+        json_dump_ref(model_dict_ref(hda, labeling), ref)
+        assert ours.read_bytes() == ref.read_bytes(), name
+        cases += 1
+    assert cases >= 30
+
+
+def test_projection_sidecar_writes_json_dump_bytes(tmp_path):
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    tables = [hb.unfold(load(name).hda, depth).projection_table()
+              for name, depth in (("fig5_x.json", 4), ("fig3.json", 6))]
+    tables.append({x: _ODD[-1 - i] for i, x in enumerate(_ODD)})
+    tables.append({})
+    for table in tables:
+        dump_id_map(table, ours)
+        json_dump_ref(table, ref)
+        assert ours.read_bytes() == ref.read_bytes(), table

@@ -421,7 +421,11 @@ _LOOP = [Cube("u0", 0), Cube("l", 1, ("u0",), ("u0",))]
     _iso_case([Cube("v0", 0), Cube("v1", 0), Cube("e", 1, ("v0",), (None,))],
               [Cube("u0", 0), Cube("u1", 0), Cube("f", 1, ("u0",), ("u1",))],
               {"v0": "u0", "v1": "u1", "e": "f"}),
+    # Sizes agree, but the image names a cube the target lacks.
+    _iso_case([Cube("v0", 0)], [Cube("u0", 0)], {"v0": "ghost"}),
+    # Sizes agree, but the source cube v0 is unmapped.
+    _iso_case([Cube("v0", 0)], [Cube("u0", 0)], {"zz": "u0"}),
 ], ids=["not-injective", "collapse", "not-surjective", "face-equation",
-        "omitted-face"])
+        "omitted-face", "unknown-target-cube", "not-total"])
 def test_morphism_is_isomorphism_rejects(f):
     assert hb.morphism_is_isomorphism(f) is False
