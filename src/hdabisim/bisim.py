@@ -8,11 +8,14 @@ with (x2, y2) related, and symmetrically.  Faces are deterministic
 transitions and lower cofaces with index k are nondeterministic ones, so
 this is an ordinary strong bisimulation on a finite transition system.  The
 decision refines a partition of the disjoint union of the two reachable
-parts, starting from blocks of equal dimension (and label), until every
-block agrees on the blocks of its cubes' faces and lower cofaces; the
-models are bisimilar when both initial cubes end in one block.  Faces and
-lower cofaces of reachable cubes are reachable, so nothing outside the
-reachable parts can matter.
+parts until every block agrees on the blocks of its cubes' faces and lower
+cofaces; the models are bisimilar when both initial cubes end in one block.
+The refinement starts from forward classes, built in one reverse
+topological pass over the steps that start or finish an event: they split
+cubes by dimension, label and what can still happen from them, and are
+coarser than the result, so few rounds remain.  Faces and lower cofaces of
+reachable cubes are reachable, so nothing outside the reachable parts can
+matter.
 
 History-preserving bisimilarity (runs related up to homotopy and extension)
 coincides with this relation-based notion, which is what the `hp_*` entry
@@ -78,6 +81,8 @@ class BisimDecision:
     witness: list[Pair] | None
     justification: str
     counterexample: dict | None = None
+    # Partition refinement: rounds after the forward seed; the oracle:
+    # pairs deleted.
     iterations: int = 0
     definite: bool = True
     notes: dict = field(default_factory=dict)
@@ -186,41 +191,27 @@ def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
         raise ModelError("mismatched event alphabets; align event order first")
 
 
-def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
-            ly: Labeling | None) -> tuple[dict[str, int], dict[str, int], int]:
-    """The coarsest stable partition of the disjoint union of both reachable
-    parts: cube -> block number for each side, and the number of rounds.
+def _union_tables(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
+                  ly: Labeling | None):
+    """The disjoint union of both reachable parts as int tables.
 
-    The initial blocks group cubes by dimension and label; a round splits
-    every block by the signature (blocks of the faces in (nu, k) order, set
-    of (k, block) over the lower cofaces), all signatures of a round read
-    the previous round's blocks, and the partition is stable once a round
-    splits nothing.
-
-    The refinement is incremental.  Round 1 signs every cube; a later round
-    signs only the dirty cubes, those whose faces or lower cofaces changed
-    block in the previous round.  Members of a block all had one signature
-    in the previous round, and an untouched member's signature cannot have
-    changed since, so one untouched representative stands for them all.
-    When a block splits, its largest part keeps the block number and the
-    other parts move to new numbers, so only their cubes' neighbours become
-    dirty.  Every round yields the same partition as re-signing every cube
-    would, so the round count is that of naive refinement.
+    Returns (names, kinds, faces, coface_ks, coface_ps): `names[side]` lists
+    the cube ids of that side in union order (the x side first), and for
+    union cube i, `kinds[i]` is its (dim, label tuple or None), `faces[i]`
+    its lower then upper faces, and cube i is lower face `coface_ks[i][n]`
+    of cube `coface_ps[i][n]`.
     """
     names: list[list[str]] = []
+    kinds: list[tuple[int, object]] = []
     faces: list[tuple[int, ...]] = []
-    # The lower cofaces of cube i as two parallel tuples: cube i is lower
-    # face coface_ks[i][n] of cube coface_ps[i][n].  Signatures zip them.
     coface_ks: list[tuple[int, ...]] = []
     coface_ps: list[tuple[int, ...]] = []
-    block: list[int] = []
-    initial: dict[tuple[int, object], int] = {}
     for hda, labeling in ((x_hda, lx), (y_hda, ly)):
         # The shared int view, renumbered: reachable cube j of this side is
         # cube local[j] of the disjoint union.  Sentinel faces are never keys.
         view = hda.space.indexed
         reach = list(itertools.compress(range(len(view.ids)), reachable_mask(hda)))
-        local = dict(zip(reach, itertools.count(len(block))))
+        local = dict(zip(reach, itertools.count(len(kinds))))
         names.append([view.ids[j] for j in reach])
         lower, upper, dims = view.lower, view.upper, view.dims
         assign = None if labeling is None else labeling.assign
@@ -233,20 +224,98 @@ def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
             cofaces = view.cofaces[j]
             coface_ks.append(tuple([k for k, _p in cofaces]))
             coface_ps.append(tuple([local[p] for _k, p in cofaces]))
-            label = None if assign is None else assign.get(view.ids[j])
-            block.append(initial.setdefault((dims[j], label), len(initial)))
-    # dependents[j]: the cubes whose signature reads j's block, namely the
-    # cofaces of j (j is one of their faces) and the lower faces of j.
-    dependents: list[list[int]] = [[] for _ in block]
-    for i, (fs, ps) in enumerate(zip(faces, coface_ps)):
-        for f in fs:
-            dependents[f].append(i)
-        for p in ps:
-            dependents[p].append(i)
-    members: list[set[int]] = [set() for _ in initial]
+            kinds.append((dims[j], None if assign is None
+                          else assign.get(view.ids[j])))
+    return names, kinds, faces, coface_ks, coface_ps
+
+
+def _forward_classes(kinds: list[tuple[int, object]],
+                     faces: list[tuple[int, ...]],
+                     coface_ks: list[tuple[int, ...]],
+                     coface_ps: list[tuple[int, ...]]) -> list[int]:
+    """The forward class of every union cube, numbered from 0 in order of
+    first appearance.
+
+    A forward step starts an event (to a lower coface) or finishes one (to
+    an upper face).  Walking the forward steps in reverse topological order
+    (Kahn's algorithm, from the cubes with no forward step), a cube's class
+    interns its kind, the classes of its upper faces in position order and
+    the set of (k, class) over its lower cofaces.  A cube the walk never
+    reaches can reach a forward cycle; its class interns its kind alone.
+    Bisimilar cubes get one class (by induction on the longest forward run,
+    and a cube that can reach a forward cycle is never bisimilar to one
+    that cannot), so the classes are coarser than the coarsest stable
+    partition.
+    """
+    # The faces past position dim are the upper ones.  On a malformed cube
+    # with more lower faces they are not, but the signature reads the same
+    # positions, so the classes stay coarser than the stable partition.
+    # pending[i]: forward steps from cube i to a cube not yet classed;
+    # steppers[j]: the cubes with a forward step to j, once per step.
+    pending: list[int] = []
+    steppers: list[list[int]] = [[] for _ in kinds]
+    for i, (kind, fs, ps) in enumerate(zip(kinds, faces, coface_ps)):
+        ups = fs[kind[0]:]
+        pending.append(len(ups) + len(ps))
+        for j in itertools.chain(ups, ps):
+            steppers[j].append(i)
+    cls: list[int | None] = [None] * len(kinds)
+    classes: dict[tuple, int] = {}
+    ready = [i for i, n in enumerate(pending) if not n]
+    for j in ready:  # grows as cubes become ready
+        kind = kinds[j]
+        cls[j] = classes.setdefault(
+            (kind, tuple([cls[u] for u in faces[j][kind[0]:]]),
+             frozenset(zip(coface_ks[j], map(cls.__getitem__, coface_ps[j])))),
+            len(classes))
+        for i in steppers[j]:
+            pending[i] -= 1
+            if not pending[i]:
+                ready.append(i)
+    for j, c in enumerate(cls):
+        if c is None:
+            cls[j] = classes.setdefault((kinds[j], None), len(classes))
+    return cls
+
+
+def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
+            ly: Labeling | None) -> tuple[dict[str, int], dict[str, int], int]:
+    """The coarsest stable partition of the disjoint union of both reachable
+    parts: cube -> block number for each side, and the number of rounds
+    after the forward seed.
+
+    The initial blocks are the forward classes (`_forward_classes`), which
+    split cubes by dimension, label and what can still happen from them; a
+    round splits every block by the signature (blocks of the faces in (nu,
+    k) order, set of (k, block) over the lower cofaces), all signatures of a
+    round read the previous round's blocks, and the partition is stable once
+    a round splits nothing.  The seed is coarser than the coarsest stable
+    partition refining blocks of equal dimension and label, so the result
+    is that partition.  On acyclic parts the members of a seed block
+    already agree on upper faces and lower cofaces, so one round often
+    splits nothing.
+
+    The refinement is incremental.  Round 1 signs every cube; a later round
+    signs only the dirty cubes, those whose faces or lower cofaces changed
+    block in the previous round.  Members of a block all had one signature
+    in the previous round, and an untouched member's signature cannot have
+    changed since, so one untouched representative stands for them all.
+    When a block splits, its largest part keeps the block number and the
+    other parts move to new numbers, so only their cubes' neighbours become
+    dirty.  Every round yields the same partition as re-signing every cube
+    would, so the round count is that of naive refinement from the seed.
+    """
+    names, kinds, faces, coface_ks, coface_ps = _union_tables(x_hda, y_hda,
+                                                             lx, ly)
+    block = _forward_classes(kinds, faces, coface_ks, coface_ps)
+    members: list[set[int]] = [set() for _ in range(max(block, default=-1) + 1)]
     for i, b in enumerate(block):
         members[b].add(i)
     block_of = block.__getitem__
+    # dependents[j]: the cubes whose signature reads j's block, namely the
+    # cofaces of j (j is one of their faces) and the lower faces of j.
+    # Built when a round first moves a cube.
+    dependents: list[list[int]] | None = None
 
     def signature(i: int) -> tuple:
         return (tuple(map(block_of, faces[i])),
@@ -296,6 +365,13 @@ def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
             moved.extend(part)
         if not moved:
             break
+        if dependents is None:
+            dependents = [[] for _ in block]
+            for i, (fs, ps) in enumerate(zip(faces, coface_ps)):
+                for f in fs:
+                    dependents[f].append(i)
+                for p in ps:
+                    dependents[p].append(i)
         dirty = {d for j in moved for d in dependents[j]}
     return (dict(zip(names[0], block)),
             dict(zip(names[1], block[len(names[0]):])), rounds)

@@ -13,7 +13,7 @@ import itertools
 import weakref
 from random import Random
 
-from .core import HDA, Cube, EventSet, Labeling, PrecubicalSet, torus_hda
+from .core import HDA, EventSet, Labeling, PrecubicalSet, torus_hda
 from .paths import CubePath
 
 # One grid cell per axis: either the point at `pos` or the unit segment
@@ -44,7 +44,7 @@ def grid_hda(sizes: tuple[int, ...]) -> HDA:
     # swaps the token of one extended axis for a point token.
     token = {(p, ext): f"{p}s" if ext else f"{p}"
              for cells in axes for p, ext in cells}
-    cubes = []
+    rows = {}
     for cell in itertools.product(*axes):
         tokens = [token[c] for c in cell]
         lower, upper = [], []
@@ -55,10 +55,9 @@ def grid_hda(sizes: tuple[int, ...]) -> HDA:
                 tokens[axis] = token[pos + 1, False]
                 upper.append("g" + "_".join(tokens))
                 tokens[axis] = token[pos, True]
-        cubes.append(Cube("g" + "_".join(tokens), len(lower), tuple(lower),
-                          tuple(upper)))
+        rows["g" + "_".join(tokens)] = (len(lower), tuple(lower), tuple(upper))
     origin = _grid_cell_id(tuple((0, False) for _ in sizes))
-    return HDA(PrecubicalSet(cubes), origin)
+    return HDA(PrecubicalSet.from_rows(rows), origin)
 
 
 def _face_closure(space: PrecubicalSet, seed_ids: set[str]) -> set[str]:

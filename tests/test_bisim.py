@@ -377,13 +377,14 @@ def test_partition_refinement_agrees_with_pairwise_reference():
     assert positives >= 400, positives  # besides the 400 self-comparisons
 
 
-def _naive_refine(x, y, lx=None, ly=None):
-    """Naive refinement, the reference for the incremental `_refine`: the
-    same initial blocks, then every round re-signs every reachable cube by (block, face blocks,
+def _naive_refine(x, y, lx=None, ly=None, seed=None):
+    """Naive refinement, the reference for the incremental `_refine`: initial
+    blocks by (dim, label), or by `seed[(side, cube)]` when a seed is given,
+    then every round re-signs every reachable cube by (block, face blocks,
     set of (k, block) over the lower cofaces) until a round splits nothing.
     Returns cube -> block for each side and the number of rounds."""
     index, faces, cofaces, block, initial = [], [], [], [], {}
-    for hda, labeling in ((x, lx), (y, ly)):
+    for side, (hda, labeling) in enumerate(((x, lx), (y, ly))):
         space, reach = hda.space, hb.reachable(hda)
         local = {c: len(faces) + j
                  for j, c in enumerate(c for c in space.ids() if c in reach)}
@@ -393,8 +394,12 @@ def _naive_refine(x, y, lx=None, ly=None):
             faces.append(tuple(local[f] for f in cube.lower + cube.upper))
             cofaces.append(tuple((k, local[p])
                                  for k, p in space.cofaces_lower(c)))
-            label = None if labeling is None else labeling.assign.get(c)
-            block.append(initial.setdefault((cube.dim, label), len(initial)))
+            if seed is not None:
+                key = seed[side, c]
+            else:
+                key = (cube.dim,
+                       None if labeling is None else labeling.assign.get(c))
+            block.append(initial.setdefault(key, len(initial)))
     count, rounds = len(initial), 0
     while True:
         rounds += 1
@@ -411,37 +416,163 @@ def _naive_refine(x, y, lx=None, ly=None):
             {c: block[i] for c, i in index[1].items()}, rounds)
 
 
-def _blocks(blocks_x, blocks_y):
-    """A partition as a set of blocks, each a set of (side, cube)."""
+def _forward_reference(x, y, lx=None, ly=None):
+    """The forward classes of `bisim._forward_classes` by another route, as
+    (side, cube) -> key.  A forward step goes to a lower coface or to a face
+    past position dim (the upper faces of a well-formed cube; the engine's
+    signature reads the same positions on a malformed one).  A search from
+    each cube finds those that can reach a forward cycle, keyed by dimension
+    and label alone; the others are split by naive forward-only refinement
+    (upper-face blocks and the set of (k, block) over the lower cofaces)
+    from blocks of equal dimension and label, run to a fixed point."""
+    kind, ups, cofs = {}, {}, {}
+    for side, (hda, labeling) in enumerate(((x, lx), (y, ly))):
+        space = hda.space
+        for c in hb.reachable(hda):
+            cube = space.cube(c)
+            node = (side, c)
+            kind[node] = (cube.dim,
+                          None if labeling is None else labeling.assign.get(c))
+            ups[node] = [(side, f) for f in (cube.lower + cube.upper)[cube.dim:]]
+            cofs[node] = [(k, (side, p)) for k, p in space.cofaces_lower(c)]
+    steps = {n: ups[n] + [p for _k, p in cofs[n]] for n in kind}
+
+    def later(start):
+        """The cubes one or more forward steps from `start`."""
+        seen, stack = set(), list(steps[start])
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(steps[n])
+        return seen
+
+    after = {n: later(n) for n in kind}
+    on_cycle = {n for n in kind if n in after[n]}
+    acyclic = [n for n in kind if n not in on_cycle and not after[n] & on_cycle]
+    numbers = {}
+    block = {n: numbers.setdefault(kind[n], len(numbers)) for n in acyclic}
+    while True:
+        count, numbers = len(numbers), {}
+        block = {n: numbers.setdefault(
+                     (block[n], tuple(block[f] for f in ups[n]),
+                      frozenset((k, block[p]) for k, p in cofs[n])), len(numbers))
+                 for n in acyclic}
+        if len(numbers) == count:
+            break
+    keys = {n: ("cycle",) + kind[n] for n in kind}
+    keys.update((n, ("acyclic", block[n])) for n in acyclic)
+    return keys
+
+
+def _partition(keys):
+    """The partition of a (side, cube) -> key map, as a set of blocks."""
     members = {}
-    for side, blocks in enumerate((blocks_x, blocks_y)):
-        for c, b in blocks.items():
-            members.setdefault(b, set()).add((side, c))
+    for node, key in keys.items():
+        members.setdefault(key, set()).add(node)
     return {frozenset(block) for block in members.values()}
 
 
+def _blocks(blocks_x, blocks_y):
+    """A partition as a set of blocks, each a set of (side, cube)."""
+    return _partition({(side, c): b
+                       for side, blocks in enumerate((blocks_x, blocks_y))
+                       for c, b in blocks.items()})
+
+
+@functools.cache
+def _grid_pairs():
+    """Pairs shaped like the benchmark's decide requests: labeled grids
+    against themselves, transposed grids with and without labels, and
+    grids against copies with one top cube removed."""
+    from hdabisim.generators import grid_hda, grid_labeling
+
+    events = hb.EventSet(("a", "b", "c"))
+
+    def labeled(sizes):
+        hda = grid_hda(sizes)
+        return hda, grid_labeling(hda, events)
+
+    def holed(sizes, top):
+        hda = grid_hda(sizes)
+        return sub_hda(hda, set(hda.space.ids()) - {top})
+
+    pairs = []
+    for sizes in ((5, 5), (7, 7)):
+        x, lx = labeled(sizes)
+        pairs.append((x, lx, x, lx))
+    for a, b in ((3, 4), (4, 5)):
+        (x, lx), (y, ly) = labeled((a, b)), labeled((b, a))
+        pairs += [(x, None, y, None), (x, lx, y, ly)]
+    pairs += [(grid_hda((5, 5)), None, holed((5, 5), "g2s_1s"), None),
+              (grid_hda((2, 2, 2)), None, holed((2, 2, 2), "g0s_1s_0s"), None)]
+    return pairs
+
+
+def _long_cycle(n=240):
+    """A cycle of n vertices with one pendant edge to a dead end.  Every
+    cube but the two of the pendant can reach a forward cycle, so the
+    forward seed does not split them, and refinement needs a round or more
+    per vertex."""
+    cubes = [Cube(f"v{i:03}", 0) for i in range(n)]
+    cubes += [Cube(f"e{i:03}", 1, (f"v{i:03}",), (f"v{(i + 1) % n:03}",))
+              for i in range(n)]
+    cubes += [Cube("w", 0), Cube("p", 1, ("v000",), ("w",))]
+    return hb.HDA(PrecubicalSet(cubes), "v000")
+
+
+def test_forward_seed_agrees_with_reference():
+    from hdabisim.bisim import _forward_classes, _union_tables
+
+    cycle_cubes = 0
+    for trial, (x, lx, y, ly) in enumerate(_differential_pairs() + _grid_pairs()):
+        names, *tables = _union_tables(x, y, lx, ly)
+        seed = dict(zip([(side, c) for side in (0, 1) for c in names[side]],
+                        _forward_classes(*tables)))
+        reference = _forward_reference(x, y, lx, ly)
+        cycle_cubes += sum(key[0] == "cycle" for key in reference.values())
+        # Equal on the acyclic cubes, and the cubes that can reach a cycle
+        # are grouped by dimension and label alone.
+        seed_blocks = _partition(seed)
+        assert seed_blocks == _partition(reference), trial
+        # The coarsest stable partition from blocks of equal dimension and
+        # label refines the seed, so seeding cannot change it.
+        *final, _rounds = _naive_refine(x, y, lx, ly)
+        assert all(any(block <= part for part in seed_blocks)
+                   for block in _blocks(*final)), trial
+    assert cycle_cubes
+
+
 def test_incremental_refinement_agrees_with_naive_refinement():
+    """Equal partitions with naive refinement from blocks of equal dimension
+    and label, and equal rounds with naive refinement from the reference
+    forward seed."""
     from hdabisim.bisim import _refine
     from hdabisim.generators import grid_labeling
 
-    pairs = list(_differential_pairs())
+    pairs = list(_differential_pairs()) + _grid_pairs()
     # Deep models: these seeds draw one-dimensional grids, so each model is
-    # a chain of some 240 cubes and refinement needs a round per cube.
+    # a chain of some 240 cubes.  The forward seed already splits a chain
+    # completely; the long cycle keeps many rounds of incremental splitting.
     events = hb.EventSet(("a", "b", "c"))
     deep = [random_hda(random.Random(seed), max_cubes=250, max_dim=3,
                        min_cubes=225) for seed in (1, 2, 3)]
+    cycle = _long_cycle()
     pairs += [(deep[0], None, deep[0], None), (deep[1], None, deep[2], None),
               (deep[2], grid_labeling(deep[2], events),
-               deep[0], grid_labeling(deep[0], events))]
+               deep[0], grid_labeling(deep[0], events)),
+              (cycle, None, cycle, None)]
     deep_rounds = []
     for trial, (x, lx, y, ly) in enumerate(pairs):
         *fast, fast_rounds = _refine(x, y, lx, ly)
-        *naive, naive_rounds = _naive_refine(x, y, lx, ly)
-        assert fast_rounds == naive_rounds, trial
-        assert _blocks(*fast) == _blocks(*naive), trial
-        if trial >= 2000:
-            deep_rounds.append(naive_rounds)
-    assert min(deep_rounds) >= 200, deep_rounds
+        *naive, _naive_rounds = _naive_refine(x, y, lx, ly)
+        *seeded, seeded_rounds = _naive_refine(
+            x, y, lx, ly, _forward_reference(x, y, lx, ly))
+        assert fast_rounds == seeded_rounds, trial
+        assert _blocks(*fast) == _blocks(*naive) == _blocks(*seeded), trial
+        if trial >= len(pairs) - 4:
+            deep_rounds.append(fast_rounds)
+    assert deep_rounds[:3] == [1, 1, 1] and deep_rounds[3] >= 200, deep_rounds
 
 
 def _verify_bisim_relation_ref(x_hda, y_hda, pairs, lx=None, ly=None):

@@ -21,7 +21,8 @@ from hdabisim.generators import grid_hda, grid_labeling, random_hda
 from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS, dump_id_map
 
 from conftest import MODELS, model_dict, mutate_model_dict
-from test_bisim import _blocks, _naive_refine, _torus_labeling
+from test_bisim import (_blocks, _forward_reference, _naive_refine,
+                        _torus_labeling)
 
 
 # -- references: the string walks of the previous core ----------------------
@@ -425,8 +426,10 @@ def test_refine_on_the_int_view_matches_string_interning():
                 outcomes.add("error")
                 continue
             assert expected is None
-            *naive, naive_rounds = _naive_refine(x, x)
-            assert (_blocks(*blocks), rounds) == (_blocks(*naive), naive_rounds)
+            *naive, _naive_rounds = _naive_refine(x, x)
+            *_seeded, seeded_rounds = _naive_refine(
+                x, x, seed=_forward_reference(x, x))
+            assert (_blocks(*blocks), rounds) == (_blocks(*naive), seeded_rounds)
             outcomes.add("refined")
     assert outcomes == {"error", "refined"}
 
@@ -498,10 +501,9 @@ def test_duplicate_id_is_reported_after_earlier_faults(fault, message):
 
 
 def test_grid_pipeline_builds_no_cube(tmp_path, monkeypatch):
-    """Loading, validating, unfolding, the tree check and writing a grid
-    model read and fill rows only: no `Cube` is constructed."""
+    """Building, writing, loading, validating, unfolding and the tree check
+    of a grid model read and fill rows only: no `Cube` is constructed."""
     model = tmp_path / "grid.json"
-    hb.dump_model(grid_hda((3, 2, 2)), model)
     built = []
     original = Cube.__init__
 
@@ -510,6 +512,7 @@ def test_grid_pipeline_builds_no_cube(tmp_path, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Cube, "__init__", counting_init)
+    hb.dump_model(grid_hda((3, 2, 2)), model)
     loaded = hb.load_model(model)
     assert hb.validate_model(loaded.hda).ok
     unfolding = hb.unfold(loaded.hda, 6)
