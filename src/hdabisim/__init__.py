@@ -9,7 +9,7 @@ unfoldings.
 
 __version__ = "0.1.0"
 
-from .core import (HDA, CapExceeded, Cube, EventSet, Labeling, ModelError,
+from .core import (HDA, CapExceeded, EventSet, Labeling, ModelError,
                    PrecubicalMorphism, PrecubicalSet, ValidationReport,
                    Violation, check_morphism, product, reachable, torus,
                    torus_cube_id, torus_hda, validate_labeling, validate_model,

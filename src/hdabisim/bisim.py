@@ -84,8 +84,11 @@ class BisimDecision:
     # Partition refinement: rounds after the forward seed; the oracle:
     # pairs deleted.
     iterations: int = 0
-    definite: bool = True
     notes: dict = field(default_factory=dict)
+
+    @property
+    def definite(self) -> bool:
+        return self.result != "inconclusive"
 
     def __bool__(self) -> bool:
         return self.result is True
@@ -523,9 +526,9 @@ def hp_oracle(x_hda: HDA, y_hda: HDA, depth: int,
             False, None, "unfolding-zig-zag", iterations=deletions,
             counterexample={"pair": list(root),
                             "detail": "initial node pair deleted within the bound"},
-            definite=True, notes=notes)
+            notes=notes)
     if exact:
         return BisimDecision(True, sorted(alive), "unfolding-zig-zag",
-                             iterations=deletions, definite=True, notes=notes)
+                             iterations=deletions, notes=notes)
     return BisimDecision("inconclusive", sorted(alive), "unfolding-zig-zag",
-                         iterations=deletions, definite=False, notes=notes)
+                         iterations=deletions, notes=notes)

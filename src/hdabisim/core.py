@@ -44,20 +44,6 @@ class CapExceeded(RuntimeError):
 _FORBIDDEN_IN_NAMES = set(",/.@ \t\n")
 
 
-@dataclass(frozen=True)
-class Cube:
-    """One n-cube: its dimension and its 1-based lower/upper face lists.
-
-    ``upper`` entries may be ``None`` only for cubes on a truncation
-    frontier; ``lower`` entries are always present.
-    """
-
-    id: str
-    dim: int
-    lower: tuple[str, ...] = ()
-    upper: tuple[str | None, ...] = ()
-
-
 #: A cube as `PrecubicalSet` stores it: (dim, lower faces, upper faces).
 Row = tuple[int, tuple[str, ...], tuple[str | None, ...]]
 
@@ -71,7 +57,7 @@ OMITTED = -2
 class CubeIndex:
     """The int view of a precubical set, built once from its string rows.
 
-    Cube ``i`` is the i-th id in ascending (dimension, id) order.
+    The i-th cube is the i-th id in ascending (dimension, id) order.
     ``lower[i]``/``upper[i]`` hold the indices of its faces in position
     order, with ``UNKNOWN`` for an id outside the set and ``OMITTED`` for a
     ``None`` face; ``cofaces[i]`` lists the (k, j) with lower face k of cube
@@ -98,48 +84,24 @@ class CubeIndex:
         self.cofaces = cofaces
 
 
-def raise_first_duplicate(ids: Iterable[str]) -> None:
-    """Raise ModelError naming the first id that repeats an earlier one."""
-    seen: set[str] = set()
-    for cid in ids:
-        if cid in seen:
-            raise ModelError(f"duplicate cube id {cid!r}")
-        seen.add(cid)
-
-
 class PrecubicalSet:
     """A finite graded set of cubes closed under the face maps.
 
-    Each cube is stored as a row ``(dim, lower, upper)`` keyed by its id
-    (`rows`); a :class:`Cube` is built only when `cube` asks for one, and
-    every other accessor reads the rows.  Construction stores the rows and
-    sorts the ids; structural validity (face closure, arity, the face
-    identity) is checked by :func:`validate_precubical`.  Two indexes are
-    built lazily, each the first time it is read, and then kept: the string
+    ``PrecubicalSet(rows, frontier)`` is the set whose cube ``cid`` has
+    dimension ``rows[cid][0]`` and lower/upper face tuples
+    ``rows[cid][1]``/``rows[cid][2]`` (a :data:`Row`); `frontier` names the
+    cubes whose omitted upper faces are ``None``.  The dict is kept, not
+    copied, so the caller must not change it afterwards.  Construction sorts
+    the ids; structural validity (face closure, arity, the face identity)
+    is checked by :func:`validate_precubical`.  Two indexes are built
+    lazily, each the first time it is read, and then kept: the string
     coface tables behind `cofaces_lower`, `cofaces_upper` and `successors`,
     and `indexed`, the int view (:class:`CubeIndex`) that validation,
     reachability and the bisimulation engine read.  Callers that use
     neither pay for neither.
     """
 
-    def __init__(self, cubes: Iterable[Cube], frontier: Iterable[str] = ()):
-        cubes = list(cubes)
-        rows = {cube.id: (cube.dim, cube.lower, cube.upper) for cube in cubes}
-        if len(rows) != len(cubes):
-            raise_first_duplicate(cube.id for cube in cubes)
-        self._store(rows, frontier)
-
-    @classmethod
-    def from_rows(cls, rows: dict[str, Row],
-                  frontier: Iterable[str] = ()) -> PrecubicalSet:
-        """The set whose cube ``cid`` has dimension ``rows[cid][0]`` and
-        lower/upper face tuples ``rows[cid][1]``/``rows[cid][2]``.  The dict
-        is kept, not copied, so the caller must not change it afterwards."""
-        space = cls.__new__(cls)
-        space._store(rows, frontier)
-        return space
-
-    def _store(self, rows: dict[str, Row], frontier: Iterable[str]) -> None:
+    def __init__(self, rows: dict[str, Row], frontier: Iterable[str] = ()):
         self._rows = rows
         self.frontier = frozenset(frontier)
         # Ids are unique: sorting them, then stably by dimension, gives
@@ -206,10 +168,6 @@ class PrecubicalSet:
         except KeyError:
             raise ModelError(f"unknown cube id {cid!r}") from None
 
-    def cube(self, cid: str) -> Cube:
-        """The cube as a :class:`Cube`, built on each call."""
-        return Cube(cid, *self.row(cid))
-
     def dim(self, cid: str) -> int:
         return self.row(cid)[0]
 
@@ -245,9 +203,14 @@ class PrecubicalSet:
         return tuple(x for (j, x) in self._cofaces0.get(cid, ()) if j == k)
 
     def successors(self, cid: str) -> tuple[str, ...]:
-        """Cubes y one step after cid: cid = delta_k^0 y or y = delta_k^1 cid."""
+        """Cubes y one step after cid: cid = delta_k^0 y or y = delta_k^1 cid.
+        Raises ModelError when an upper face names no cube of the set."""
         nxt = {x for (_k, x) in self.cofaces_lower(cid)}
-        nxt.update(f for f in self.row(cid)[2] if f is not None)
+        for f in self.row(cid)[2]:
+            if f is not None:
+                if f not in self._rows:
+                    raise ModelError(f"unknown cube id {f!r}")
+                nxt.add(f)
         return tuple(sorted(nxt))
 
 
@@ -546,7 +509,7 @@ def product(x_space: PrecubicalSet, y_space: PrecubicalSet) -> PrecubicalSet:
     componentwise faces."""
     if x_space.frontier or y_space.frontier:
         raise ModelError("product of truncated structures is not defined")
-    cubes = []
+    rows: dict[str, Row] = {}
     for x in x_space.ids():
         dx = x_space.dim(x)
         for y in y_space.ids():
@@ -558,8 +521,11 @@ def product(x_space: PrecubicalSet, y_space: PrecubicalSet) -> PrecubicalSet:
             upper = tuple(
                 pair_id(x_space.upper(x, k), y_space.upper(y, k))
                 for k in range(1, dx + 1))
-            cubes.append(Cube(pair_id(x, y), dx, lower, upper))
-    return PrecubicalSet(cubes)
+            cid = pair_id(x, y)
+            if cid in rows:
+                raise ModelError(f"duplicate cube id {cid!r}")
+            rows[cid] = (dx, lower, upper)
+    return PrecubicalSet(rows)
 
 
 def reachable_mask(hda: HDA) -> bytearray:
@@ -614,7 +580,7 @@ def torus(events: EventSet, maxdim: int) -> tuple[PrecubicalSet, Labeling]:
     k-th entry.  The labeling is the identity assignment."""
     if maxdim < 0:
         raise ModelError("maxdim must be >= 0")
-    cubes: list[Cube] = []
+    rows: dict[str, Row] = {}
     assign: dict[str, tuple[int, ...]] = {}
     indices = range(1, len(events) + 1)
     for n in range(0, maxdim + 1):
@@ -623,10 +589,9 @@ def torus(events: EventSet, maxdim: int) -> tuple[PrecubicalSet, Labeling]:
             cid = torus_cube_id(names)
             faces = tuple(
                 torus_cube_id(names[:k] + names[k + 1:]) for k in range(n))
-            cubes.append(Cube(cid, n, faces, faces))
+            rows[cid] = (n, faces, faces)
             assign[cid] = tup
-    space = PrecubicalSet(cubes)
-    return space, Labeling(events, assign)
+    return PrecubicalSet(rows), Labeling(events, assign)
 
 
 def torus_hda(events: EventSet, maxdim: int) -> tuple[HDA, Labeling]:

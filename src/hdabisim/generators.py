@@ -57,7 +57,7 @@ def grid_hda(sizes: tuple[int, ...]) -> HDA:
                 tokens[axis] = token[pos, True]
         rows["g" + "_".join(tokens)] = (len(lower), tuple(lower), tuple(upper))
     origin = _grid_cell_id(tuple((0, False) for _ in sizes))
-    return HDA(PrecubicalSet.from_rows(rows), origin)
+    return HDA(PrecubicalSet(rows), origin)
 
 
 def _face_closure(space: PrecubicalSet, seed_ids: set[str]) -> set[str]:
@@ -79,7 +79,7 @@ def sub_hda(ambient: HDA, keep: set[str]) -> HDA:
     space = ambient.space
     rows = space.rows()
     chosen = _face_closure(space, set(keep) | {ambient.initial})
-    return HDA(PrecubicalSet.from_rows({c: rows[c] for c in chosen}),
+    return HDA(PrecubicalSet({c: rows[c] for c in chosen}),
                ambient.initial)
 
 

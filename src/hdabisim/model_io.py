@@ -14,8 +14,8 @@ into ``events``, sorted ascending.  ``frontier`` (optional) lists cubes whose
 upper faces were omitted by truncation; only those may carry ``null`` inside
 ``d1``.  Unknown fields are rejected.
 
-The loader fills the rows of a `PrecubicalSet` directly, so no `Cube` is
-built.  `dump_model` (and `dump_id_map`, for the unfolding's projection
+The loader fills the ``(dim, lower, upper)`` rows that `PrecubicalSet`
+takes.  `dump_model` (and `dump_id_map`, for the unfolding's projection
 sidecar) writes the bytes that ``json.dump(model_to_dict(...), handle,
 indent=1)`` followed by a newline writes: one member per line, indented by
 one space per level, items ending in ``","`` and keys followed by ``": "``,
@@ -34,8 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping
 
-from .core import (HDA, EventSet, Labeling, ModelError, PrecubicalSet, Row,
-                   raise_first_duplicate)
+from .core import HDA, EventSet, Labeling, ModelError, PrecubicalSet, Row
 
 _MODEL_FIELDS = {"cubes", "initial", "events", "labels", "frontier"}
 _CUBE_FIELDS = {"id", "dim", "d0", "d1"}
@@ -161,9 +160,14 @@ def model_from_dict(data: object) -> LoadedModel:
     if not isinstance(initial, str):
         raise ModelError("'initial' must be a cube id")
     if len(rows) != len(raw_cubes):
-        # Every entry was accepted above, so each has a string id.
-        raise_first_duplicate(raw["id"] for raw in raw_cubes)
-    space = PrecubicalSet.from_rows(rows, frontier=frontier)
+        # A later entry replaced an earlier one with its id.  Every entry was
+        # accepted above, so each has a string id: name the first repeat.
+        seen: set[str] = set()
+        for raw in raw_cubes:
+            if raw["id"] in seen:
+                raise ModelError(f"duplicate cube id {raw['id']!r}")
+            seen.add(raw["id"])
+    space = PrecubicalSet(rows, frontier)
     hda = HDA(space, initial)
 
     labeling = None

@@ -1,4 +1,4 @@
-"""Cube paths, adjacency, homotopy, and the fan-shaping normal form.
+"""Paths of cubes, adjacency, homotopy, and the fan-shaping normal form.
 
 A cube path is a sequence (x_1, ..., x_m) of cubes in which every step
 either starts a new part of the computation (x_j = delta_k^0 x_{j+1}) or

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, Cube, EventSet,
+from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, EventSet,
                    ModelError, PrecubicalMorphism, PrecubicalSet, Row,
                    check_morphism, torus_cube_id)
 from .paths import DEFAULT_CAP, CubePath, _adjacency_at
@@ -64,19 +64,20 @@ class Unfolding:
 
     def __init__(self, base: HDA, depth: int, tree: HDA,
                  projection: PrecubicalMorphism,
-                 nodes: dict[str, UnfoldNode],
-                 node_of_rep: dict[tuple[str, ...], str],
-                 frontier: frozenset[str], cap: int,
+                 nodes: dict[str, UnfoldNode], cap: int,
                  children: dict[tuple[str, str], str]):
         self.base = base
         self.depth = depth
         self.tree = tree
         self.projection = projection
         self.nodes = nodes
-        self.node_of_rep = node_of_rep
-        self.frontier = frontier
         self.cap = cap
         self.children = children
+
+    @property
+    def frontier(self) -> frozenset[str]:
+        """The tree nodes whose extensions were cut off."""
+        return self.tree.space.frontier
 
     @property
     def complete(self) -> bool:
@@ -93,7 +94,7 @@ class Unfolding:
 
 
 class _Successors(dict):
-    """Cube index -> the indices of the cubes one step after it, in
+    """A cube's index -> the indices of the cubes one step after it, in
     ascending id order: the sets `PrecubicalSet.successors` lists, read from
     the int view as they are first asked for.  An upper face naming no cube
     raises, as looking that id up does."""
@@ -260,18 +261,16 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
         rows[ids[c]] = (n, tuple(faces), tuple(ups))
 
     # Node ids name distinct classes, so no row is overwritten.
-    tree_space = PrecubicalSet.from_rows(rows, frontier=frontier)
+    tree_space = PrecubicalSet(rows, frontier)
     tree = HDA(tree_space, ids[0])
     projection = PrecubicalMorphism(
         source=tree_space, target=hda.space,
         mapping={ids[c]: paths[c][-1] for c in order},
         pointed=True, source_initial=ids[0], target_initial=hda.initial)
     nodes = {ids[c]: UnfoldNode(paths[c], dims[reps[c][-1]]) for c in order}
-    node_of_rep = {paths[c]: ids[c] for c in order}
     children = {(ids[c], names[y]): ids[d]
                 for (c, y), d in quotient.child.items()}
-    return Unfolding(hda, depth, tree, projection, nodes, node_of_rep,
-                     frozenset(frontier), cap, children)
+    return Unfolding(hda, depth, tree, projection, nodes, cap, children)
 
 
 def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
@@ -364,7 +363,7 @@ def torus_unfolding(events: EventSet, depth: int,
         i = len(c) - 1 - c[::-1].index(event)  # the last start of `event`
         return c[:i] + c[i + 1:]
 
-    cubes: list[Cube] = []
+    rows: dict[str, Row] = {}
     frontier: set[str] = set()
     # A history of size s keeps a node only if 2s - n <= depth - 1 for some
     # n <= min(s, top); no larger size does.
@@ -384,8 +383,8 @@ def torus_unfolding(events: EventSet, depth: int,
                     upper = tuple(None if cut else node_id(f, c) for f in faces)
                     if cut and (n or (n < top and len(events))):
                         frontier.add(nid)
-                    cubes.append(Cube(nid, n, lower, upper))
-    return HDA(PrecubicalSet(cubes, frontier=frontier), node_id((), ()))
+                    rows[nid] = (n, lower, upper)
+    return HDA(PrecubicalSet(rows, frontier), node_id((), ()))
 
 
 def longest_pointed_path_length(hda: HDA) -> int:

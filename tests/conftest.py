@@ -20,21 +20,21 @@ def model_dict(name: str) -> dict:
 
 
 def model_dict_ref(hda: hb.HDA, labeling: hb.Labeling | None = None) -> dict:
-    """`model_to_dict` as it was before the row store: built from the `Cube`
-    that `PrecubicalSet.cube` returns for each id."""
+    """`model_to_dict` as it was before the row store: one cube object per
+    id, with fields read through `PrecubicalSet.row`."""
     space = hda.space
-    cubes = [space.cube(cid) for cid in space.ids()]
+    ids = space.ids()
     out: dict = {
-        "cubes": [{"id": c.id, "dim": c.dim, "d0": list(c.lower),
-                   "d1": list(c.upper)} for c in cubes],
+        "cubes": [{"id": cid, "dim": dim, "d0": list(lower), "d1": list(upper)}
+                  for cid in ids for dim, lower, upper in [space.row(cid)]],
         "initial": hda.initial,
     }
     if space.frontier:
         out["frontier"] = sorted(space.frontier)
     if labeling is not None:
         out["events"] = list(labeling.events.names)
-        out["labels"] = {c.id: list(labeling.assign[c.id])
-                         for c in cubes if c.id in labeling.assign}
+        out["labels"] = {cid: list(labeling.assign[cid])
+                         for cid in ids if cid in labeling.assign}
     return out
 
 

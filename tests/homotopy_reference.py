@@ -98,8 +98,8 @@ def adjacency_at(space: PrecubicalSet, xs: tuple[str, ...],
 def between_candidates(space: PrecubicalSet, a: str, b: str) -> set[str]:
     # Cubes c with valid steps a -> c -> b.
     after_a = {x for (_k, x) in space.cofaces_lower(a)}
-    after_a.update(f for f in space.cube(a).upper if f is not None)
-    before_b = {f for f in space.cube(b).lower if f is not None}
+    after_a.update(f for f in space.row(a)[2] if f is not None)
+    before_b = {f for f in space.row(b)[1] if f is not None}
     before_b.update(x for (_k, x) in space.cofaces_upper(b))
     return after_a & before_b
 

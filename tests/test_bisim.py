@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hdabisim as hb
-from hdabisim import Cube, PrecubicalSet
+from hdabisim import PrecubicalSet
 from hdabisim.generators import random_hda, sub_hda
 
 
@@ -104,13 +104,10 @@ def test_bisim_symmetric_random():
 def test_bisim_invariant_under_renaming(fig1_left, fig5_y):
     def renamed(hda):
         mapping = {c: f"n_{c}" for c in hda.space.ids()}
-        cubes = [
-            Cube(mapping[c], hda.space.dim(c),
-                 tuple(mapping[f] for f in hda.space.cube(c).lower),
-                 tuple(mapping[f] for f in hda.space.cube(c).upper))
-            for c in hda.space.ids()
-        ]
-        return hb.HDA(PrecubicalSet(cubes), mapping[hda.initial])
+        rows = {mapping[c]: (dim, tuple(map(mapping.get, lower)),
+                             tuple(map(mapping.get, upper)))
+                for c, (dim, lower, upper) in hda.space.rows().items()}
+        return hb.HDA(PrecubicalSet(rows), mapping[hda.initial])
 
     for hda, other in ((fig1_left.hda, fig5_y.hda), (fig5_y.hda, fig1_left.hda)):
         expected = hb.bisimilar(hda, other).result
@@ -201,9 +198,9 @@ def test_oracle_definite_false_on_cyclic_input(fig5_x):
     # A dead-end target: the two-cycle can always continue, the single edge
     # cannot, and the violation shows up within the bound even though the
     # left side is cyclic, so the verdict is definite.
-    dead = hb.HDA(PrecubicalSet([
-        Cube("p", 0), Cube("q", 0), Cube("e", 1, ("p",), ("q",)),
-    ]), "p")
+    dead = hb.HDA(PrecubicalSet({
+        "p": (0, (), ()), "q": (0, (), ()), "e": (1, ("p",), ("q",)),
+    }), "p")
     decision = hb.hp_oracle(fig5_x.hda, dead, 5)
     assert decision.result is False
     assert decision.definite
@@ -222,13 +219,10 @@ def test_span_with_renamed_tree(fig3):
     depth = hb.longest_pointed_path_length(fig3.hda)
     tree = hb.unfold(fig3.hda, depth).tree
     mapping = {c: f"copy_{j}" for j, c in enumerate(tree.space.ids())}
-    copy_cubes = [
-        Cube(mapping[c], tree.space.dim(c),
-             tuple(mapping[f] for f in tree.space.cube(c).lower),
-             tuple(mapping[f] for f in tree.space.cube(c).upper))
-        for c in tree.space.ids()
-    ]
-    copy = hb.HDA(PrecubicalSet(copy_cubes), mapping[tree.initial])
+    copy_rows = {mapping[c]: (dim, tuple(map(mapping.get, lower)),
+                              tuple(map(mapping.get, upper)))
+                 for c, (dim, lower, upper) in tree.space.rows().items()}
+    copy = hb.HDA(PrecubicalSet(copy_rows), mapping[tree.initial])
     leg = hb.PrecubicalMorphism(tree.space, copy.space, mapping, pointed=True,
                                 source_initial=tree.initial,
                                 target_initial=copy.initial)
@@ -390,14 +384,14 @@ def _naive_refine(x, y, lx=None, ly=None, seed=None):
                  for j, c in enumerate(c for c in space.ids() if c in reach)}
         index.append(local)
         for c in local:
-            cube = space.cube(c)
-            faces.append(tuple(local[f] for f in cube.lower + cube.upper))
+            dim, lower, upper = space.row(c)
+            faces.append(tuple(local[f] for f in lower + upper))
             cofaces.append(tuple((k, local[p])
                                  for k, p in space.cofaces_lower(c)))
             if seed is not None:
                 key = seed[side, c]
             else:
-                key = (cube.dim,
+                key = (dim,
                        None if labeling is None else labeling.assign.get(c))
             block.append(initial.setdefault(key, len(initial)))
     count, rounds = len(initial), 0
@@ -429,11 +423,11 @@ def _forward_reference(x, y, lx=None, ly=None):
     for side, (hda, labeling) in enumerate(((x, lx), (y, ly))):
         space = hda.space
         for c in hb.reachable(hda):
-            cube = space.cube(c)
+            dim, lower, upper = space.row(c)
             node = (side, c)
-            kind[node] = (cube.dim,
+            kind[node] = (dim,
                           None if labeling is None else labeling.assign.get(c))
-            ups[node] = [(side, f) for f in (cube.lower + cube.upper)[cube.dim:]]
+            ups[node] = [(side, f) for f in (lower + upper)[dim:]]
             cofs[node] = [(k, (side, p)) for k, p in space.cofaces_lower(c)]
     steps = {n: ups[n] + [p for _k, p in cofs[n]] for n in kind}
 
@@ -514,11 +508,11 @@ def _long_cycle(n=240):
     cube but the two of the pendant can reach a forward cycle, so the
     forward seed does not split them, and refinement needs a round or more
     per vertex."""
-    cubes = [Cube(f"v{i:03}", 0) for i in range(n)]
-    cubes += [Cube(f"e{i:03}", 1, (f"v{i:03}",), (f"v{(i + 1) % n:03}",))
-              for i in range(n)]
-    cubes += [Cube("w", 0), Cube("p", 1, ("v000",), ("w",))]
-    return hb.HDA(PrecubicalSet(cubes), "v000")
+    rows = {f"v{i:03}": (0, (), ()) for i in range(n)}
+    rows.update({f"e{i:03}": (1, (f"v{i:03}",), (f"v{(i + 1) % n:03}",))
+                 for i in range(n)})
+    rows.update({"w": (0, (), ()), "p": (1, ("v000",), ("w",))})
+    return hb.HDA(PrecubicalSet(rows), "v000")
 
 
 def test_forward_seed_agrees_with_reference():
@@ -612,11 +606,11 @@ def _verify_bisim_relation_ref(x_hda, y_hda, pairs, lx=None, ly=None):
 
 def _with_extra_faces(hda, pick):
     """`hda` with every cube of dimension >= 1 given one face more than its
-    dimension on each side, namely `pick(cube)`: an arity fault."""
-    cubes = [hda.space.cube(c) for c in hda.space.ids()]
-    cubes = [Cube(c.id, c.dim, c.lower + (pick(c),), c.upper + (pick(c),))
-             if c.dim else c for c in cubes]
-    return hb.HDA(PrecubicalSet(cubes, hda.space.frontier), hda.initial)
+    dimension on each side, namely `pick(row)`: an arity fault."""
+    rows = {c: (dim, lower + (pick(row),), upper + (pick(row),)) if dim else row
+            for c, row in hda.space.rows().items()
+            for dim, lower, upper in [row]}
+    return hb.HDA(PrecubicalSet(rows, hda.space.frontier), hda.initial)
 
 
 def _audit_inputs():
@@ -632,8 +626,8 @@ def _audit_inputs():
         tree = hb.unfold(x, 3).tree
         diagonal = [(c, c) for c in tree.space.ids()]
         yield tree, None, tree, None, diagonal
-        lower = _with_extra_faces(x, lambda c: c.lower[0])
-        upper = _with_extra_faces(x, lambda c: c.upper[0])
+        lower = _with_extra_faces(x, lambda row: row[1][0])
+        upper = _with_extra_faces(x, lambda row: row[2][0])
         yield lower, None, upper, None, [(c, c) for c in x.space.ids()]
 
 

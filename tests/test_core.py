@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hdabisim as hb
-from hdabisim import Cube, EventSet, PrecubicalSet
+from hdabisim import EventSet, PrecubicalSet
 
 from conftest import load, model_dict
 
@@ -21,7 +21,7 @@ def test_figure_models_validate():
 
 
 def test_single_point_validates():
-    space = PrecubicalSet([Cube("v", 0)])
+    space = PrecubicalSet({"v": (0, (), ())})
     assert hb.validate_precubical(space).ok
     assert hb.validate_model(hb.HDA(space, "v")).ok
 
@@ -76,7 +76,7 @@ def test_initial_must_be_zero_dimensional():
 def test_self_linked_cubes_are_allowed():
     # A loop edge has both faces on the same vertex; that is legal in
     # general models.
-    space = PrecubicalSet([Cube("v", 0), Cube("e", 1, ("v",), ("v",))])
+    space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("v",))})
     assert hb.validate_precubical(space).ok
 
 
@@ -109,7 +109,7 @@ def test_morphism_must_be_total(fig2):
 
 
 def test_product_with_point(fig1_left):
-    point = PrecubicalSet([Cube("pt", 0)])
+    point = PrecubicalSet({"pt": (0, (), ())})
     prod = hb.product(point, fig1_left.hda.space)
     assert hb.validate_precubical(prod).ok
     assert len(prod) == len(fig1_left.hda.space.by_dim(0))
@@ -117,12 +117,20 @@ def test_product_with_point(fig1_left):
 
 
 def test_product_edge_with_itself():
-    edge = PrecubicalSet([Cube("s", 0), Cube("t", 0),
-                          Cube("e", 1, ("s",), ("t",))])
+    edge = PrecubicalSet({"s": (0, (), ()), "t": (0, (), ()),
+                          "e": (1, ("s",), ("t",))})
     prod = hb.product(edge, edge)
     assert hb.validate_precubical(prod).ok
     assert len(prod.by_dim(0)) == 4
     assert len(prod.by_dim(1)) == 1
+
+
+def test_product_rejects_colliding_pair_ids():
+    # "(a,b,c)" names both the pair (a, b,c) and the pair (a,b, c).
+    x = PrecubicalSet({"a": (0, (), ()), "a,b": (0, (), ())})
+    y = PrecubicalSet({"b,c": (0, (), ()), "c": (0, (), ())})
+    with pytest.raises(hb.ModelError, match=r"^duplicate cube id '\(a,b,c\)'$"):
+        hb.product(x, y)
 
 
 def test_product_fig1_counts(fig1_left, fig1_right):
@@ -152,9 +160,23 @@ def test_reachable_fig3(fig3):
     assert hb.reachable(fig3.hda) == frozenset(fig3.hda.space.ids())
 
 
+def test_successors_raise_on_a_dangling_upper_face():
+    # Every walk of the step relation stops at the upper face "zz" that
+    # names no cube, with the same error as `successors` itself.
+    space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("zz",))})
+    hda = hb.HDA(space, "v")
+    walks = (space.successors, lambda _: hb.reachable(hda),
+             lambda _: list(hb.enumerate_pointed_paths(hda, 3)),
+             lambda _: hb.longest_pointed_path_length(hda),
+             lambda _: hb.unfold(hda, 3), lambda _: hb.bisimilar(hda, hda))
+    for walk in walks:
+        with pytest.raises(hb.ModelError, match="^unknown cube id 'zz'$"):
+            walk("e")
+
+
 def test_reachable_isolated_initial():
-    space = PrecubicalSet([Cube("i", 0), Cube("u", 0), Cube("w", 0),
-                           Cube("e", 1, ("u",), ("w",))])
+    space = PrecubicalSet({"i": (0, (), ()), "u": (0, (), ()), "w": (0, (), ()),
+                           "e": (1, ("u",), ("w",))})
     assert hb.reachable(hb.HDA(space, "i")) == frozenset({"i"})
 
 
@@ -211,7 +233,7 @@ def test_reachable_agrees_with_successor_walk():
             # Truncated unfoldings omit the upper faces past the frontier.
             tree = hb.unfold(hda, 4).tree
             truncated += any(f is None for c in tree.space.ids()
-                             for f in tree.space.cube(c).upper)
+                             for f in tree.space.row(c)[2])
             assert hb.reachable(tree) == _reachable_by_successors(tree), trial
     assert truncated, "no omitted upper face exercised"
 
@@ -250,7 +272,7 @@ def test_validate_labeling_fig1(fig1_left):
 
 
 def test_validate_labeling_zero_dimensional():
-    space = PrecubicalSet([Cube("u", 0), Cube("w", 0)])
+    space = PrecubicalSet({"u": (0, (), ()), "w": (0, (), ())})
     labeling = hb.Labeling(EventSet(("a",)), {"u": (), "w": ()})
     assert hb.validate_labeling(hb.HDA(space, "u"), labeling).ok
 

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 
-from hdabisim import HDA, Cube, EventSet, PrecubicalSet, model_to_dict, torus_hda
+from hdabisim import HDA, EventSet, PrecubicalSet, model_to_dict, torus_hda
 from hdabisim.generators import _face_closure, grid_hda, random_hda, sub_hda
 
 
@@ -19,7 +19,7 @@ def _grid_hda_ref(sizes):
     for size in sizes:
         axes.append([(p, False) for p in range(size + 1)]
                     + [(p, True) for p in range(size)])
-    cubes = []
+    rows = {}
     for cell in itertools.product(*axes):
         lower, upper = [], []
         for axis, (pos, ext) in enumerate(cell):
@@ -28,8 +28,8 @@ def _grid_hda_ref(sizes):
                 lower.append(_cell_id_ref(at(pos)))
                 upper.append(_cell_id_ref(at(pos + 1)))
         dim = sum(1 for _p, ext in cell if ext)
-        cubes.append(Cube(_cell_id_ref(cell), dim, tuple(lower), tuple(upper)))
-    return HDA(PrecubicalSet(cubes), _cell_id_ref(tuple((0, False) for _ in sizes)))
+        rows[_cell_id_ref(cell)] = (dim, tuple(lower), tuple(upper))
+    return HDA(PrecubicalSet(rows), _cell_id_ref(tuple((0, False) for _ in sizes)))
 
 
 def _random_hda_ref(rng, max_cubes=30, max_dim=3, cyclic=False, stray=False,

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 import hdabisim as hb
-from hdabisim import HDA, Cube, CubePath, EventSet, PrecubicalSet
+from hdabisim import HDA, CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, random_pointed_path, sub_hda
 from hdabisim.paths import _closure, _indices
 from hdabisim.unfold import _Quotient
@@ -31,9 +31,9 @@ def _renamed(hda, rng):
     rng.shuffle(names)
     new = dict(zip(space.ids(), names))
     rename = lambda faces: tuple(new[f] for f in faces)
-    cubes = [Cube(new[c], space.dim(c), rename(space.cube(c).lower),
-                  rename(space.cube(c).upper)) for c in space.ids()]
-    return HDA(PrecubicalSet(cubes), new[hda.initial])
+    rows = {new[c]: (dim, rename(lower), rename(upper))
+            for c, (dim, lower, upper) in space.rows().items()}
+    return HDA(PrecubicalSet(rows), new[hda.initial])
 
 
 def _models():
@@ -155,8 +155,8 @@ def _faulty(hda, rng):
     Such models fail validation, and mix dimensions among the cubes
     between two others."""
     space = hda.space
-    cubes = {c: [space.dim(c), list(space.cube(c).lower),
-                 list(space.cube(c).upper)] for c in space.ids()}
+    cubes = {c: [space.dim(c), list(space.row(c)[1]), list(space.row(c)[2])]
+             for c in space.ids()}
     ids = list(space.ids())
     for _ in range(rng.randint(1, 3)):
         cid = rng.choice(ids)
@@ -173,8 +173,8 @@ def _faulty(hda, rng):
             faces.pop()
         else:
             faces.append(rng.choice(ids))
-    return HDA(PrecubicalSet([Cube(c, d, tuple(lo), tuple(up))
-                              for c, (d, lo, up) in cubes.items()]),
+    return HDA(PrecubicalSet({c: (d, tuple(lo), tuple(up))
+                              for c, (d, lo, up) in cubes.items()}),
                hda.initial)
 
 
@@ -215,12 +215,12 @@ def test_alternatives_follow_id_order_across_dimensions():
     # on them.  Here a face list one too long lets a 3-cube and a 0-cube
     # both replace the square; the 3-cube comes first by id, so a closure
     # capped at one path stops before it meets the vertex.
-    space = PrecubicalSet([
-        Cube("u", 0), Cube("v", 0), Cube("w", 0),
-        Cube("e1", 1, ("u",), ("v",)),
-        Cube("e4", 1, ("v", "s"), ("w",)),
-        Cube("s", 2, ("e1", "e1"), ("e4", "e4")),
-        Cube("a3", 3, ("e1", "e1", "e1"), ("e4", "e4", "e4"))])
+    space = PrecubicalSet({
+        "u": (0, (), ()), "v": (0, (), ()), "w": (0, (), ()),
+        "e1": (1, ("u",), ("v",)),
+        "e4": (1, ("v", "s"), ("w",)),
+        "s": (2, ("e1", "e1"), ("e4", "e4")),
+        "a3": (3, ("e1", "e1", "e1"), ("e4", "e4", "e4"))})
     rho = CubePath(space, ("e1", "s", "e4"))
     dip = CubePath(space, ("e1", "v", "e4"))
     assert ref.adjacent_seqs(space, rho.seq) == [("e1", "a3", "e4"), dip.seq]

@@ -15,10 +15,10 @@ import random
 import pytest
 
 import hdabisim as hb
-from hdabisim import (HDA, Cube, EventSet, Labeling, LoadedModel, ModelError,
+from hdabisim import (HDA, EventSet, Labeling, LoadedModel, ModelError,
                       PrecubicalSet, ValidationReport, Violation)
-from hdabisim.generators import grid_hda, grid_labeling, random_hda
-from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS, dump_id_map
+from hdabisim.generators import grid_labeling, random_hda
+from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS
 
 from conftest import MODELS, model_dict, mutate_model_dict
 from test_bisim import (_blocks, _forward_reference, _naive_refine,
@@ -37,17 +37,17 @@ def _validate_precubical_ref(space):
     clean: set[str] = set()
 
     for x in space.ids():
-        cube = space.cube(x)
+        dim, lower, upper = space.row(x)
         good = True
-        if len(cube.lower) != cube.dim or len(cube.upper) != cube.dim:
+        if len(lower) != dim or len(upper) != dim:
             violations.append(Violation(
                 "face-arity", x,
-                f"cube {x!r} of dimension {cube.dim} has "
-                f"{len(cube.lower)} lower / {len(cube.upper)} upper faces",
-                {"dim": cube.dim, "lower": len(cube.lower), "upper": len(cube.upper)},
+                f"cube {x!r} of dimension {dim} has "
+                f"{len(lower)} lower / {len(upper)} upper faces",
+                {"dim": dim, "lower": len(lower), "upper": len(upper)},
             ))
             good = False
-        for nu, faces in ((0, cube.lower), (1, cube.upper)):
+        for nu, faces in ((0, lower), (1, upper)):
             for k, f in enumerate(faces, start=1):
                 if f is None:
                     if nu == 1 and x in space.frontier:
@@ -65,11 +65,11 @@ def _validate_precubical_ref(space):
                         {"k": k, "nu": nu, "ref": f},
                     ))
                     good = False
-                elif space.dim(f) != cube.dim - 1:
+                elif space.dim(f) != dim - 1:
                     violations.append(Violation(
                         "face-dimension", x,
                         f"cube {x!r} face k={k} nu={nu} has dimension "
-                        f"{space.dim(f)}, expected {cube.dim - 1}",
+                        f"{space.dim(f)}, expected {dim - 1}",
                         {"k": k, "nu": nu, "ref": f},
                     ))
                     good = False
@@ -166,7 +166,7 @@ def _reachable_ref(hda):
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-        for y in space.cube(x).upper:
+        for y in space.row(x)[2]:
             if y is not None and y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -199,7 +199,7 @@ def _model_from_dict_ref(data):
     raw_cubes = data["cubes"]
     if not isinstance(raw_cubes, list):
         raise ModelError("'cubes' must be an array")
-    cubes: list[Cube] = []
+    cubes = []
     for raw in raw_cubes:
         if not isinstance(raw, dict):
             raise ModelError("each cube must be an object")
@@ -216,21 +216,26 @@ def _model_from_dict_ref(data):
         upper = _parse_faces_ref(raw.get("d1", []), cid, "d1")
         if any(f is None for f in lower):
             raise ModelError(f"cube {cid!r}: d0 entries may not be null")
-        cubes.append(Cube(cid, dim, lower, upper))  # type: ignore[arg-type]
+        cubes.append((cid, (dim, lower, upper)))
 
     frontier_raw = data.get("frontier", [])
     if not isinstance(frontier_raw, list) or not all(
             isinstance(c, str) for c in frontier_raw):
         raise ModelError("'frontier' must be an array of cube ids")
-    for cube in cubes:
-        if any(f is None for f in cube.upper) and cube.id not in frontier_raw:
+    for cid, (_dim, _lower, upper) in cubes:
+        if any(f is None for f in upper) and cid not in frontier_raw:
             raise ModelError(
-                f"cube {cube.id!r} has null upper faces but is not in 'frontier'")
+                f"cube {cid!r} has null upper faces but is not in 'frontier'")
 
     initial = data["initial"]
     if not isinstance(initial, str):
         raise ModelError("'initial' must be a cube id")
-    space = PrecubicalSet(cubes, frontier=frontier_raw)
+    rows = {}
+    for cid, row in cubes:
+        if cid in rows:
+            raise ModelError(f"duplicate cube id {cid!r}")
+        rows[cid] = row
+    space = PrecubicalSet(rows, frontier=frontier_raw)
     hda = HDA(space, initial)
 
     labeling = None
@@ -294,15 +299,15 @@ def _seeded_models():
 def _mutant(rng, hda, labeling):
     """`hda` and `labeling` with 1-3 faults injected at the cube level,
     where faults the loader rejects (a null lower face, say) are possible."""
-    cubes = {c: hda.space.cube(c) for c in hda.space.ids()}
+    rows = dict(hda.space.rows())
     frontier = set(hda.space.frontier)
     assign = dict(labeling.assign)
     nevents = len(labeling.events)
     for _ in range(rng.randint(1, 3)):
-        ids = sorted(cubes)
+        ids = sorted(rows)
         x = rng.choice(ids)
-        cube = cubes[x]
-        dim, lower, upper = cube.dim, list(cube.lower), list(cube.upper)
+        dim, lower, upper = rows[x]
+        lower, upper = list(lower), list(upper)
         faces = lower if rng.random() < 0.5 else upper
         k = rng.randrange(len(faces)) if faces else None
         fault = rng.choice((
@@ -329,8 +334,8 @@ def _mutant(rng, hda, labeling):
             lower[k], lower[ell] = lower[ell], lower[k]
         elif fault == "dim":
             dim = max(0, dim + rng.choice((-1, 1)))
-        elif fault == "drop-cube" and len(cubes) > 1:
-            del cubes[x]
+        elif fault == "drop-cube" and len(rows) > 1:
+            del rows[x]
             continue
         elif fault == "frontier":
             frontier.add(x)
@@ -346,14 +351,14 @@ def _mutant(rng, hda, labeling):
                 assign[x] = (nevents,) + assign[x][1:-1] + (1,)
         elif fault == "label-face" and assign.get(x):
             assign[x] = tuple(sorted(rng.randint(1, nevents) for _ in assign[x]))
-        cubes[x] = Cube(x, dim, tuple(lower), tuple(upper))
-    space = PrecubicalSet(cubes.values(), frontier=frontier)
+        rows[x] = (dim, tuple(lower), tuple(upper))
+    space = PrecubicalSet(rows, frontier=frontier)
     return HDA(space, hda.initial), Labeling(labeling.events, assign)
 
 
-def _reachable_outcome(fn, hda):
+def _outcome(fn, arg):
     try:
-        return fn(hda)
+        return fn(arg)
     except ModelError as exc:
         return ("error", str(exc))
 
@@ -372,8 +377,8 @@ def test_indexed_core_agrees_with_string_walks():
             assert got == _validate_precubical_ref(x.space).to_json()
             got_labels = hb.validate_labeling(x, lx).to_json()
             assert got_labels == _validate_labeling_ref(x, lx).to_json()
-            reach = _reachable_outcome(hb.reachable, x)
-            assert reach == _reachable_outcome(_reachable_ref, x)
+            reach = _outcome(hb.reachable, x)
+            assert reach == _outcome(_reachable_ref, x)
             unknown_errors += isinstance(reach, tuple) and "unknown" in reach[1]
             kinds.update(v["kind"] for v in got["violations"])
             kinds.update(v["kind"] for v in got_labels["violations"])
@@ -384,9 +389,9 @@ def test_indexed_core_agrees_with_string_walks():
 def test_reachable_raises_for_the_first_dangling_face_popped():
     # Both dangling upper faces of "sq" are pushed before either is popped;
     # the string walk raised for the one popped first, the later "ghostB".
-    space = PrecubicalSet([
-        Cube("v", 0), Cube("a", 1, ("v",), ("v",)), Cube("b", 1, ("v",), ("v",)),
-        Cube("sq", 2, ("a", "b"), ("ghostA", "ghostB"))])
+    space = PrecubicalSet({
+        "v": (0, (), ()), "a": (1, ("v",), ("v",)), "b": (1, ("v",), ("v",)),
+        "sq": (2, ("a", "b"), ("ghostA", "ghostB"))})
     hda = HDA(space, "v")
     with pytest.raises(ModelError) as ref:
         _reachable_ref(hda)
@@ -404,8 +409,8 @@ def _refine_error_ref(hda):
     except ModelError as exc:
         return str(exc)
     for c in hda.space.ids():
-        cube = hda.space.cube(c)
-        if c in reach and any(f not in reach for f in cube.lower + cube.upper):
+        _dim, lower, upper = hda.space.row(c)
+        if c in reach and any(f not in reach for f in lower + upper):
             return (f"a face of the reachable cube {c!r} is not reachable; "
                     "validate the model first")
     return None
@@ -437,22 +442,21 @@ def test_refine_on_the_int_view_matches_string_interning():
 def _space_view(space):
     """Everything the string accessors report about a set, cube by cube.
     `successors` raises on an upper face that names no cube, so it is read
-    only where there is none."""
+    as its result or its error."""
     view = []
     for x in space.ids():
-        cube = space.cube(x)
-        closed = all(f is None or f in space for f in cube.upper)
+        row = space.row(x)
         view.append((
-            cube, space.dim(x),
-            [space.lower(x, k) for k in range(1, len(cube.lower) + 1)],
-            [space.upper(x, k) for k in range(1, len(cube.upper) + 1)],
-            space.cofaces_lower(x), space.successors(x) if closed else None))
+            row, space.dim(x),
+            [space.lower(x, k) for k in range(1, len(row[1]) + 1)],
+            [space.upper(x, k) for k in range(1, len(row[2]) + 1)],
+            space.cofaces_lower(x), _outcome(space.successors, x)))
     return space.ids(), space.frontier, view
 
 
 def test_lean_loader_agrees_with_checked_loader():
-    """The row-filling loader against the reference, which builds a `Cube`
-    per entry: equal sets, accessors, written dicts and error text."""
+    """The row-filling loader against the reference, which checks entry by
+    entry: equal sets, accessors, written dicts and error text."""
     bases = [model_dict(name) for name in (
         "fig1_left.json", "fig3.json", "fig5_x.json", "ab_square_abc.json")]
     bases.append(hb.model_to_dict(hb.unfold(
@@ -498,27 +502,3 @@ def test_duplicate_id_is_reported_after_earlier_faults(fault, message):
     for load in (hb.model_from_dict, _model_from_dict_ref):
         with pytest.raises(ModelError, match=message):
             load(data)
-
-
-def test_grid_pipeline_builds_no_cube(tmp_path, monkeypatch):
-    """Building, writing, loading, validating, unfolding and the tree check
-    of a grid model read and fill rows only: no `Cube` is constructed."""
-    model = tmp_path / "grid.json"
-    built = []
-    original = Cube.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Cube, "__init__", counting_init)
-    hb.dump_model(grid_hda((3, 2, 2)), model)
-    loaded = hb.load_model(model)
-    assert hb.validate_model(loaded.hda).ok
-    unfolding = hb.unfold(loaded.hda, 6)
-    assert hb.is_tree(loaded.hda, 3) and hb.is_tree(unfolding.tree, 6)
-    hb.dump_model(unfolding.tree, tmp_path / "tree.json")
-    dump_id_map(unfolding.projection_table(), tmp_path / "tree.projection.json")
-    assert built == []
-    loaded.hda.space.cube(loaded.hda.initial)  # the counter does count
-    assert len(built) == 1

@@ -1,10 +1,13 @@
 """JSON model format: round trips, strictness, and the writers' bytes."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 import hdabisim as hb
+from hdabisim.core import pair_id
 from hdabisim.generators import grid_labeling, random_hda
 from hdabisim.model_io import dump_id_map
 
@@ -94,9 +97,9 @@ def _odd_model():
     (a model can be written before it is validated)."""
     a, b, e, f = _ODD[0], _ODD[1], _ODD[2], _ODD[3]
     space = hb.PrecubicalSet(
-        [hb.Cube(a, 0), hb.Cube(b, 0), hb.Cube(e, 1, (a,), (None,)),
-         hb.Cube(f, 1, (b,), ("gh\"ost\\" + _ODD[4],)),
-         *(hb.Cube(x, 0) for x in _ODD[4:])],
+        {a: (0, (), ()), b: (0, (), ()), e: (1, (a,), (None,)),
+         f: (1, (b,), ("gh\"ost\\" + _ODD[4],)),
+         **{x: (0, (), ()) for x in _ODD[4:]}},
         frontier=[e])
     labeling = hb.Labeling(hb.EventSet(("é", "b")), {
         x: ((1,) if space.dim(x) else ()) for x in space.ids()})
@@ -154,3 +157,57 @@ def test_projection_sidecar_writes_json_dump_bytes(tmp_path):
         dump_id_map(table, ours)
         json_dump_ref(table, ref)
         assert ours.read_bytes() == ref.read_bytes(), table
+
+
+def _generated_models() -> dict[str, list[tuple[hb.HDA, hb.Labeling | None]]]:
+    """The models `torus_hda`, `torus_unfolding` and `product` build, in a
+    fixed order, by family: tori over 0-3 events up to dimension 3, their
+    closed-form unfoldings to depth 5 (with and without `maxdim`), and the
+    products of every ordered pair of figure models."""
+    families: dict[str, list] = {
+        "torus": [], "torus_unfolding": [], "torus_unfolding_maxdim": [],
+        "product": []}
+    for n in range(4):
+        events = hb.EventSet(("a", "b", "c")[:n])
+        for maxdim in range(4):
+            families["torus"].append(hb.torus_hda(events, maxdim))
+        for depth in range(1, 6):
+            families["torus_unfolding"].append(
+                (hb.torus_unfolding(events, depth), None))
+            for maxdim in range(4):
+                families["torus_unfolding_maxdim"].append(
+                    (hb.torus_unfolding(events, depth, maxdim), None))
+    figures = [load(name).hda for name in (
+        "fig1_left.json", "fig1_right.json", "fig2_square.json", "fig3.json",
+        "fig5_x.json", "fig5_y.json", "ab_square_abc.json",
+        "ac_square_abc.json")]
+    for x in figures:
+        for y in figures:
+            space = hb.product(x.space, y.space)
+            families["product"].append(
+                (hb.HDA(space, pair_id(x.initial, y.initial)), None))
+    return families
+
+
+# sha256 over ``json.dumps(model_to_dict(...), indent=1)`` plus a newline for
+# every model of a family, recorded from a build known to be right, so that
+# a rewrite of these builders cannot change a byte unnoticed.
+_GENERATED_DIGESTS = {
+    "torus":
+        "11ba279e09275d3d76915aa154053b1e02c6a6ea5bb76671962b0e1583b4e428",
+    "torus_unfolding":
+        "55b93440177cd0da37a71be95d0e0f99f3596b2ea31d58510d978ff5380b5d81",
+    "torus_unfolding_maxdim":
+        "d3705897c77488eb303ab7f65927400aaa45275170a2c2b5d035e04ee8ccc4ee",
+    "product":
+        "704921f094b48cdd54100aa23c3e68694aa401640b69840613e1e9e4cfdadf03",
+}
+
+
+def test_generated_models_keep_their_bytes():
+    for family, models in _generated_models().items():
+        digest = hashlib.sha256()
+        for hda, labeling in models:
+            text = json.dumps(hb.model_to_dict(hda, labeling), indent=1)
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == _GENERATED_DIGESTS[family], family

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdabisim as hb
-from hdabisim import Cube, CubePath, EventSet, PrecubicalSet
+from hdabisim import CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import random_hda, random_pointed_path
 
 from conftest import square_homotopy_chain
@@ -257,7 +257,7 @@ def test_path_object_fig3(fig3):
 
 
 def test_path_object_single_point():
-    space = PrecubicalSet([Cube("v", 0)])
+    space = PrecubicalSet({"v": (0, (), ())})
     result = hb.is_path_object(space)
     assert result.ok and result.rep == ("v",)
 
@@ -280,7 +280,7 @@ def test_path_object_rejects_hollow_square(fig1_right):
 
 
 def test_path_object_rejects_self_loop():
-    space = PrecubicalSet([Cube("v", 0), Cube("e", 1, ("v",), ("v",))])
+    space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("v",))})
     assert not hb.is_path_object(space).ok
 
 
@@ -359,7 +359,7 @@ def test_normalized_face_enumeration_is_complete():
             frontier = [top]
             while frontier:
                 cur = frontier.pop()
-                for f in space.cube(cur).lower + space.cube(cur).upper:
+                for f in space.row(cur)[1] + space.row(cur)[2]:
                     if f is not None and f not in closure:
                         closure.add(f)
                         frontier.append(f)

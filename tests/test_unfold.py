@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import hdabisim as hb
-from hdabisim import Cube, CubePath, EventSet, PrecubicalSet
+from hdabisim import CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, sub_hda
 from conftest import torus_closed_form_map
 from homotopy_reference import closure
@@ -150,7 +150,7 @@ def test_unfold_monotone_in_depth(fig5_x, fig1_left):
         for depth in (1, 2, 3, 4):
             small = hb.unfold(hda, depth)
             big = hb.unfold(hda, depth + 1)
-            assert set(small.node_of_rep) <= set(big.node_of_rep)
+            assert set(small.nodes.items()) <= set(big.nodes.items())
 
 
 def test_is_tree_figures(fig1_left, fig1_right):
@@ -359,8 +359,7 @@ def test_layered_quotient_agrees_with_closure_reference():
     for name, hda, depth in _differential_corpus():
         unfolding = hb.unfold(hda, depth)
         space = unfolding.tree.space
-        got = {c: (space.dim(c), space.cube(c).lower, space.cube(c).upper)
-               for c in space.ids()}
+        got = dict(space.rows())
         want, frontier = reference_unfolding(hda, depth)
         assert got == want, (name, depth)
         assert unfolding.frontier == frontier, (name, depth)
@@ -398,33 +397,36 @@ def _iso_case(source, target, mapping):
         source_initial="v0", target_initial="u0")
 
 
-_EDGE = [Cube("v0", 0), Cube("v1", 0), Cube("e", 1, ("v0",), ("v1",))]
-_LOOP = [Cube("u0", 0), Cube("l", 1, ("u0",), ("u0",))]
+def _points(*ids):
+    return {cid: (0, (), ()) for cid in ids}
+
+
+_EDGE = {**_points("v0", "v1"), "e": (1, ("v0",), ("v1",))}
+_LOOP = {**_points("u0"), "l": (1, ("u0",), ("u0",))}
 
 
 @pytest.mark.parametrize("f", [
     # Not injective: both ends of the edge go to the loop's vertex, and the
     # stray vertex u1 keeps the sizes equal.
-    _iso_case(_EDGE, _LOOP + [Cube("u1", 0)],
+    _iso_case(_EDGE, {**_LOOP, **_points("u1")},
               {"v0": "u0", "v1": "u0", "e": "l"}),
     # The same collapse onto the loop alone: the image fills the target,
     # yet the map is still not injective.
     _iso_case(_EDGE, _LOOP, {"v0": "u0", "v1": "u0", "e": "l"}),
     # Injective but not onto: the stray vertex u2 is missed.
-    _iso_case(_EDGE, [Cube("u0", 0), Cube("u1", 0), Cube("u2", 0),
-                      Cube("f", 1, ("u0",), ("u1",))],
+    _iso_case(_EDGE, {**_points("u0", "u1", "u2"), "f": (1, ("u0",), ("u1",))},
               {"v0": "u0", "v1": "u1", "e": "f"}),
     # A bijection that breaks the face equation d_1^1 e = v1.
-    _iso_case(_EDGE, _LOOP + [Cube("u1", 0)],
+    _iso_case(_EDGE, {**_LOOP, **_points("u1")},
               {"v0": "u0", "v1": "u1", "e": "l"}),
     # The edge's upper face is omitted, its image's is present.
-    _iso_case([Cube("v0", 0), Cube("v1", 0), Cube("e", 1, ("v0",), (None,))],
-              [Cube("u0", 0), Cube("u1", 0), Cube("f", 1, ("u0",), ("u1",))],
+    _iso_case({**_points("v0", "v1"), "e": (1, ("v0",), (None,))},
+              {**_points("u0", "u1"), "f": (1, ("u0",), ("u1",))},
               {"v0": "u0", "v1": "u1", "e": "f"}),
     # Sizes agree, but the image names a cube the target lacks.
-    _iso_case([Cube("v0", 0)], [Cube("u0", 0)], {"v0": "ghost"}),
+    _iso_case(_points("v0"), _points("u0"), {"v0": "ghost"}),
     # Sizes agree, but the source cube v0 is unmapped.
-    _iso_case([Cube("v0", 0)], [Cube("u0", 0)], {"zz": "u0"}),
+    _iso_case(_points("v0"), _points("u0"), {"zz": "u0"}),
 ], ids=["not-injective", "collapse", "not-surjective", "face-equation",
         "omitted-face", "unknown-target-cube", "not-total"])
 def test_morphism_is_isomorphism_rejects(f):
