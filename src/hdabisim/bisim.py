@@ -10,12 +10,15 @@ this is an ordinary strong bisimulation on a finite transition system.  The
 decision refines a partition of the disjoint union of the two reachable
 parts until every block agrees on the blocks of its cubes' faces and lower
 cofaces; the models are bisimilar when both initial cubes end in one block.
-The refinement starts from forward classes, built in one reverse
-topological pass over the steps that start or finish an event: they split
-cubes by dimension, label and what can still happen from them, and are
-coarser than the result, so few rounds remain.  Faces and lower cofaces of
-reachable cubes are reachable, so nothing outside the reachable parts can
-matter.
+The refinement reads each model in place on its int view, one side per
+model, and takes one side as well as two.  It starts from forward
+classes, built per side in one depth-first post-order pass over the steps
+that start or finish an event: they split cubes by dimension, label and
+what can still happen from them, and are coarser than the result, so few
+rounds remain.  Refinement only splits blocks, so when the forward classes
+already separate the initial cubes the verdict is negative without a
+round.  Faces and lower cofaces of reachable cubes are reachable, so
+nothing outside the reachable parts can matter.
 
 History-preserving bisimilarity (runs related up to homotopy and extension)
 coincides with this relation-based notion, which is what the `hp_*` entry
@@ -28,11 +31,12 @@ one-step.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-from .core import (HDA, Labeling, ModelError, PrecubicalMorphism,
+from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
                    PrecubicalSet, reachable, reachable_mask)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
@@ -81,8 +85,8 @@ class BisimDecision:
     witness: list[Pair] | None
     justification: str
     counterexample: dict | None = None
-    # Partition refinement: rounds after the forward seed; the oracle:
-    # pairs deleted.
+    # Partition refinement: rounds after the forward seed, 0 when the seed
+    # already separates the initial cubes; the oracle: pairs deleted.
     iterations: int = 0
     notes: dict = field(default_factory=dict)
 
@@ -172,11 +176,12 @@ def _greatest_relation(xs: PrecubicalSet, ys: PrecubicalSet,
     return alive, deletions
 
 
-def _universe(xs: PrecubicalSet, ys: PrecubicalSet,
+def _universe(xs: PrecubicalSet, ys: PrecubicalSet, cap: int,
               label_x: Callable[[str], object] | None = None,
               label_y: Callable[[str], object] | None = None) -> list[Pair]:
     """Equal-dimension cube pairs; with per-side label lookups, only pairs
-    whose labels agree."""
+    whose labels agree.  Raises CapExceeded once more than `cap` pairs are
+    built, which is checked after the pairs of each x."""
     pairs: list[Pair] = []
     for n in range(min(xs.max_dim(), ys.max_dim()) + 1):
         for x in xs.by_dim(n):
@@ -184,6 +189,10 @@ def _universe(xs: PrecubicalSet, ys: PrecubicalSet,
                 if label_x is not None and label_x(x) != label_y(y):
                     continue
                 pairs.append((x, y))
+            if len(pairs) > cap:
+                raise CapExceeded(
+                    f"the oracle's pair universe exceeded {cap} pairs: "
+                    f"{len(pairs)} reached at dimension {n}")
     return pairs
 
 
@@ -194,190 +203,244 @@ def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
         raise ModelError("mismatched event alphabets; align event order first")
 
 
-def _union_tables(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
-                  ly: Labeling | None):
-    """The disjoint union of both reachable parts as int tables.
+def _forward_classes(mask: bytearray, kinds: Sequence,
+                     tails: Sequence[tuple[int, ...]],
+                     cofaces: Sequence[list[tuple[int, int]]],
+                     classes: dict[tuple, int]) -> list[int | None]:
+    """The forward class of every reachable cube of one side (None for the
+    others), interned in `classes`, which the sides share.
 
-    Returns (names, kinds, faces, coface_ks, coface_ps): `names[side]` lists
-    the cube ids of that side in union order (the x side first), and for
-    union cube i, `kinds[i]` is its (dim, label tuple or None), `faces[i]`
-    its lower then upper faces, and cube i is lower face `coface_ks[i][n]`
-    of cube `coface_ps[i][n]`.
-    """
-    names: list[list[str]] = []
-    kinds: list[tuple[int, object]] = []
-    faces: list[tuple[int, ...]] = []
-    coface_ks: list[tuple[int, ...]] = []
-    coface_ps: list[tuple[int, ...]] = []
-    for hda, labeling in ((x_hda, lx), (y_hda, ly)):
-        # The shared int view, renumbered: reachable cube j of this side is
-        # cube local[j] of the disjoint union.  Sentinel faces are never keys.
-        view = hda.space.indexed
-        reach = list(itertools.compress(range(len(view.ids)), reachable_mask(hda)))
-        local = dict(zip(reach, itertools.count(len(kinds))))
-        names.append([view.ids[j] for j in reach])
-        lower, upper, dims = view.lower, view.upper, view.dims
-        assign = None if labeling is None else labeling.assign
-        for j in reach:
-            try:
-                faces.append(tuple(map(local.__getitem__, lower[j] + upper[j])))
-            except KeyError:
-                raise ModelError(f"a face of the reachable cube {view.ids[j]!r} "
-                                 "is not reachable; validate the model first") from None
-            cofaces = view.cofaces[j]
-            coface_ks.append(tuple([k for k, _p in cofaces]))
-            coface_ps.append(tuple([local[p] for _k, p in cofaces]))
-            kinds.append((dims[j], None if assign is None
-                          else assign.get(view.ids[j])))
-    return names, kinds, faces, coface_ks, coface_ps
-
-
-def _forward_classes(kinds: list[tuple[int, object]],
-                     faces: list[tuple[int, ...]],
-                     coface_ks: list[tuple[int, ...]],
-                     coface_ps: list[tuple[int, ...]]) -> list[int]:
-    """The forward class of every union cube, numbered from 0 in order of
-    first appearance.
-
-    A forward step starts an event (to a lower coface) or finishes one (to
-    an upper face).  Walking the forward steps in reverse topological order
-    (Kahn's algorithm, from the cubes with no forward step), a cube's class
-    interns its kind, the classes of its upper faces in position order and
-    the set of (k, class) over its lower cofaces.  A cube the walk never
-    reaches can reach a forward cycle; its class interns its kind alone.
+    A forward step starts an event (to a lower coface, listed as (k, cube)
+    in `cofaces`) or finishes one (to an upper face, listed in `tails`).  A
+    depth-first walk closes a cube after every cube one forward step on that
+    is not still open on the walk's path, so in post-order.  A cube with a
+    step to an open cube, or to a marked one, can reach a forward cycle and
+    is marked; its class interns its kind alone.  Any other cube's class
+    interns its kind, the classes of its tails in position order and the set
+    of (k, class) over its lower cofaces.
     Bisimilar cubes get one class (by induction on the longest forward run,
     and a cube that can reach a forward cycle is never bisimilar to one
     that cannot), so the classes are coarser than the coarsest stable
     partition.
     """
-    # The faces past position dim are the upper ones.  On a malformed cube
-    # with more lower faces they are not, but the signature reads the same
-    # positions, so the classes stay coarser than the stable partition.
-    # pending[i]: forward steps from cube i to a cube not yet classed;
-    # steppers[j]: the cubes with a forward step to j, once per step.
-    pending: list[int] = []
-    steppers: list[list[int]] = [[] for _ in kinds]
-    for i, (kind, fs, ps) in enumerate(zip(kinds, faces, coface_ps)):
-        ups = fs[kind[0]:]
-        pending.append(len(ups) + len(ps))
-        for j in itertools.chain(ups, ps):
-            steppers[j].append(i)
     cls: list[int | None] = [None] * len(kinds)
-    classes: dict[tuple, int] = {}
-    ready = [i for i, n in enumerate(pending) if not n]
-    for j in ready:  # grows as cubes become ready
-        kind = kinds[j]
-        cls[j] = classes.setdefault(
-            (kind, tuple([cls[u] for u in faces[j][kind[0]:]]),
-             frozenset(zip(coface_ks[j], map(cls.__getitem__, coface_ps[j])))),
-            len(classes))
-        for i in steppers[j]:
-            pending[i] -= 1
-            if not pending[i]:
-                ready.append(i)
-    for j, c in enumerate(cls):
-        if c is None:
-            cls[j] = classes.setdefault((kinds[j], None), len(classes))
+    state = bytearray(len(kinds))  # 1: open, 2: closed
+    marked = bytearray(len(kinds))
+    for root in itertools.compress(range(len(kinds)), mask):
+        if state[root]:
+            continue
+        # The stack holds cubes to open and, as ~j, cube j to close once
+        # everything pushed after it is done; `path` lists the open cubes,
+        # the last one being the cube whose steps are being popped.
+        stack, path = [root], []
+        while stack:
+            j = stack.pop()
+            if j >= 0:
+                seen = state[j]
+                if not seen:
+                    state[j] = 1
+                    path.append(j)
+                    stack.append(~j)
+                    stack.extend([p for _k, p in cofaces[j]])
+                    stack.extend(tails[j])
+                elif seen == 1 or marked[j]:
+                    marked[path[-1]] = 1
+                continue
+            j = ~j
+            state[j] = 2
+            path.pop()
+            if marked[j]:
+                if path:
+                    marked[path[-1]] = 1
+                continue
+            cls[j] = classes.setdefault(
+                (kinds[j], tuple([cls[u] for u in tails[j]]),
+                 frozenset([(k, cls[p]) for k, p in cofaces[j]])),
+                len(classes))
+    for j in itertools.compress(range(len(kinds)), marked):
+        cls[j] = classes.setdefault((kinds[j], None), len(classes))
     return cls
 
 
-def _refine(x_hda: HDA, y_hda: HDA, lx: Labeling | None,
-            ly: Labeling | None) -> tuple[dict[str, int], dict[str, int], int]:
-    """The coarsest stable partition of the disjoint union of both reachable
-    parts: cube -> block number for each side, and the number of rounds
-    after the forward seed.
+@dataclass
+class _Seed:
+    """The forward seed of `_refine` over one or two sides.  Per side, by
+    int view index: `blocks` holds the forward class of every reachable
+    cube (None for the others), `masks` marks the reachable cubes, and
+    `tables` holds (heads, tails, cofaces): the faces before and past the
+    cube's dimension and its lower cofaces.  Across sides a cube is known by
+    its side's entry in `offsets` plus its view index.  `classes` interns
+    the forward classes."""
+    blocks: list[list[int | None]] = field(default_factory=list)
+    masks: list[bytearray] = field(default_factory=list)
+    tables: list[tuple] = field(default_factory=list)
+    offsets: list[int] = field(default_factory=list)
+    classes: dict[tuple, int] = field(default_factory=dict)
 
-    The initial blocks are the forward classes (`_forward_classes`), which
-    split cubes by dimension, label and what can still happen from them; a
-    round splits every block by the signature (blocks of the faces in (nu,
-    k) order, set of (k, block) over the lower cofaces), all signatures of a
-    round read the previous round's blocks, and the partition is stable once
-    a round splits nothing.  The seed is coarser than the coarsest stable
-    partition refining blocks of equal dimension and label, so the result
-    is that partition.  On acyclic parts the members of a seed block
-    already agree on upper faces and lower cofaces, so one round often
-    splits nothing.
 
-    The refinement is incremental.  Round 1 signs every cube; a later round
-    signs only the dirty cubes, those whose faces or lower cofaces changed
-    block in the previous round.  Members of a block all had one signature
-    in the previous round, and an untouched member's signature cannot have
-    changed since, so one untouched representative stands for them all.
-    When a block splits, its largest part keeps the block number and the
-    other parts move to new numbers, so only their cubes' neighbours become
-    dirty.  Every round yields the same partition as re-signing every cube
-    would, so the round count is that of naive refinement from the seed.
+def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
+    """The forward classes (`_forward_classes`) of the reachable parts of
+    one or two (hda, labeling) sides, with the tables `_refine` reads.
+
+    Each side is read in place on its own int view.  A cube's faces are
+    read as one tuple, lower then upper, split at the cube's dimension into
+    heads and tails, also on a malformed cube.  A reachable
+    cube with a face outside the reachable part raises ModelError, naming
+    the first such cube in (dimension, id) order.
     """
-    names, kinds, faces, coface_ks, coface_ps = _union_tables(x_hda, y_hda,
-                                                             lx, ly)
-    block = _forward_classes(kinds, faces, coface_ks, coface_ps)
-    members: list[set[int]] = [set() for _ in range(max(block, default=-1) + 1)]
-    for i, b in enumerate(block):
-        members[b].add(i)
-    block_of = block.__getitem__
-    # dependents[j]: the cubes whose signature reads j's block, namely the
-    # cofaces of j (j is one of their faces) and the lower faces of j.
-    # Built when a round first moves a cube.
-    dependents: list[list[int]] | None = None
+    seed = _Seed()
+    offset = 0
+    for hda, labeling in sides:
+        view = hda.space.indexed
+        mask = reachable_mask(hda)
+        lower, upper, dims = view.lower, view.upper, view.dims
+        # The sentinels UNKNOWN (-1) and OMITTED (-2) index the two zero
+        # pads rather than wrapping round to the last cubes.
+        padded = mask + bytes(2)
+        reached = itertools.chain.from_iterable(itertools.chain(
+            itertools.compress(lower, mask), itertools.compress(upper, mask)))
+        if not all(map(padded.__getitem__, reached)):
+            j = next(j for j in itertools.compress(range(len(dims)), mask)
+                     if not all(map(padded.__getitem__, lower[j] + upper[j])))
+            raise ModelError(f"a face of the reachable cube {view.ids[j]!r} "
+                             "is not reachable; validate the model first")
+        # Heads and tails differ from the lower and upper faces only on a
+        # cube whose lower faces are not as many as its dimension.
+        heads, tails = list(lower), list(upper)
+        for j in itertools.compress(itertools.count(),
+                                    map(operator.ne, map(len, lower), dims)):
+            faces = lower[j] + upper[j]
+            heads[j], tails[j] = faces[:dims[j]], faces[dims[j]:]
+        kinds = dims if labeling is None else tuple(
+            zip(dims, map(labeling.assign.get, view.ids)))
+        seed.blocks.append(
+            _forward_classes(mask, kinds, tails, view.cofaces, seed.classes))
+        seed.masks.append(mask)
+        seed.tables.append((heads, tails, view.cofaces))
+        seed.offsets.append(offset)
+        offset += len(mask)
+    return seed
 
-    def signature(i: int) -> tuple:
-        return (tuple(map(block_of, faces[i])),
-                frozenset(zip(coface_ks[i], map(block_of, coface_ps[i]))))
 
-    dirty: set[int] = set(range(len(block)))
-    rounds = 0
+def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
+    """The coarsest stable partition of the disjoint union of the reachable
+    parts of the seed's sides: for each side, the block of every cube by int
+    view index (None for the unreachable ones), and the number of rounds
+    after the seed.  The seed's blocks are refined in place.
+
+    A round splits every block by the signature (blocks of the faces, set
+    of (k, block) over the lower cofaces), reading the previous round's
+    blocks, until a round splits nothing.  The seed is coarser than the
+    coarsest stable partition refining blocks of equal dimension and label,
+    so the result is that partition.  Refinement only splits blocks, so
+    cubes the seed separates end apart.
+
+    Round 1 signs a cube of a forward class by the blocks of its lower faces
+    alone, since the members of a forward class already agree on upper faces
+    and lower cofaces; cubes that can reach a forward cycle get the whole
+    signature.  A later round signs only the dirty cubes, those whose faces
+    or lower cofaces changed block in the previous round.  Members of a
+    block all had one signature in the previous round, and an untouched
+    member's signature cannot have changed since, so one untouched
+    representative stands for them all.  When a block splits, its largest
+    part keeps the block number and the other parts move to new numbers, so
+    only their cubes' neighbours become dirty.  Every round yields the same
+    partition as re-signing every cube would, so the round count is that of
+    naive refinement from the seed.
+    """
+    blocks, masks, offsets, classes = (seed.blocks, seed.masks, seed.offsets,
+                                       seed.classes)
+    # Per side: (blocks, heads, tails, cofaces).
+    tables = [(blk,) + table for blk, table in zip(blocks, seed.tables)]
+    # A cube known by offset + index is on side 1 iff past the first side.
+    split = len(masks[0])
+
+    def sign(g: int) -> tuple:
+        """Cube g's signature: the blocks of its heads and of its tails,
+        and the set of (k, block) over its lower cofaces."""
+        s = g >= split
+        blk, heads, tails, cofaces = tables[s]
+        j = g - offsets[s]
+        return (tuple([blk[f] for f in heads[j]]), tuple([blk[f] for f in tails[j]]),
+                frozenset([(k, blk[p]) for k, p in cofaces[j]]))
+
+    cyclic = {c for key, c in classes.items() if key[1] is None}
+    # Round 1 signs every reachable cube.  parts[b] maps each signature met
+    # in block b to the cubes that have it.
+    parts: dict[int, dict[tuple, list[int]]] = {}
+    for (blk, heads, _tails, _cofaces), mask, off in zip(tables, masks, offsets):
+        for j in itertools.compress(range(len(blk)), mask):
+            b = blk[j]
+            sig = (sign(off + j) if b in cyclic
+                   else tuple([blk[f] for f in heads[j]]))
+            parts.setdefault(b, {}).setdefault(sig, []).append(off + j)
+    # In a later round, spare[b] is the part of block b that its untouched
+    # members join without being listed in it, and their number.
+    spare: dict[int, tuple[list[int], int]] = {}
+    members: list[set[int]] | None = None
+    # dependents[g]: the cubes whose signature reads g's block, namely the
+    # cofaces of g (g is one of their faces) and the lower faces of g.
+    dependents: list[list[int]] = []
+    rounds = 1
     while True:
-        rounds += 1
-        touched: dict[int, list[int]] = {}
-        for i in dirty:
-            b = block[i]
-            if len(members[b]) > 1:
-                touched.setdefault(b, []).append(i)
-        # Split every touched block before moving any cube, so that all
-        # signatures of this round read the previous round's blocks.
+        # Split every block before moving any cube, so that all signatures
+        # of this round read the previous round's blocks.
         moves: list[tuple[int, list[int] | set[int]]] = []
-        for b, cubes in touched.items():
-            parts: dict[tuple, list[int]] = {}
-            for i in cubes:
-                parts.setdefault(signature(i), []).append(i)
-            # The untouched members join the part of their representative's
-            # signature without being listed in it.
-            rest = len(members[b]) - len(cubes)
-            untouched = None
-            if rest:
-                rep = next(i for i in members[b] if i not in dirty)
-                untouched = parts.setdefault(signature(rep), [])
-            if len(parts) == 1:
+        for b, signed in parts.items():
+            if len(signed) == 1:
                 continue
-            keeper = max(parts.values(), key=lambda part: len(part)
+            untouched, rest = spare.get(b, (None, 0))
+            keeper = max(signed.values(), key=lambda part: len(part)
                          + (rest if part is untouched else 0))
-            for part in parts.values():
+            for part in signed.values():
                 if part is keeper:
                     continue
                 if part is untouched:
                     part = members[b].difference(
-                        *(p for p in parts.values() if p is not untouched))
+                        *(p for p in signed.values() if p is not untouched))
                 moves.append((b, part))
+        if not moves:
+            return blocks, rounds
+        if members is None:
+            # Built when a round first moves a cube.
+            members = [set() for _ in classes]
+            for (blk, heads, tails, cofaces), mask, off in zip(
+                    tables, masks, offsets):
+                side: list[list[int]] = [[] for _ in mask]
+                for i in itertools.compress(range(len(mask)), mask):
+                    g = off + i
+                    members[blk[i]].add(g)
+                    for f in itertools.chain(heads[i], tails[i]):
+                        side[f].append(g)
+                    for _k, p in cofaces[i]:
+                        side[p].append(g)
+                dependents += side
         moved: list[int] = []
         for b, part in moves:
             new = len(members)
             members.append(set(part))
             members[b].difference_update(part)
-            for i in part:
-                block[i] = new
+            for g in part:
+                s = g >= split
+                blocks[s][g - offsets[s]] = new
             moved.extend(part)
-        if not moved:
-            break
-        if dependents is None:
-            dependents = [[] for _ in block]
-            for i, (fs, ps) in enumerate(zip(faces, coface_ps)):
-                for f in fs:
-                    dependents[f].append(i)
-                for p in ps:
-                    dependents[p].append(i)
-        dirty = {d for j in moved for d in dependents[j]}
-    return (dict(zip(names[0], block)),
-            dict(zip(names[1], block[len(names[0]):])), rounds)
+        rounds += 1
+        dirty = {d for g in moved for d in dependents[g]}
+        touched: dict[int, list[int]] = {}
+        for g in dirty:
+            s = g >= split
+            b = blocks[s][g - offsets[s]]
+            if len(members[b]) > 1:
+                touched.setdefault(b, []).append(g)
+        parts, spare = {}, {}
+        for b, cubes in touched.items():
+            signed = parts[b] = {}
+            for g in cubes:
+                signed.setdefault(sign(g), []).append(g)
+            rest = len(members[b]) - len(cubes)
+            if rest:
+                rep = next(g for g in members[b] if g not in dirty)
+                spare[b] = (signed.setdefault(sign(rep), []), rest)
 
 
 def _decide(x_hda: HDA, y_hda: HDA,
@@ -387,17 +450,25 @@ def _decide(x_hda: HDA, y_hda: HDA,
     if x_hda.space.frontier or y_hda.space.frontier:
         raise ModelError("cannot decide bisimilarity of a truncated model "
                          "(non-empty frontier); use `oracle` for truncated trees")
-    blocks_x, blocks_y, rounds = _refine(x_hda, y_hda, lx, ly)
+    seed = _seed(((x_hda, lx), (y_hda, ly)))
+    views = (x_hda.space.indexed, y_hda.space.indexed)
     root = (x_hda.initial, y_hda.initial)
-    ok = blocks_x[x_hda.initial] == blocks_y[y_hda.initial]
+
+    def together(blocks: list[list[int | None]]) -> bool:
+        return blocks[0][views[0].pos[root[0]]] == blocks[1][views[1].pos[root[1]]]
+
+    # Initial cubes the seed separates end apart, so no round is needed.
+    blocks, rounds = _refine(seed) if together(seed.blocks) else (seed.blocks, 0)
+    ok = together(blocks)
     witness = None
     if ok:
         members: dict[int, tuple[list[str], list[str]]] = {}
-        for side, blocks in enumerate((blocks_x, blocks_y)):
-            for c, b in blocks.items():
-                members.setdefault(b, ([], []))[side].append(c)
-        witness = sorted((x, y) for xs, ys in members.values()
-                         for x in xs for y in ys)
+        for side, (view, blk) in enumerate(zip(views, blocks)):
+            for c, b in zip(view.ids, blk):
+                if b is not None:
+                    members.setdefault(b, ([], []))[side].append(c)
+        witness = sorted(pair for xs, ys in members.values()
+                         for pair in itertools.product(xs, ys))
         # Independent audit of the returned witness; failure here would be
         # an engine bug, not a property of the inputs.
         problems = verify_bisim_relation(x_hda, y_hda, witness, lx, ly)
@@ -462,12 +533,17 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
     if (x_hda.initial, y_hda.initial) not in rel:
         problems.append("initial pair missing")
     reach_x, reach_y = reachable(x_hda), reachable(y_hda)
+    row_x, row_y = xs.row, ys.row
+    cofaces_x, cofaces_y = xs.cofaces_lower, ys.cofaces_lower
+    label_x = label_y = None
+    if lx is not None:
+        label_x, label_y = lx.assign.get, ly.assign.get
     for x, y in sorted(rel):
-        (dim, lower_x, upper_x), (dim_y, lower_y, upper_y) = xs.row(x), ys.row(y)
+        (dim, lower_x, upper_x), (dim_y, lower_y, upper_y) = row_x(x), row_y(y)
         if dim != dim_y:
             problems.append(f"dimension mismatch in pair ({x}, {y})")
             continue
-        if lx is not None and lx.assign.get(x) != ly.assign.get(y):
+        if label_x is not None and label_x(x) != label_y(y):
             problems.append(f"label mismatch in pair ({x}, {y})")
         for nu, faces_x, faces_y in ((0, lower_x, lower_y), (1, upper_x, upper_y)):
             # Positions past either face list are absent, as in `face`.
@@ -478,13 +554,19 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
                     problems.append(
                         f"pair ({x}, {y}) not face-closed at k={k} nu={nu}")
         if x in reach_x and y in reach_y:
-            up_x, up_y = xs.cofaces_lower(x), ys.cofaces_lower(y)
+            up_x, up_y = cofaces_x(x), cofaces_y(y)
             for k, x2 in up_x:
-                if not any((x2, y2) in rel for j, y2 in up_y if j == k):
+                for j, y2 in up_y:
+                    if j == k and (x2, y2) in rel:
+                        break
+                else:
                     problems.append(
                         f"pair ({x}, {y}) has no match for {x2} at k={k}")
             for k, y2 in up_y:
-                if not any((x2, y2) in rel for j, x2 in up_x if j == k):
+                for j, x2 in up_x:
+                    if j == k and (x2, y2) in rel:
+                        break
+                else:
                     problems.append(
                         f"pair ({x}, {y}) has no match for {y2} at k={k}")
     return problems
@@ -501,16 +583,18 @@ def hp_oracle(x_hda: HDA, y_hda: HDA, depth: int,
     (optimistically).  When nothing was truncated the unfoldings are exact
     and the answer is definite; a violation found within the bound is
     definite as well, because the frontier was treated optimistically.
-    Otherwise the verdict is `inconclusive` at the given bound.
+    Otherwise the verdict is `inconclusive` at the given bound.  `cap`
+    bounds the homotopy classes of each unfolding and the node pairs the
+    relation starts from; past it, CapExceeded is raised.
     """
     _check_labelings(lx, ly)
     ux: Unfolding = unfold(x_hda, depth, cap)
     uy: Unfolding = unfold(y_hda, depth, cap)
     xs, ys = ux.tree.space, uy.tree.space
     if lx is None:
-        pairs = _universe(xs, ys)
+        pairs = _universe(xs, ys, cap)
     else:
-        pairs = _universe(xs, ys, lambda x: lx.assign.get(ux.project(x)),
+        pairs = _universe(xs, ys, cap, lambda x: lx.assign.get(ux.project(x)),
                           lambda y: ly.assign.get(uy.project(y)))
 
     def zig_obliged(x: str, y: str) -> bool:

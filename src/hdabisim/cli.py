@@ -9,8 +9,9 @@ traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
 `--cap` bounds the homotopy classes built by `unfold`, `is-tree` and
-`oracle`, and the paths enumerated by `homotopic` and `paths`; `paths`
-stops with exit 3 (`cap-exceeded`) as soon as its count passes the cap.
+`oracle`, the node pairs `oracle` starts from, and the paths enumerated by
+`homotopic` and `paths`; `paths` and the pairs of `oracle` stop with exit 3
+(`cap-exceeded`) as soon as their count passes the cap.
 `bisim`, `hp-bisim` and `oracle` take `--labeled` to relate only cubes with
 equal event labels; it requires labels in both models.  Environment variables
 `HDABISIM_CAP` and `HDABISIM_DEPTH` override the default cap and the
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model higher-dimensional automata as pointed precubical "
                     "sets and decide history-preserving bisimilarity.",
         epilog="--cap counts homotopy classes for unfold, is-tree and oracle, "
-               "and paths for homotopic and paths.  --labeled (bisim, "
+               "node pairs for oracle, and paths for homotopic and paths.  "
+               "--labeled (bisim, "
                "hp-bisim, oracle) needs labels in both models.  Environment: "
                "HDABISIM_CAP overrides the default cap (100000); "
                "HDABISIM_DEPTH supplies a default for --depth where it is "

@@ -497,7 +497,8 @@ class PathObjectResult:
 
 def _face_reprs(space: PrecubicalSet, top: str) -> dict[str, list[tuple]]:
     """All iterated faces of `top`, keyed by cube, with their normalized
-    (strictly increasing k-sequence, orientation-sequence) descriptions."""
+    (strictly increasing k-sequence, orientation-sequence) descriptions.
+    Raises ModelError when a face names no cube of the set."""
     out: dict[str, list[tuple]] = {top: [((), ())]}
     dim = space.dim(top)
     for p in range(1, dim + 1):
@@ -510,6 +511,8 @@ def _face_reprs(space: PrecubicalSet, top: str) -> dict[str, list[tuple]]:
                     if cur is None:
                         break
                 if cur is not None:
+                    if cur not in space:
+                        raise ModelError(f"unknown cube id {cur!r}")
                     out.setdefault(cur, []).append((ks, nus))
     return out
 
@@ -524,10 +527,11 @@ def is_path_object(space: PrecubicalSet,
     an iterated face of some entry, and each cube obtainable from any given
     entry in at most one normalized way (so the track has no accidental
     self-identifications).  Candidates are tried in (length, lexicographic)
-    order and the first hit is returned.
+    order and the first hit is returned.  Raises ModelError when a face
+    names no cube of the set.
     """
     all_ids = set(space.ids())
-    reprs = {top: _face_reprs(space, top) for top in all_ids}
+    reprs = {top: _face_reprs(space, top) for top in space.ids()}
 
     def candidate_failure(seq: tuple[str, ...]) -> str | None:
         covered: set[str] = set()

@@ -299,11 +299,13 @@ def _reference(x, y, lx=None, ly=None):
     face-closed relation on all equal-dimension (equal-label) pairs, with
     zig-zag obligations on reachable pairs."""
     from hdabisim.bisim import _greatest_relation, _universe
+    from hdabisim.paths import DEFAULT_CAP
 
     if lx is None:
-        universe = _universe(x.space, y.space)
+        universe = _universe(x.space, y.space, DEFAULT_CAP)
     else:
-        universe = _universe(x.space, y.space, lx.assign.get, ly.assign.get)
+        universe = _universe(x.space, y.space, DEFAULT_CAP,
+                             lx.assign.get, ly.assign.get)
     reach_x, reach_y = hb.reachable(x), hb.reachable(y)
     alive, _deletions = _greatest_relation(
         x.space, y.space, universe,
@@ -515,19 +517,26 @@ def _long_cycle(n=240):
     return hb.HDA(PrecubicalSet(rows), "v000")
 
 
+def _named(sides, blocks):
+    """Per-side block lists of `bisim._refine` or `bisim._seed`, indexed by
+    int view index, as one cube -> block dict per side over the reachable
+    cubes."""
+    return tuple({c: b for c, b in zip(hda.space.indexed.ids, blk) if b is not None}
+                 for (hda, _labeling), blk in zip(sides, blocks))
+
+
 def test_forward_seed_agrees_with_reference():
-    from hdabisim.bisim import _forward_classes, _union_tables
+    from hdabisim.bisim import _seed
 
     cycle_cubes = 0
     for trial, (x, lx, y, ly) in enumerate(_differential_pairs() + _grid_pairs()):
-        names, *tables = _union_tables(x, y, lx, ly)
-        seed = dict(zip([(side, c) for side in (0, 1) for c in names[side]],
-                        _forward_classes(*tables)))
+        sides = ((x, lx), (y, ly))
+        seed = _named(sides, _seed(sides).blocks)
         reference = _forward_reference(x, y, lx, ly)
         cycle_cubes += sum(key[0] == "cycle" for key in reference.values())
         # Equal on the acyclic cubes, and the cubes that can reach a cycle
         # are grouped by dimension and label alone.
-        seed_blocks = _partition(seed)
+        seed_blocks = _blocks(*seed)
         assert seed_blocks == _partition(reference), trial
         # The coarsest stable partition from blocks of equal dimension and
         # label refines the seed, so seeding cannot change it.
@@ -541,7 +550,7 @@ def test_incremental_refinement_agrees_with_naive_refinement():
     """Equal partitions with naive refinement from blocks of equal dimension
     and label, and equal rounds with naive refinement from the reference
     forward seed."""
-    from hdabisim.bisim import _refine
+    from hdabisim.bisim import _refine, _seed
     from hdabisim.generators import grid_labeling
 
     pairs = list(_differential_pairs()) + _grid_pairs()
@@ -558,15 +567,65 @@ def test_incremental_refinement_agrees_with_naive_refinement():
               (cycle, None, cycle, None)]
     deep_rounds = []
     for trial, (x, lx, y, ly) in enumerate(pairs):
-        *fast, fast_rounds = _refine(x, y, lx, ly)
+        sides = ((x, lx), (y, ly))
+        blocks, fast_rounds = _refine(_seed(sides))
         *naive, _naive_rounds = _naive_refine(x, y, lx, ly)
         *seeded, seeded_rounds = _naive_refine(
             x, y, lx, ly, _forward_reference(x, y, lx, ly))
         assert fast_rounds == seeded_rounds, trial
-        assert _blocks(*fast) == _blocks(*naive) == _blocks(*seeded), trial
+        assert (_blocks(*_named(sides, blocks)) == _blocks(*naive)
+                == _blocks(*seeded)), trial
         if trial >= len(pairs) - 4:
             deep_rounds.append(fast_rounds)
     assert deep_rounds[:3] == [1, 1, 1] and deep_rounds[3] >= 200, deep_rounds
+
+
+def _initials_together(sides, blocks):
+    """Whether the initial cubes of both sides share a block."""
+    return len({blk[hda.space.indexed.pos[hda.initial]]
+                for (hda, _labeling), blk in zip(sides, blocks)}) == 1
+
+
+def test_a_verdict_stopped_at_the_seed_equals_the_full_verdict():
+    """The seed is coarser than the stable partition, so when it already
+    separates the initial cubes, so does the full refinement; otherwise the
+    decision reports the full refinement's verdict and rounds."""
+    from hdabisim.bisim import _refine, _seed
+
+    stopped = 0
+    for trial, (x, lx, y, ly) in enumerate(_differential_pairs() + _grid_pairs()):
+        sides = ((x, lx), (y, ly))
+        seed = _seed(sides)
+        apart = not _initials_together(sides, seed.blocks)
+        full, full_rounds = _refine(seed)
+        together = _initials_together(sides, full)
+        decision = (hb.bisimilar(x, y) if lx is None
+                    else hb.labeled_bisimilar(x, lx, y, ly))
+        if apart:
+            stopped += 1
+            assert not together, trial
+            assert (decision.result, decision.iterations) == (False, 0), trial
+        else:
+            assert (decision.result, decision.iterations) == (
+                together, full_rounds), trial
+    assert stopped >= 1000, stopped
+
+
+def test_one_sided_refinement_is_half_of_refining_against_itself():
+    from hdabisim.bisim import _refine, _seed
+
+    models = {}
+    for x, lx, y, ly in _differential_pairs()[:400] + _grid_pairs():
+        models.setdefault((id(x), id(lx)), (x, lx))
+        models.setdefault((id(y), id(ly)), (y, ly))
+    cycle = _long_cycle()
+    models[id(cycle)] = (cycle, None)
+    for trial, side in enumerate(models.values()):
+        alone, alone_rounds = _refine(_seed((side,)))
+        both, both_rounds = _refine(_seed((side, side)))
+        assert len(alone) == 1
+        assert (_partition(_named((side,), alone)[0]), alone_rounds) == (
+            _partition(_named((side, side), both)[0]), both_rounds), trial
 
 
 def _verify_bisim_relation_ref(x_hda, y_hda, pairs, lx=None, ly=None):

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, reports, round trips."""
 
+import hashlib
 import io
+import itertools
 import json
 import shutil
 
@@ -193,6 +195,21 @@ def test_oracle_exit_codes():
     assert code == 3 and report["result"] == "inconclusive"
     code, report = run_json("oracle", model("fig1_left.json"),
                             model("fig1_right.json"), "--depth", "4")
+    assert code == 1 and report["result"] is False
+
+
+def test_oracle_pair_universe_is_capped():
+    # Each depth-6 unfolding of the two squares has 9 nodes, well under the
+    # cap, and their pair universe has 36 pairs.
+    left, right = model("fig1_left.json"), model("fig1_right.json")
+    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "20")
+    assert code == 3 and report == {
+        "result": "cap-exceeded",
+        "error": "the oracle's pair universe exceeded 20 pairs: "
+                 "24 reached at dimension 1"}
+    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "35")
+    assert code == 3 and "36 reached at dimension 1" in report["error"]
+    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "36")
     assert code == 1 and report["result"] is False
 
 
@@ -459,3 +476,37 @@ def test_readme_examples_run(tmp_path, monkeypatch):
             assert report["counterexample"] == {"x1": "a", "y2": "ab", "k": 2}
     assert (tmp_path / "tree.json").exists()
     assert (tmp_path / "tree.projection.json").exists()
+
+
+# sha256 over "<x> <y> <exit code>\n" plus the stdout of every decision
+# below, one digest per subcommand and flag, recorded from a build known to
+# be right, so that a rewrite of the engine cannot change a byte unnoticed.
+_DECISION_DIGESTS = {
+    ("bisim", False):
+        "9b2ade28d3c84931e920b054d9c96ac87faa375a6fb04ff8dc483eaba772c55a",
+    ("bisim", True):
+        "2754d18721d8706d513f1ca380060882afe9eb19670d5ccbb88204f9f411e498",
+    ("hp-bisim", False):
+        "744795bcbd57f6c4da20867237912f8466b9b91b58bf7cc4f24c1b254fca5589",
+    ("hp-bisim", True):
+        "010b12b2f66ec9f36450dbb5d514822a673dac5eb3caa70747e0103da18ff6a6",
+}
+
+
+def test_decisions_on_figure_models_keep_their_bytes():
+    """`bisim` and `hp-bisim` on every ordered pair of figure models, and
+    with `--labeled` on every ordered pair of labeled ones."""
+    names = sorted(p.name for p in MODELS.glob("*.json")
+                   if p.name != "inclusion.json")
+    labeled = {name for name in names
+               if hb.load_model(MODELS / name).labeling is not None}
+    assert len(names) == 8 and len(labeled) == 5
+    for (command, flag), expected in _DECISION_DIGESTS.items():
+        digest = hashlib.sha256()
+        for x, y in itertools.product(names, repeat=2):
+            if flag and not {x, y} <= labeled:
+                continue
+            code, text = run(command, model(x), model(y),
+                             *(["--labeled"] if flag else []))
+            digest.update(f"{x} {y} {code}\n".encode() + text.encode())
+        assert digest.hexdigest() == expected, (command, flag)

@@ -21,7 +21,7 @@ from hdabisim.generators import grid_labeling, random_hda
 from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS
 
 from conftest import MODELS, model_dict, mutate_model_dict
-from test_bisim import (_blocks, _forward_reference, _naive_refine,
+from test_bisim import (_blocks, _forward_reference, _naive_refine, _named,
                         _torus_labeling)
 
 
@@ -417,15 +417,16 @@ def _refine_error_ref(hda):
 
 
 def test_refine_on_the_int_view_matches_string_interning():
-    from hdabisim.bisim import _refine
+    from hdabisim.bisim import _refine, _seed
 
     rng = random.Random(808)
     outcomes = set()
     for hda, labeling in _seeded_models():
         for x, lx in [_mutant(rng, hda, labeling) for _ in range(4)]:
             expected = _refine_error_ref(x)
+            sides = ((x, None), (x, None))
             try:
-                *blocks, rounds = _refine(x, x, None, None)
+                blocks, rounds = _refine(_seed(sides))
             except ModelError as exc:
                 assert str(exc) == expected
                 outcomes.add("error")
@@ -434,7 +435,8 @@ def test_refine_on_the_int_view_matches_string_interning():
             *naive, _naive_rounds = _naive_refine(x, x)
             *_seeded, seeded_rounds = _naive_refine(
                 x, x, seed=_forward_reference(x, x))
-            assert (_blocks(*blocks), rounds) == (_blocks(*naive), seeded_rounds)
+            assert (_blocks(*_named(sides, blocks)), rounds) == (
+                _blocks(*naive), seeded_rounds)
             outcomes.add("refined")
     assert outcomes == {"error", "refined"}
 

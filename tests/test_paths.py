@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdabisim as hb
-from hdabisim import CubePath, EventSet, PrecubicalSet
+from hdabisim import CubePath, EventSet, ModelError, PrecubicalSet
 from hdabisim.generators import random_hda, random_pointed_path
 
 from conftest import square_homotopy_chain
@@ -282,6 +282,18 @@ def test_path_object_rejects_hollow_square(fig1_right):
 def test_path_object_rejects_self_loop():
     space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("v",))})
     assert not hb.is_path_object(space).ok
+
+
+def test_path_object_rejects_a_face_that_names_no_cube():
+    # The dangling face is reported as the other walks report it, whether
+    # it is a face of an entry or a deeper iterated face.
+    dangling_upper = {"v": (0, (), ()), "e": (1, ("v",), ("zz",))}
+    dangling_corner = {
+        "v": (0, (), ()), "w": (0, (), ()), "a": (1, ("v",), ("w",)),
+        "b": (1, ("v",), ("zz",)), "s": (2, ("a", "b"), ("b", "a"))}
+    for rows in (dangling_upper, dangling_corner):
+        with pytest.raises(ModelError, match="unknown cube id 'zz'"):
+            hb.is_path_object(PrecubicalSet(rows))
 
 
 def test_enumerate_pointed_paths_fig5(fig5_x):
