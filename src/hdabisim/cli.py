@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Every request takes one path through `main`: parse the arguments, load every
+model file the subcommand declares in `_COMMANDS`, validate the models in
+order (`validate` reports on its model instead), run the subcommand, and
+hand its report to `_emit`, which prints it and maps its result to the exit
+code.  A failure on the way is printed as one JSON line, also under
+`--pretty`, with its exit code from the same table.
+
 Exit codes: 0 = property holds / validation ok, 1 = property fails,
 2 = input error, 3 = resource cap exceeded (including `inconclusive` and
 `exhausted` verdicts, which stop at a configured bound), 4 = internal error
@@ -11,7 +18,8 @@ Reports are JSON on stdout; `--pretty` switches to human-readable lines.
 `--cap` bounds the homotopy classes built by `unfold`, `is-tree` and
 `oracle`, the node pairs `oracle` starts from, and the paths enumerated by
 `homotopic` and `paths`; `paths` and the pairs of `oracle` stop with exit 3
-(`cap-exceeded`) as soon as their count passes the cap.
+(`cap-exceeded`) as soon as their count passes the cap.  `torus` has no
+`--cap`; the default cap bounds its cubes and its unfolding's nodes.
 `bisim`, `hp-bisim` and `oracle` take `--labeled` to relate only cubes with
 equal event labels; it requires labels in both models.  Environment variables
 `HDABISIM_CAP` and `HDABISIM_DEPTH` override the default cap and the
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -36,17 +45,36 @@ from .model_io import (LoadedModel, dump_id_map, dump_model, load_model,
                        model_to_dict)
 from .paths import (DEFAULT_CAP, EXHAUSTED, CubePath, enumerate_pointed_paths,
                     fan_shape_trace, is_cube_path, is_fan_shaped, t_measure)
-from .unfold import is_tree, unfold
+from .unfold import is_tree, torus_unfolding, unfold
+
+# The exit code of a report's result; any result not listed is exit 2.
+_EXIT_CODES = {True: 0, False: 1, "inconclusive": 3, EXHAUSTED: 3,
+               "error": 2, "cap-exceeded": 3, "internal-error": 4}
+
+# The options several subcommands take, each declared here once.
+_SHARED = {
+    "--labeled": {"action": "store_true",
+                  "help": "relate only cubes with equal event labels"},
+    "--depth": {"type": int},
+    "--cap": {"type": int},
+}
+
+# name -> (help, model files, shared options, own options, validate the
+# models first, runner), in the order `_command` registers them.
+_COMMANDS: dict[str, tuple] = {}
+_XY = ("fileX", "fileY")
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ModelError(f"environment variable {name} must be an integer")
+def _command(name: str, help_text: str, files: tuple[str, ...] = ("file",),
+             shared: tuple[str, ...] = (), own: dict | None = None,
+             checked: bool = True):
+    """Register a runner: `runner(args, *models)` gets one loaded model per
+    file in `files`, validated unless `checked` is false, and returns its
+    report."""
+    def register(runner):
+        _COMMANDS[name] = (help_text, files, shared, own or {}, checked, runner)
+        return runner
+    return register
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,77 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "sets and decide history-preserving bisimilarity.",
         epilog="--cap counts homotopy classes for unfold, is-tree and oracle, "
                "node pairs for oracle, and paths for homotopic and paths.  "
-               "--labeled (bisim, "
-               "hp-bisim, oracle) needs labels in both models.  Environment: "
-               "HDABISIM_CAP overrides the default cap (100000); "
-               "HDABISIM_DEPTH supplies a default for --depth where it is "
-               "omitted.")
+               "--labeled (bisim, hp-bisim, oracle) needs labels in both "
+               "models.  Environment: HDABISIM_CAP overrides the default cap "
+               "(100000), which also bounds torus; HDABISIM_DEPTH supplies a "
+               "default for --depth where it is omitted.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, files, shared, own, _, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")
-        return sp
-
-    sp = cmd("validate", "check a model file for structural validity")
-    sp.add_argument("file")
-
-    sp = cmd("reachable", "list the cubes reachable from the initial cube")
-    sp.add_argument("file")
-
-    sp = cmd("paths", "enumerate pointed cube paths up to a length bound")
-    sp.add_argument("file")
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=None)
-
-    sp = cmd("homotopic", "decide homotopy of two cube paths")
-    sp.add_argument("file")
-    sp.add_argument("--path", action="append", required=True,
-                    help="comma-separated cube ids; give exactly twice")
-    sp.add_argument("--cap", type=int, default=None)
-
-    sp = cmd("fan", "rewrite a pointed cube path into its fan shape")
-    sp.add_argument("file")
-    sp.add_argument("--path", required=True, help="comma-separated cube ids")
-
-    sp = cmd("unfold", "unfold a model into a higher-dimensional tree")
-    sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--out", default=None,
-                    help="write the tree model here (plus a .projection.json sidecar)")
-    sp.add_argument("--cap", type=int, default=None)
-
-    sp = cmd("is-tree", "check the bounded higher-dimensional tree property")
-    sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-
-    sp = cmd("open-map", "check the zig-zag lifting property of a cube map")
-    sp.add_argument("fileX")
-    sp.add_argument("fileY")
-    sp.add_argument("--map", required=True, dest="map_file",
-                    help="JSON object mapping source cube ids to target ids")
-
-    for name in ("bisim", "hp-bisim"):
-        sp = cmd(name, "decide (hp-)bisimilarity of two models")
-        sp.add_argument("fileX")
-        sp.add_argument("fileY")
-        sp.add_argument("--labeled", action="store_true")
-
-    sp = cmd("oracle", "run-based cross-check on bounded unfoldings")
-    sp.add_argument("fileX")
-    sp.add_argument("fileY")
-    sp.add_argument("--labeled", action="store_true")
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-
-    sp = cmd("torus", "build an event torus (and optionally its unfolding)")
-    sp.add_argument("--events", required=True,
-                    help="comma-separated event names; empty for the trivial torus")
-    sp.add_argument("--maxdim", type=int, required=True)
-    sp.add_argument("--unfold-depth", type=int, default=None)
+        for file in files:
+            sp.add_argument(file)
+        for flag, spec in [*own.items(), *((f, _SHARED[f]) for f in shared)]:
+            sp.add_argument(flag, **spec)
     return parser
 
 
@@ -137,34 +108,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _pretty(report: dict, out) -> None:
-    for key, value in report.items():
-        if isinstance(value, (list, dict)):
-            value = json.dumps(value)
-        print(f"{key}: {value}", file=out)
-
-
 def _emit(report: dict, pretty: bool, out) -> int:
     if pretty:
-        _pretty(report, out)
+        for key, value in report.items():
+            if isinstance(value, (list, dict)):
+                value = json.dumps(value)
+            print(f"{key}: {value}", file=out)
     else:
         print(json.dumps(report), file=out)
-    result = report.get("result")
-    if result is True:
-        return 0
-    if result is False:
-        return 1
-    if result in ("inconclusive", EXHAUSTED):
-        return 3
-    return 2
-
-
-def _require_valid(loaded: LoadedModel, path: str) -> None:
-    report = validate_model(loaded.hda, loaded.labeling)
-    if not report.ok:
-        raise ModelError(
-            f"{path} is not a valid model: "
-            + "; ".join(v.detail for v in report.violations))
+    return _EXIT_CODES.get(report.get("result"), 2)
 
 
 def _parse_path(loaded: LoadedModel, raw: str) -> CubePath:
@@ -177,45 +129,53 @@ def _parse_path(loaded: LoadedModel, raw: str) -> CubePath:
     return CubePath(loaded.hda.space, seq)
 
 
-def _depth_arg(args) -> int:
-    depth = args.depth if args.depth is not None else _env_int("HDABISIM_DEPTH", None)
-    if depth is None:
-        raise ModelError("--depth is required (or set HDABISIM_DEPTH)")
-    if depth < 1:
-        raise ModelError("depth must be >= 1")
-    return depth
+def _bound(args, name: str) -> int:
+    """`--depth` or `--cap`, else the environment variable HDABISIM_DEPTH or
+    HDABISIM_CAP, else the default cap (depth has none); at least 1."""
+    value, env = getattr(args, name, None), f"HDABISIM_{name.upper()}"
+    if value is None and env in os.environ:
+        try:
+            value = int(os.environ[env])
+        except ValueError:
+            raise ModelError(f"environment variable {env} must be an integer")
+    if value is None and name == "cap":
+        value = DEFAULT_CAP
+    if value is None:
+        raise ModelError(f"--{name} is required (or set {env})")
+    if value < 1:
+        raise ModelError(f"{name} must be >= 1")
+    return value
 
 
-def _cap_arg(args) -> int:
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        cap = _env_int("HDABISIM_CAP", DEFAULT_CAP)
-    if cap < 1:
-        raise ModelError("cap must be >= 1")
-    return cap
+def _labelings(args, lx: LoadedModel, ly: LoadedModel) -> tuple:
+    """The two models' labelings under --labeled, else (None, None)."""
+    if not args.labeled:
+        return None, None
+    if lx.labeling is None or ly.labeling is None:
+        raise ModelError("--labeled requires events/labels in both models")
+    return lx.labeling, ly.labeling
 
 
-def _run_validate(args, out) -> int:
-    loaded = load_model(args.file)
+@_command("validate", "check a model file for structural validity",
+          checked=False)
+def _run_validate(args, loaded: LoadedModel) -> dict:
     report = validate_model(loaded.hda, loaded.labeling).to_json()
     report["file"] = args.file
-    return _emit(report, args.pretty, out)
+    return report
 
 
-def _run_reachable(args, out) -> int:
-    loaded = load_model(args.file)
-    _require_valid(loaded, args.file)
+@_command("reachable", "list the cubes reachable from the initial cube")
+def _run_reachable(args, loaded: LoadedModel) -> dict:
     cubes = sorted(reachable(loaded.hda))
-    return _emit({"result": True, "reachable": cubes, "count": len(cubes)},
-                 args.pretty, out)
+    return {"result": True, "reachable": cubes, "count": len(cubes)}
 
 
-def _run_paths(args, out) -> int:
-    loaded = load_model(args.file)
-    _require_valid(loaded, args.file)
+@_command("paths", "enumerate pointed cube paths up to a length bound",
+          shared=("--cap",), own={"--max-len": {"type": int, "required": True}})
+def _run_paths(args, loaded: LoadedModel) -> dict:
     if args.max_len < 1:
         raise ModelError("--max-len must be >= 1")
-    cap = _cap_arg(args)
+    cap = _bound(args, "cap")
     paths = []
     # The enumeration streams, so the count is checked while each layer is
     # built and nothing past the cap is held.
@@ -224,30 +184,29 @@ def _run_paths(args, out) -> int:
             raise CapExceeded(f"more than {cap} pointed paths of length "
                               f"<= {args.max_len}")
         paths.append(path.to_json())
-    return _emit({"result": True, "paths": paths, "count": len(paths)},
-                 args.pretty, out)
+    return {"result": True, "paths": paths, "count": len(paths)}
 
 
-def _run_homotopic(args, out) -> int:
+@_command("homotopic", "decide homotopy of two cube paths", shared=("--cap",),
+          own={"--path": {"action": "append", "required": True,
+                          "help": "comma-separated cube ids; give exactly twice"}})
+def _run_homotopic(args, loaded: LoadedModel) -> dict:
     from .paths import are_homotopic
 
-    loaded = load_model(args.file)
-    _require_valid(loaded, args.file)
     if len(args.path) != 2:
         raise ModelError("give --path exactly twice")
     rho, sigma = (_parse_path(loaded, raw) for raw in args.path)
-    cap = _cap_arg(args)
-    verdict = are_homotopic(rho, sigma, cap=cap)
-    return _emit({"result": verdict, "cap": cap}, args.pretty, out)
+    cap = _bound(args, "cap")
+    return {"result": are_homotopic(rho, sigma, cap=cap), "cap": cap}
 
 
-def _run_fan(args, out) -> int:
-    loaded = load_model(args.file)
-    _require_valid(loaded, args.file)
+@_command("fan", "rewrite a pointed cube path into its fan shape",
+          own={"--path": {"required": True, "help": "comma-separated cube ids"}})
+def _run_fan(args, loaded: LoadedModel) -> dict:
     rho = _parse_path(loaded, args.path)
     trace = fan_shape_trace(rho)
     result = trace[-1][-1] if trace else rho
-    return _emit({
+    return {
         "result": True,
         "fan": result.to_json(),
         "already_fan_shaped": not trace,
@@ -255,13 +214,15 @@ def _run_fan(args, out) -> int:
         "t_before": t_measure(rho),
         "t_after": t_measure(result),
         "fan_shaped": is_fan_shaped(result),
-    }, args.pretty, out)
+    }
 
 
-def _run_unfold(args, out) -> int:
-    loaded = load_model(args.file)
-    _require_valid(loaded, args.file)
-    unfolding = unfold(loaded.hda, _depth_arg(args), cap=_cap_arg(args))
+@_command("unfold", "unfold a model into a higher-dimensional tree",
+          shared=("--depth", "--cap"),
+          own={"--out": {"help": "write the tree model here (plus a "
+                         ".projection.json sidecar)"}})
+def _run_unfold(args, loaded: LoadedModel) -> dict:
+    unfolding = unfold(loaded.hda, _bound(args, "depth"), cap=_bound(args, "cap"))
     report = {
         "result": True,
         "depth": unfolding.depth,
@@ -275,22 +236,22 @@ def _run_unfold(args, out) -> int:
         dump_id_map(unfolding.projection_table(), sidecar)
         report["out"] = args.out
         report["projection"] = sidecar
-    return _emit(report, args.pretty, out)
+    return report
 
 
-def _run_is_tree(args, out) -> int:
-    loaded = load_model(args.file)
-    _require_valid(loaded, args.file)
-    depth = _depth_arg(args)
-    verdict = is_tree(loaded.hda, depth, cap=_cap_arg(args))
-    return _emit({"result": verdict, "depth": depth}, args.pretty, out)
+@_command("is-tree", "check the bounded higher-dimensional tree property",
+          shared=("--depth", "--cap"))
+def _run_is_tree(args, loaded: LoadedModel) -> dict:
+    depth = _bound(args, "depth")
+    return {"result": is_tree(loaded.hda, depth, cap=_bound(args, "cap")),
+            "depth": depth}
 
 
-def _run_open_map(args, out) -> int:
-    lx = load_model(args.fileX)
-    ly = load_model(args.fileY)
-    _require_valid(lx, args.fileX)
-    _require_valid(ly, args.fileY)
+@_command("open-map", "check the zig-zag lifting property of a cube map",
+          files=_XY, own={"--map": {"required": True, "dest": "map_file",
+                                    "help": "JSON object mapping source cube "
+                                            "ids to target ids"}})
+def _run_open_map(args, lx: LoadedModel, ly: LoadedModel) -> dict:
     try:
         with open(args.map_file, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -304,74 +265,58 @@ def _run_open_map(args, out) -> int:
         source_initial=lx.hda.initial, target_initial=ly.hda.initial)
     if not check_morphism(morphism):
         raise ModelError("the map is not a pointed precubical morphism")
-    result = open_map_check(morphism, lx.hda, ly.hda)
-    report = result.to_json()
-    return _emit(report, args.pretty, out)
+    return open_map_check(morphism, lx.hda, ly.hda).to_json()
 
 
-def _require_labels(lx: LoadedModel, ly: LoadedModel) -> None:
-    if lx.labeling is None or ly.labeling is None:
-        raise ModelError("--labeled requires events/labels in both models")
-
-
-def _run_bisim(args, out, hp: bool) -> int:
-    lx = load_model(args.fileX)
-    ly = load_model(args.fileY)
-    _require_valid(lx, args.fileX)
-    _require_valid(ly, args.fileY)
+@_command("bisim", "decide (hp-)bisimilarity of two models", files=_XY,
+          shared=("--labeled",))
+def _run_bisim(args, lx: LoadedModel, ly: LoadedModel) -> dict:
+    x_labels, y_labels = _labelings(args, lx, ly)
     if args.labeled:
-        _require_labels(lx, ly)
-        if hp:
-            decision = hp_bisimilar(lx.hda, ly.hda, lx.labeling, ly.labeling)
-        else:
-            decision = labeled_bisimilar(lx.hda, lx.labeling, ly.hda, ly.labeling)
-    else:
-        decision = hp_bisimilar(lx.hda, ly.hda) if hp else bisimilar(lx.hda, ly.hda)
-    return _emit(decision.to_json(), args.pretty, out)
+        return labeled_bisimilar(lx.hda, x_labels, ly.hda, y_labels).to_json()
+    return bisimilar(lx.hda, ly.hda).to_json()
 
 
-def _run_oracle(args, out) -> int:
-    lx = load_model(args.fileX)
-    ly = load_model(args.fileY)
-    _require_valid(lx, args.fileX)
-    _require_valid(ly, args.fileY)
-    if args.labeled:
-        _require_labels(lx, ly)
-        decision = hp_oracle(lx.hda, ly.hda, _depth_arg(args), lx=lx.labeling,
-                             ly=ly.labeling, cap=_cap_arg(args))
-    else:
-        decision = hp_oracle(lx.hda, ly.hda, _depth_arg(args), cap=_cap_arg(args))
-    return _emit(decision.to_json(), args.pretty, out)
+@_command("hp-bisim", "decide (hp-)bisimilarity of two models", files=_XY,
+          shared=("--labeled",))
+def _run_hp_bisim(args, lx: LoadedModel, ly: LoadedModel) -> dict:
+    return hp_bisimilar(lx.hda, ly.hda, *_labelings(args, lx, ly)).to_json()
 
 
-def _run_torus(args, out) -> int:
-    names = tuple(n for n in args.events.split(",") if n)
+@_command("oracle", "run-based cross-check on bounded unfoldings", files=_XY,
+          shared=("--labeled", "--depth", "--cap"))
+def _run_oracle(args, lx: LoadedModel, ly: LoadedModel) -> dict:
+    labelings = _labelings(args, lx, ly)  # reported before a bad depth or cap
+    return hp_oracle(lx.hda, ly.hda, _bound(args, "depth"), *labelings,
+                     cap=_bound(args, "cap")).to_json()
+
+
+@_command("torus", "build an event torus (and optionally its unfolding)",
+          files=(), own={
+              "--events": {"required": True, "help": "comma-separated event "
+                           "names; empty for the trivial torus"},
+              "--maxdim": {"type": int, "required": True},
+              "--unfold-depth": {"type": int}})
+def _run_torus(args) -> dict:
     if args.maxdim < 0:
         raise ModelError("--maxdim must be >= 0")
-    hda, labeling = torus_hda(EventSet(names), args.maxdim)
-    report = {"result": True, "torus": model_to_dict(hda, labeling)}
-    if args.unfold_depth is not None:
-        from .unfold import torus_unfolding
-
-        if args.unfold_depth < 1:
-            raise ModelError("--unfold-depth must be >= 1")
-        report["unfolding"] = model_to_dict(
-            torus_unfolding(EventSet(names), args.unfold_depth, args.maxdim))
-    return _emit(report, args.pretty, out)
-
-
-_RUNNERS = {
-    "validate": _run_validate,
-    "reachable": _run_reachable,
-    "paths": _run_paths,
-    "homotopic": _run_homotopic,
-    "fan": _run_fan,
-    "unfold": _run_unfold,
-    "is-tree": _run_is_tree,
-    "open-map": _run_open_map,
-    "oracle": _run_oracle,
-    "torus": _run_torus,
-}
+    events = EventSet(tuple(n for n in args.events.split(",") if n))
+    cap = _bound(args, "cap")
+    try:
+        # The torus has one cube per multiset of at most maxdim events.
+        cubes = math.comb(len(events) + args.maxdim, args.maxdim)
+        if cubes > cap:
+            raise CapExceeded(f"the torus has {cubes} cubes, more than {cap}")
+        report = {"result": True,
+                  "torus": model_to_dict(*torus_hda(events, args.maxdim))}
+        if args.unfold_depth is not None:
+            if args.unfold_depth < 1:
+                raise ModelError("--unfold-depth must be >= 1")
+            report["unfolding"] = model_to_dict(torus_unfolding(
+                events, args.unfold_depth, args.maxdim, cap=cap))
+    except CapExceeded as exc:
+        raise CapExceeded(f"{exc}; HDABISIM_CAP overrides the default cap")
+    return report
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -381,22 +326,28 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the input-error code.
         return 2 if exc.code not in (0, None) else 0
+    _, files, _, _, checked, runner = _COMMANDS[args.command]
     try:
-        if args.command in ("bisim", "hp-bisim"):
-            return _run_bisim(args, out, hp=args.command == "hp-bisim")
-        return _RUNNERS[args.command](args, out)
+        paths = [getattr(args, file) for file in files]
+        models = [load_model(path) for path in paths]
+        for path, loaded in zip(paths, models if checked else ()):
+            report = validate_model(loaded.hda, loaded.labeling)
+            if not report.ok:
+                raise ModelError(
+                    f"{path} is not a valid model: "
+                    + "; ".join(v.detail for v in report.violations))
+        return _emit(runner(args, *models), args.pretty, out)
     except ModelError as exc:
-        print(json.dumps({"result": "error", "error": str(exc)}), file=out)
-        return 2
+        failure = {"result": "error", "error": str(exc)}
     except CapExceeded as exc:
-        print(json.dumps({"result": "cap-exceeded", "error": str(exc)}), file=out)
-        return 3
+        failure = {"result": "cap-exceeded", "error": str(exc)}
     except Exception as exc:
         # Exit 1 means "property fails"; a crash must not look like that.
         traceback.print_exc(file=sys.stderr)
-        print(json.dumps({"result": "internal-error",
-                          "error": f"{type(exc).__name__}: {exc}"}), file=out)
-        return 4
+        failure = {"result": "internal-error",
+                   "error": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps(failure), file=out)
+    return _EXIT_CODES[failure["result"]]
 
 
 def entry() -> None:

@@ -410,6 +410,9 @@ def validate_model(hda: HDA, labeling: Labeling | None = None) -> ValidationRepo
             "initial-dimension", hda.initial,
             f"initial cube {hda.initial!r} has dimension "
             f"{hda.space.dim(hda.initial)}, expected 0", {}))
+    for x in sorted(c for c in hda.space.frontier if c not in hda.space):
+        report.violations.append(Violation(
+            "frontier-unknown", x, f"frontier cube {x!r} does not exist", {}))
     if labeling is not None:
         report.violations.extend(validate_labeling(hda, labeling).violations)
     return report
@@ -583,7 +586,8 @@ def torus(events: EventSet, maxdim: int) -> tuple[PrecubicalSet, Labeling]:
     rows: dict[str, Row] = {}
     assign: dict[str, tuple[int, ...]] = {}
     indices = range(1, len(events) + 1)
-    for n in range(0, maxdim + 1):
+    # Without events there is no cube above dimension 0.
+    for n in range(0, (maxdim if len(events) else 0) + 1):
         for tup in itertools.combinations_with_replacement(indices, n):
             names = tuple(events.name(i) for i in tup)
             cid = torus_cube_id(names)

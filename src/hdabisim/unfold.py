@@ -258,9 +258,12 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
                 cut = True
         if m == depth and (cut or view.cofaces[end]):
             frontier.add(ids[c])
+        if ids[c] in rows:
+            raise ModelError(
+                f"two homotopy classes share the node id {ids[c]!r}; "
+                "cube ids containing '/' cannot be unfolded")
         rows[ids[c]] = (n, tuple(faces), tuple(ups))
 
-    # Node ids name distinct classes, so no row is overwritten.
     tree_space = PrecubicalSet(rows, frontier)
     tree = HDA(tree_space, ids[0])
     projection = PrecubicalMorphism(
@@ -316,8 +319,8 @@ def lift_path(unfolding: Unfolding, start: str, sigma: CubePath) -> CubePath:
     return CubePath(unfolding.tree.space, tuple(out))
 
 
-def torus_unfolding(events: EventSet, depth: int,
-                    maxdim: int | None = None) -> HDA:
+def torus_unfolding(events: EventSet, depth: int, maxdim: int | None = None,
+                    cap: int = DEFAULT_CAP) -> HDA:
     """The closed-form unfolding of the event torus, truncated at `depth`.
 
     A homotopy class of pointed paths in the torus is fixed by its end cube
@@ -346,7 +349,8 @@ def torus_unfolding(events: EventSet, depth: int,
     None to the same for any maxdim >= depth, frontier included.  The
     isomorphism is the key itself: it sends each tree node, whose
     representative path ends in x and started the events c (in start order
-    when below dimension 2), to ``<x>@<m>:<c>``.
+    when below dimension 2), to ``<x>@<m>:<c>``.  Raises CapExceeded past
+    `cap` nodes.
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
@@ -366,8 +370,8 @@ def torus_unfolding(events: EventSet, depth: int,
     rows: dict[str, Row] = {}
     frontier: set[str] = set()
     # A history of size s keeps a node only if 2s - n <= depth - 1 for some
-    # n <= min(s, top); no larger size does.
-    for size in range(min(depth, (depth + top + 1) // 2) if top else 1):
+    # n <= min(s, top); no larger size does, and without events none but 0.
+    for size in range(min(depth, (depth + top + 1) // 2) if top and len(events) else 1):
         histories = (itertools.product(events.names, repeat=size) if ordered
                      else itertools.combinations_with_replacement(events.names, size))
         for c in histories:
@@ -383,6 +387,9 @@ def torus_unfolding(events: EventSet, depth: int,
                     upper = tuple(None if cut else node_id(f, c) for f in faces)
                     if cut and (n or (n < top and len(events))):
                         frontier.add(nid)
+                    if len(rows) == cap:
+                        raise CapExceeded(f"more than {cap} nodes in the torus "
+                                          f"unfolding within depth {depth}")
                     rows[nid] = (n, lower, upper)
     return HDA(PrecubicalSet(rows, frontier), node_id((), ()))
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ import hdabisim as hb
 from hdabisim.cli import main
 from hdabisim.generators import grid_hda
 
-from conftest import MODELS, json_dump_ref, model_dict_ref
+from conftest import MODELS, json_dump_ref, model_dict, model_dict_ref
 
 
 def run(*argv):
@@ -301,18 +302,27 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
-_OPEN_MAP = ("open-map", model("fig1_right.json"), model("fig1_left.json"),
-             "--map", "MAP")
+@pytest.fixture
+def in_models_copy(tmp_path, monkeypatch):
+    """Work in a directory holding a copy of `models/`, so that reports name
+    relative paths and written files land next to the copy."""
+    shutil.copytree(MODELS, tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
-@pytest.mark.parametrize("argv, env, map_text", [
-    pytest.param(("unfold", model("fig3.json"), "--depth", "3", "--cap", "0"),
+_FIG3 = "models/fig3.json"
+_OPEN_MAP = ("open-map", "models/fig1_right.json", "models/fig1_left.json",
+             "--map", "map.json")
+# (argv, environment, text of map.json or None for no map file)
+_INPUT_ERRORS = [
+    pytest.param(("unfold", _FIG3, "--depth", "3", "--cap", "0"),
                  {}, None, id="cap-zero"),
-    pytest.param(("is-tree", model("fig3.json"), "--depth", "3"),
+    pytest.param(("is-tree", _FIG3, "--depth", "3"),
                  {"HDABISIM_CAP": "abc"}, None, id="cap-env-not-an-integer"),
-    pytest.param(("paths", model("fig3.json"), "--max-len", "0"),
+    pytest.param(("paths", _FIG3, "--max-len", "0"),
                  {}, None, id="paths-max-len-zero"),
-    pytest.param(("homotopic", model("fig3.json"), "--path", "i,a,x,b,bc,c,z,d"),
+    pytest.param(("homotopic", _FIG3, "--path", "i,a,x,b,bc,c,z,d"),
                  {}, None, id="homotopic-one-path"),
     pytest.param(_OPEN_MAP, {}, None, id="open-map-missing-file"),
     pytest.param(_OPEN_MAP, {}, '["i"]', id="open-map-not-an-object"),
@@ -324,15 +334,27 @@ _OPEN_MAP = ("open-map", model("fig1_right.json"), model("fig1_left.json"),
                  {}, None, id="torus-negative-maxdim"),
     pytest.param(("torus", "--events", "a", "--maxdim", "1",
                   "--unfold-depth", "0"), {}, None, id="torus-unfold-depth-zero"),
-])
-def test_input_errors_exit_2_with_one_report(argv, env, map_text, tmp_path,
-                                             monkeypatch):
-    map_file = tmp_path / "map.json"
+]
+
+
+def _run_case(monkeypatch, argv, env=None, map_text=None):
+    """Run `argv` in the current directory with `env` set and, unless
+    `map_text` is None, a `map.json` holding it."""
+    map_file = Path("map.json")
     if map_text is not None:
-        map_file.write_text(map_text)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    code, text = run(*(str(map_file) if arg == "MAP" else arg for arg in argv))
+        map_file.write_text(map_text, encoding="utf-8")
+    with monkeypatch.context() as patch:
+        for name, value in (env or {}).items():
+            patch.setenv(name, value)
+        result = run(*argv)
+    map_file.unlink(missing_ok=True)
+    return result
+
+
+@pytest.mark.parametrize("argv, env, map_text", _INPUT_ERRORS)
+def test_input_errors_exit_2_with_one_report(argv, env, map_text, in_models_copy,
+                                             monkeypatch):
+    code, text = _run_case(monkeypatch, argv, env, map_text)
     assert code == 2, text
     assert text.endswith("\n") and text.count("\n") == 1, text
     assert json.loads(text)["result"] == "error"
@@ -386,6 +408,50 @@ def test_internal_error_exit_code(monkeypatch):
     assert report["result"] == "internal-error"
     assert report["error"].startswith("RuntimeError: ")
     assert "forced problem" in report["error"]
+
+
+def test_torus_is_bounded_by_the_cap(monkeypatch):
+    argv = ("torus", "--events", "a,b", "--maxdim", "2")
+    monkeypatch.setenv("HDABISIM_CAP", "6")
+    assert run_json(*argv)[0] == 0
+    monkeypatch.setenv("HDABISIM_CAP", "5")
+    code, report = run_json(*argv)
+    assert code == 3 and report == {
+        "result": "cap-exceeded",
+        "error": "the torus has 6 cubes, more than 5; "
+                 "HDABISIM_CAP overrides the default cap"}
+    # The unfolding counts its nodes: 9 here, over 3 torus cubes.
+    argv = ("torus", "--events", "a,b", "--maxdim", "1", "--unfold-depth", "4")
+    monkeypatch.setenv("HDABISIM_CAP", "9")
+    assert run_json(*argv)[0] == 0
+    monkeypatch.setenv("HDABISIM_CAP", "8")
+    code, report = run_json(*argv)
+    assert code == 3 and report["result"] == "cap-exceeded"
+    assert "HDABISIM_CAP" in report["error"]
+    monkeypatch.delenv("HDABISIM_CAP")
+    # C(1004, 4), about 4.2e10 cubes, is refused before any is built.
+    code, report = run_json("torus", "--events", "a,b,c,d", "--maxdim", "1000")
+    assert code == 3 and "more than 100000" in report["error"]
+    code, report = run_json("torus", "--events", "", "--maxdim", str(10**9),
+                            "--unfold-depth", str(10**9))
+    assert code == 0 and len(report["unfolding"]["cubes"]) == 1
+
+
+def test_frontier_must_name_cubes(tmp_path):
+    data = json.loads((MODELS / "fig5_x.json").read_text())
+    data["frontier"] = ["ghost"]
+    ghost = tmp_path / "ghost.json"
+    ghost.write_text(json.dumps(data))
+    code, report = run_json("validate", str(ghost))
+    assert code == 1
+    assert [v["kind"] for v in report["violations"]] == ["frontier-unknown"]
+    for argv in (("reachable", str(ghost)), ("unfold", str(ghost), "--depth", "3"),
+                 ("bisim", model("fig5_x.json"), str(ghost)),
+                 ("oracle", str(ghost), str(ghost), "--depth", "3")):
+        code, report = run_json(*argv)
+        assert code == 2, argv
+        assert report["error"] == (f"{ghost} is not a valid model: "
+                                   "frontier cube 'ghost' does not exist")
 
 
 def test_torus_unfolding_respects_maxdim():
@@ -461,10 +527,7 @@ def _readme_cli_lines():
     return lines
 
 
-def test_readme_examples_run(tmp_path, monkeypatch):
-    # Run from a copy, so that `unfold --out` writes next to the copy.
-    shutil.copytree(MODELS, tmp_path / "models")
-    monkeypatch.chdir(tmp_path)
+def test_readme_examples_run(in_models_copy):
     lines = _readme_cli_lines()
     assert len(lines) >= 13
     for argv in lines:
@@ -474,8 +537,8 @@ def test_readme_examples_run(tmp_path, monkeypatch):
         if argv[0] == "open-map":
             assert code == 1
             assert report["counterexample"] == {"x1": "a", "y2": "ab", "k": 2}
-    assert (tmp_path / "tree.json").exists()
-    assert (tmp_path / "tree.projection.json").exists()
+    assert (in_models_copy / "tree.json").exists()
+    assert (in_models_copy / "tree.projection.json").exists()
 
 
 # sha256 over "<x> <y> <exit code>\n" plus the stdout of every decision
@@ -493,9 +556,59 @@ _DECISION_DIGESTS = {
 }
 
 
-def test_decisions_on_figure_models_keep_their_bytes():
+# The same for groups of requests run in a copy of `models/`, over
+# "<argv> <exit code>\n" plus stdout; the README groups also hash the files
+# that `unfold --out` writes.
+_REQUEST_DIGESTS = {
+    "readme":
+        "00f57292edae7e19bcf1fa0a11b90ea7c2c0541f317d5499f1d3fe1cbcd76010",
+    "readme --pretty":
+        "18d487b72ac5138da4386f80b6ca1ed374df9632eb0cc1e254b09262d0e19a4a",
+    "input errors":
+        "f0c29b42470898e81d50f1f55bd69372c91d788953617a5cdcb64da421c93251",
+    "double faults":
+        "0061299f0d2243fb3bbbeadb850777b79e88d69ad45c9a30e1627ae50f739719",
+}
+# Two faults in one request; the report names the first one met.  Every
+# model file is loaded before any is validated, and the models are
+# validated before the subcommand reads its own options.  A failure stays
+# one JSON line under --pretty.
+_DOUBLE_FAULTS = (
+    ("bisim", "invalid.json", "missing.json"),
+    ("unfold", "invalid.json", "--depth", "0"),
+    ("oracle", "models/fig3.json", "invalid.json", "--depth", "0", "--pretty"),
+)
+
+
+def _request_digests(monkeypatch):
+    invalid = model_dict("fig2_square.json")
+    invalid["initial"] = "btm"
+    Path("invalid.json").write_text(json.dumps(invalid), encoding="utf-8")
+    readme = _readme_cli_lines()
+    groups = {
+        "readme": [(argv,) for argv in readme],
+        "readme --pretty": [([*argv, "--pretty"],) for argv in readme],
+        "input errors": [case.values for case in _INPUT_ERRORS],
+        "double faults": [(argv,) for argv in _DOUBLE_FAULTS],
+    }
+    digests = {}
+    for group, cases in groups.items():
+        digest = hashlib.sha256()
+        for case in cases:
+            code, text = _run_case(monkeypatch, *case)
+            digest.update(f"{' '.join(case[0])} {code}\n{text}".encode())
+        if group.startswith("readme"):
+            for name in ("tree.json", "tree.projection.json"):
+                digest.update(Path(name).read_bytes())
+        digests[group] = digest.hexdigest()
+    return digests
+
+
+def test_decisions_on_figure_models_keep_their_bytes(in_models_copy, monkeypatch):
     """`bisim` and `hp-bisim` on every ordered pair of figure models, and
-    with `--labeled` on every ordered pair of labeled ones."""
+    with `--labeled` on every ordered pair of labeled ones; then the groups
+    of `_REQUEST_DIGESTS`: every README line, plain and with --pretty,
+    every input error above, and the double faults."""
     names = sorted(p.name for p in MODELS.glob("*.json")
                    if p.name != "inclusion.json")
     labeled = {name for name in names
@@ -510,3 +623,4 @@ def test_decisions_on_figure_models_keep_their_bytes():
                              *(["--labeled"] if flag else []))
             digest.update(f"{x} {y} {code}\n".encode() + text.encode())
         assert digest.hexdigest() == expected, (command, flag)
+    assert _request_digests(monkeypatch) == _REQUEST_DIGESTS

@@ -304,6 +304,25 @@ def test_unfold_cap(fig1_left):
         hb.unfold(fig1_left.hda, 5, cap=1)
 
 
+def test_unfold_rejects_node_ids_that_collide():
+    # The classes of (i, a/b) and (i, a, b) would both be named "i/a/b".
+    rows = {"i": (0, (), ()), "b": (0, (), ()), "c": (0, (), ()),
+            "a": (1, ("i",), ("b",)), "a/b": (1, ("i",), ("c",))}
+    hda = hb.HDA(PrecubicalSet(rows), "i")
+    with pytest.raises(hb.ModelError, match="'i/a/b'"):
+        hb.unfold(hda, 3)
+    assert hb.unfold(hda, 2).tree.space.ids() == ("i", "i/a", "i/a/b")
+
+
+def test_torus_unfolding_cap():
+    events = EventSet(("a", "b"))
+    assert len(hb.torus_unfolding(events, 4, 1, cap=9).space) == 9
+    with pytest.raises(hb.CapExceeded, match="more than 8 nodes"):
+        hb.torus_unfolding(events, 4, 1, cap=8)
+    # Without events only the root exists, however deep or wide.
+    assert hb.torus_unfolding(EventSet(()), 10**9, 10**9).space.ids() == ("()@0",)
+
+
 def test_every_tree_node_is_reachable():
     rng = random.Random(910)
     for trial in range(6):
