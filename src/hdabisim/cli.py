@@ -4,22 +4,22 @@ Every request takes one path through `main`: parse the arguments, load every
 model file the subcommand declares in `_COMMANDS`, validate the models in
 order (`validate` reports on its model instead), run the subcommand, and
 hand its report to `_emit`, which prints it and maps its result to the exit
-code.  A failure on the way is printed as one JSON line, also under
-`--pretty`, with its exit code from the same table.
+code.  A failure on the way, usage errors included, is printed to the same
+output as one JSON line, also under `--pretty`, with its exit code from the
+same table; `--help` and `--version` print there too.
 
 Exit codes: 0 = property holds / validation ok, 1 = property fails,
-2 = input error, 3 = resource cap exceeded (including `inconclusive` and
-`exhausted` verdicts, which stop at a configured bound), 4 = internal error
-(a bug, such as a witness failing its audit), reported as
+2 = input error, 3 = resource cap exceeded (including an `inconclusive`
+verdict, which stops at the depth bound), 4 = internal error (a bug, such
+as a witness failing its audit), reported as
 ``{"result": "internal-error", "error": "<type>: <message>"}`` with the
 traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
-`--cap` bounds the homotopy classes built by `unfold`, `is-tree` and
-`oracle`, the node pairs `oracle` starts from, and the paths enumerated by
-`homotopic` and `paths`; `paths` and the pairs of `oracle` stop with exit 3
-(`cap-exceeded`) as soon as their count passes the cap.  `torus` has no
-`--cap`; the default cap bounds its cubes and its unfolding's nodes.
+`--cap` bounds the homotopy classes built by `unfold`, `is-tree`, `oracle`
+and `homotopic`, the node pairs `oracle` starts from, and the paths `paths`
+enumerates; past it each stops with exit 3 (`cap-exceeded`).  `torus` has
+no `--cap`; the default cap bounds its cubes and its unfolding's nodes.
 `bisim`, `hp-bisim` and `oracle` take `--labeled` to relate only cubes with
 equal event labels; it requires labels in both models.  Environment variables
 `HDABISIM_CAP` and `HDABISIM_DEPTH` override the default cap and the
@@ -29,6 +29,7 @@ default depth for subcommands that accept them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -43,13 +44,13 @@ from .core import (CapExceeded, EventSet, ModelError, PrecubicalMorphism,
                    check_morphism, reachable, torus_hda, validate_model)
 from .model_io import (LoadedModel, dump_id_map, dump_model, load_model,
                        model_to_dict)
-from .paths import (DEFAULT_CAP, EXHAUSTED, CubePath, enumerate_pointed_paths,
+from .paths import (DEFAULT_CAP, CubePath, enumerate_pointed_paths,
                     fan_shape_trace, is_cube_path, is_fan_shaped, t_measure)
 from .unfold import is_tree, torus_unfolding, unfold
 
 # The exit code of a report's result; any result not listed is exit 2.
-_EXIT_CODES = {True: 0, False: 1, "inconclusive": 3, EXHAUSTED: 3,
-               "error": 2, "cap-exceeded": 3, "internal-error": 4}
+_EXIT_CODES = {True: 0, False: 1, "inconclusive": 3, "error": 2,
+               "cap-exceeded": 3, "internal-error": 4}
 
 # The options several subcommands take, each declared here once.
 _SHARED = {
@@ -77,13 +78,23 @@ def _command(name: str, help_text: str, files: tuple[str, ...] = ("file",),
     return register
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error to stderr as argparse does, then raises it as
+    ModelError, so `main` reports it like any input error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise ModelError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdabisim",
         description="Model higher-dimensional automata as pointed precubical "
                     "sets and decide history-preserving bisimilarity.",
-        epilog="--cap counts homotopy classes for unfold, is-tree and oracle, "
-               "node pairs for oracle, and paths for homotopic and paths.  "
+        epilog="--cap counts homotopy classes for unfold, is-tree, oracle "
+               "and homotopic, node pairs for oracle, and paths for paths.  "
                "--labeled (bisim, hp-bisim, oracle) needs labels in both "
                "models.  Environment: HDABISIM_CAP overrides the default cap "
                "(100000), which also bounds torus; HDABISIM_DEPTH supplies a "
@@ -322,12 +333,10 @@ def _run_torus(args) -> dict:
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, matching the input-error code.
-        return 2 if exc.code not in (0, None) else 0
-    _, files, _, _, checked, runner = _COMMANDS[args.command]
-    try:
+        # --help and --version print to `out`, then exit 0.
+        with contextlib.redirect_stdout(out):
+            args = _parser().parse_args(argv)
+        _, files, _, _, checked, runner = _COMMANDS[args.command]
         paths = [getattr(args, file) for file in files]
         models = [load_model(path) for path in paths]
         for path, loaded in zip(paths, models if checked else ()):
@@ -337,6 +346,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
                     f"{path} is not a valid model: "
                     + "; ".join(v.detail for v in report.violations))
         return _emit(runner(args, *models), args.pretty, out)
+    except SystemExit:
+        return 0
     except ModelError as exc:
         failure = {"result": "error", "error": str(exc)}
     except CapExceeded as exc:

@@ -21,29 +21,26 @@ until it has to climb to the dimension of its end cube; fan shapes realize
 the minimum T = (n_m^2 + m - 1)/2 and `fan_shape` reaches one by rewrite
 iterations that each drop T by exactly 2.
 
-Adjacency, homotopy, homotopy classes and canonical representatives run on
-the int view of the space (`PrecubicalSet.indexed`): paths are translated
-to cube indices on entry and back to ids on exit, and the clauses read the
-view's face tables.  The view orders cubes by (dimension, id), but every
-order these functions expose stays by id: the closure tries the cubes
-between two path entries in id order, so its visiting order and what a cap
-cuts off are those of the id sequences, classes come out sorted by id and
+Homotopy classes have one engine, `_Quotient`, a union-find over the paths
+from one cube built one length at a time.  `unfold` and `is_tree` run it
+from the initial cube; the path queries run it from the path's first cube
+up to its length and follow the path to its class, so `cap` counts classes.
+The engine and the clauses read the int view (`PrecubicalSet.indexed`),
+which orders cubes by (dimension, id), but every order exposed here stays
+by id: steps are taken in id order, so classes come out sorted by id and
 the canonical representative is the lex-least id sequence.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
-from .core import HDA, CapExceeded, CubeIndex, ModelError, PrecubicalSet
+from .core import (HDA, UNKNOWN, CapExceeded, CubeIndex, ModelError,
+                   PrecubicalSet)
 
 DEFAULT_CAP = 100_000
-
-#: Returned by `are_homotopic` when the closure hit the cap before deciding.
-EXHAUSTED: Literal["exhausted"] = "exhausted"
 
 
 class CubePath:
@@ -94,9 +91,6 @@ class StepDiag:
     kind: str      # "lower-face-of-next" or "upper-face-of-previous"
     k: int
 
-    def to_json(self) -> dict:
-        return {"position": self.position, "kind": self.kind, "k": self.k}
-
 
 @dataclass
 class PathCheck:
@@ -106,13 +100,6 @@ class PathCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_json(self) -> dict:
-        return {
-            "result": self.ok,
-            "steps": [s.to_json() for s in self.steps],
-            "failure": self.failure,
-        }
 
 
 def _step(space: PrecubicalSet, a: str, b: str) -> StepDiag | None:
@@ -165,10 +152,6 @@ class AdjacencyInfo:
     k: int
     ell: int
     swapped: bool  # True when the second path played the leading role
-
-    def to_json(self) -> dict:
-        return {"clause": self.clause, "position": self.position,
-                "k": self.k, "ell": self.ell, "swapped": self.swapped}
 
 
 # The adjacency clauses, written once over the int view
@@ -285,99 +268,187 @@ def is_adjacent(rho: CubePath, sigma: CubePath) -> bool:
     return adjacency(rho, sigma) is not None
 
 
-def _between_candidates(view: CubeIndex, a: int, b: int) -> set[int]:
-    # Cubes c with valid steps a -> c -> b: a lower coface or an upper face
-    # of a that has b as an upper face or is a lower face of b.
-    upper, before_b = view.upper, view.lower[b]
-    after_a = {c for _k, c in view.cofaces[a]}
-    after_a.update(c for c in upper[a] if c >= 0)
-    return {c for c in after_a if c in before_b or b in upper[c]}
+class _Successors(dict):
+    """A cube's index -> the indices of the cubes one step after it, in
+    ascending id order: the sets `PrecubicalSet.successors` lists, read from
+    the int view as they are first asked for.  An upper face naming no cube
+    raises, as looking that id up does."""
+
+    def __init__(self, space: PrecubicalSet):
+        super().__init__()
+        self.space, self.view = space, space.indexed
+
+    def __missing__(self, i: int) -> tuple[int, ...]:
+        view = self.view
+        after = {j for _k, j in view.cofaces[i]}
+        for k, j in enumerate(view.upper[i]):
+            if j >= 0:
+                after.add(j)
+            elif j == UNKNOWN:
+                ref = self.space.row(view.ids[i])[2][k]
+                raise ModelError(f"unknown cube id {ref!r}")
+        out = self[i] = tuple(sorted(after, key=view.ids.__getitem__))
+        return out
 
 
-def _adjacent_seqs(view: CubeIndex, seq: tuple[int, ...],
-                   memo: dict[tuple[int, int, int], list[int]]
-                   ) -> list[tuple[int, ...]]:
-    # Adjacency at position p+1 reads only the cubes at p, p+1 and p+2, so
-    # the alternatives for each such triple are found once per closure, in
-    # id order.
-    out = []
-    ids = view.ids
-    for p in range(1, len(seq) - 1):
-        triple = seq[p - 1:p + 2]
-        alts = memo.get(triple)
-        if alts is None:
-            a, x, b = triple
-            alts = memo[triple] = [
-                c for c in sorted(_between_candidates(view, a, b),
-                                  key=ids.__getitem__)
-                if c != x and _adjacency_at(view, triple, (a, c, b), 2)
-                is not None]
-        for cand in alts:
-            out.append(seq[:p] + (cand,) + seq[p + 1:])
-    return out
+class _Quotient:
+    """Homotopy classes of the cube paths from one cube, built one length
+    at a time.
+
+    Adjacent paths differ at one interior position p.  So every class at
+    length L is a union of keys (C, y), the paths of a class C at length
+    L-1 extended by a step y, and two keys share a class exactly when a
+    chain of these merges joins them: for a class G at length L-2 ending
+    in g and two different steps a, a' after g, (child(G, a), y) and
+    (child(G, a'), y) merge when (g, a, y) and (g, a', y) are adjacent at
+    their middle (p = L-1; adjacency at p < L-1 stays inside one key).  The
+    lex-least member of a key is rep(C) + (y,), so keys are numbered in
+    lex order and every union-find group keeps its least key as its root:
+    the root's member is the class representative, and a layer's classes
+    come out sorted.
+
+    Paths are tuples of indices into the int view (`PrecubicalSet.indexed`),
+    which orders cubes by (dimension, id); steps are taken in id order, so
+    "lex" above is the order of the id sequences.  Classes are numbered
+    globally, layer by layer from class 0, the path (start,): `reps[c]` is
+    the representative of class c, `child[(c, y)]` the class of its
+    extension by y, and `via[c]` maps the end of each class whose extension
+    lies in c to the lex-least such class (the lower faces of c).
+    """
+
+    def __init__(self, space: PrecubicalSet, start: int, cap: int):
+        self.view = space.indexed
+        self.cap = cap
+        self.successors = _Successors(space)
+        self.reps: list[tuple[int, ...]] = [(start,)]
+        self.child: dict[tuple[int, int], int] = {}
+        self.via: list[dict[int, int]] = [{}]
+        self._merges: dict[int, list[tuple[int, int, int]]] = {}
+
+    def _merges_after(self, g: int) -> list[tuple[int, int, int]]:
+        """The (a, a', y) with (g, a, y) adjacent to (g, a', y)."""
+        hit = self._merges.get(g)
+        if hit is None:
+            view, successors = self.view, self.successors
+            hit = []
+            for a, b in itertools.combinations(successors[g], 2):
+                after_b = set(successors[b])
+                for y in successors[a]:
+                    if (y in after_b and _adjacency_at(
+                            view, (g, a, y), (g, b, y), 2) is not None):
+                        hit.append((a, b, y))
+            self._merges[g] = hit
+        return hit
+
+    def layers(self, depth: int) -> Iterator[list[int]]:
+        """The classes at lengths 1..depth, one sorted layer at a time,
+        stopping early at the first length with no class."""
+        reps, child, via = self.reps, self.child, self.via
+        successors = self.successors
+        grand: list[int] = []
+        layer = [0]
+        yield layer
+        for _length in range(2, depth + 1):
+            keys = [(c, y) for c in layer for y in successors[reps[c][-1]]]
+            if not keys:
+                return
+            index = {key: i for i, key in enumerate(keys)}
+            parent = list(range(len(keys)))
+
+            def find(i: int) -> int:
+                while parent[i] != i:  # path halving
+                    parent[i] = i = parent[parent[i]]
+                return i
+
+            for g in grand:
+                for a, b, y in self._merges_after(reps[g][-1]):
+                    i = find(index[child[g, a], y])
+                    j = find(index[child[g, b], y])
+                    if i < j:
+                        parent[j] = i
+                    elif j < i:
+                        parent[i] = j
+            cls: dict[int, int] = {}
+            nxt: list[int] = []
+            for i, (c, y) in enumerate(keys):
+                root = find(i)
+                if root == i:
+                    if len(reps) >= self.cap:
+                        raise CapExceeded(
+                            f"more than {self.cap} homotopy classes within "
+                            f"depth {depth}")
+                    cls[i] = len(reps)
+                    nxt.append(len(reps))
+                    reps.append(reps[c] + (y,))
+                    via.append({})
+                node = cls[root]
+                child[c, y] = node
+                via[node].setdefault(reps[c][-1], c)
+            grand, layer = layer, nxt
+            yield layer
 
 
-def _closure(view: CubeIndex, seq: tuple[int, ...], cap: int,
-             stop_at: tuple[int, ...] | None = None):
-    """BFS over adjacency.  Returns (found_stop, seen, capped)."""
-    seen = {seq}
-    queue = deque([seq])
-    memo: dict[tuple[int, int, int], list[int]] = {}
-    capped = False
-    while queue:
-        cur = queue.popleft()
-        for nxt in _adjacent_seqs(view, cur, memo):
-            if nxt in seen:
-                continue
-            if stop_at is not None and nxt == stop_at:
-                seen.add(nxt)
-                return True, seen, capped
-            if len(seen) >= cap:
-                capped = True
-                return False, seen, capped
-            seen.add(nxt)
-            queue.append(nxt)
-    return stop_at in seen if stop_at is not None else False, seen, capped
+def _classes(cap: int, *paths: CubePath) -> tuple[_Quotient, list[int]]:
+    """The quotient of the paths from the first cube of `paths` up to their
+    length, which they share, and the class of each path in it.  Each path
+    is followed through `child` as soon as a layer is built, so a broken
+    step raises ModelError before the next layer is built."""
+    view = paths[0].space.indexed
+    seqs = [_indices(view, path.seq) for path in paths]
+    quotient = _Quotient(paths[0].space, seqs[0][0], cap)
+    layers = quotient.layers(len(seqs[0]))
+    next(layers)
+    at = [0] * len(seqs)
+    for j in range(1, len(seqs[0])):
+        next(layers, None)
+        for n, seq in enumerate(seqs):
+            at[n] = quotient.child.get((at[n], seq[j]))
+            if at[n] is None:
+                raise ModelError(f"{paths[n]!r} is not a cube path; first "
+                                 f"broken step at position {j}")
+    return quotient, at
 
 
 def are_homotopic(rho: CubePath, sigma: CubePath,
-                  cap: int = DEFAULT_CAP) -> bool | Literal["exhausted"]:
-    """Decide homotopy by closing rho under adjacency until sigma appears,
-    the closure is complete, or `cap` distinct paths were enumerated."""
+                  cap: int = DEFAULT_CAP) -> bool:
+    """Whether the two paths end in one class of the paths from their first
+    cube up to their length (paths of different lengths or first cubes are
+    not homotopic); raises CapExceeded past `cap` classes."""
     if rho.space is not sigma.space:
         raise ModelError("homotopy requires paths in the same space")
-    if rho.seq == sigma.seq:
-        return True
-    if (len(rho) != len(sigma) or rho.start != sigma.start
-            or rho.end != sigma.end):
+    if len(rho) != len(sigma) or rho.start != sigma.start:
         return False
-    view = rho.space.indexed
-    found, _seen, capped = _closure(view, _indices(view, rho.seq), cap,
-                                    stop_at=_indices(view, sigma.seq))
-    if found:
-        return True
-    return EXHAUSTED if capped else False
-
-
-def _class_members(rho: CubePath, cap: int) -> list[tuple[str, ...]]:
-    """The id sequences of rho's homotopy class; raises CapExceeded."""
-    view = rho.space.indexed
-    _found, seen, capped = _closure(view, _indices(view, rho.seq), cap)
-    if capped:
-        raise CapExceeded(
-            f"homotopy class of {rho!r} exceeds the cap of {cap} paths")
-    ids = view.ids
-    return [tuple(map(ids.__getitem__, seq)) for seq in seen]
+    _quotient, (c, d) = _classes(cap, rho, sigma)
+    return c == d
 
 
 def homotopy_class(rho: CubePath, cap: int = DEFAULT_CAP) -> list[CubePath]:
-    """The full adjacency closure of rho, sorted; raises CapExceeded."""
-    return [CubePath(rho.space, s) for s in sorted(_class_members(rho, cap))]
+    """The members of rho's homotopy class, sorted; raises CapExceeded past
+    `cap` classes or `cap` members.  Each member is one chain of keys (C, y)
+    from the class (rho.start,) to rho's class, listed here from its end."""
+    quotient, (target,) = _classes(cap, rho)
+    keys: dict[int, list[tuple[int, int]]] = {}
+    for key, d in quotient.child.items():
+        keys.setdefault(d, []).append(key)
+    ids, members, stack = quotient.view.ids, [], [(target, ())]
+    while stack:
+        d, tail = stack.pop()
+        if d:
+            stack.extend((c, (ids[y],) + tail) for c, y in keys[d])
+        elif len(members) == cap:
+            raise CapExceeded(
+                f"homotopy class of {rho!r} exceeds the cap of {cap} paths")
+        else:
+            members.append((rho.start,) + tail)
+    return [CubePath(rho.space, seq) for seq in sorted(members)]
 
 
 def canonical_rep(rho: CubePath, cap: int = DEFAULT_CAP) -> CubePath:
-    """The lexicographically least member of rho's homotopy class."""
-    return CubePath(rho.space, min(_class_members(rho, cap)))
+    """The lexicographically least member of rho's homotopy class; raises
+    CapExceeded past `cap` classes."""
+    quotient, (c,) = _classes(cap, rho)
+    ids = quotient.view.ids
+    return CubePath(rho.space, tuple(map(ids.__getitem__, quotient.reps[c])))
 
 
 def t_measure(rho: CubePath) -> int:

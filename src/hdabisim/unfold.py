@@ -10,25 +10,21 @@ were cut off are flagged as the frontier and their upper faces are omitted.
 A truncation that cut nothing is *complete* and coincides with the full
 unfolding.
 
-The classes are built one path length at a time (`_Quotient`), without
-enumerating their members, and `cap` bounds how many classes are built; the
-layers stop at the first length with no class, so a depth past the longest
-path costs nothing more.  The quotient works on the int view of the base
-(`PrecubicalSet.indexed`) and takes steps in id order, so representatives
-and node ids are those of the id sequences; the tree, its node ids, the
-projection and the lifts are strings, converted once per class.
+The classes come from the one homotopy engine, `paths._Quotient`, run from
+the initial cube one path length at a time: `cap` bounds how many are built,
+and a depth past the longest path costs nothing more.  Representatives and
+node ids are its classes' id sequences, converted once per class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
-from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, EventSet,
-                   ModelError, PrecubicalMorphism, PrecubicalSet, Row,
-                   check_morphism, torus_cube_id)
-from .paths import DEFAULT_CAP, CubePath, _adjacency_at
+from .core import (HDA, OMITTED, CapExceeded, EventSet, ModelError,
+                   PrecubicalMorphism, PrecubicalSet, Row, check_morphism,
+                   torus_cube_id)
+from .paths import DEFAULT_CAP, CubePath, _Quotient, is_cube_path
 
 
 class DepthExceeded(ValueError):
@@ -93,130 +89,13 @@ class Unfolding:
         return {nid: self.nodes[nid].rep[-1] for nid in sorted(self.nodes)}
 
 
-class _Successors(dict):
-    """A cube's index -> the indices of the cubes one step after it, in
-    ascending id order: the sets `PrecubicalSet.successors` lists, read from
-    the int view as they are first asked for.  An upper face naming no cube
-    raises, as looking that id up does."""
-
-    def __init__(self, space: PrecubicalSet):
-        super().__init__()
-        self.space, self.view = space, space.indexed
-
-    def __missing__(self, i: int) -> tuple[int, ...]:
-        view = self.view
-        after = {j for _k, j in view.cofaces[i]}
-        for k, j in enumerate(view.upper[i]):
-            if j >= 0:
-                after.add(j)
-            elif j == UNKNOWN:
-                ref = self.space.row(view.ids[i])[2][k]
-                raise ModelError(f"unknown cube id {ref!r}")
-        out = self[i] = tuple(sorted(after, key=view.ids.__getitem__))
-        return out
-
-
-class _Quotient:
-    """Homotopy classes of pointed cube paths, built one length at a time.
-
-    Adjacent paths differ at one interior position p.  So every class at
-    length L is a union of keys (C, y), the paths of a class C at length
-    L-1 extended by a step y, and two keys share a class exactly when a
-    chain of these merges joins them: for a class G at length L-2 ending
-    in g and two different steps a, a' after g, (child(G, a), y) and
-    (child(G, a'), y) merge when (g, a, y) and (g, a', y) are adjacent at
-    their middle (p = L-1; adjacency at p < L-1 stays inside one key).  The
-    lex-least member of a key is rep(C) + (y,), so keys are numbered in
-    lex order and every union-find group keeps its least key as its root:
-    the root's member is the class representative, and a layer's classes
-    come out sorted.
-
-    Paths are tuples of indices into the int view (`PrecubicalSet.indexed`),
-    which orders cubes by (dimension, id); steps are taken in id order, so
-    "lex" above is the order of the id sequences.  Classes are numbered
-    globally: `reps[c]` is the representative of class c, `child[(c, y)]`
-    the class of its extension by y, and `via[c]` maps the end of each class
-    whose extension lies in c to the lex-least such class (the lower faces
-    of c).
-    """
-
-    def __init__(self, hda: HDA, cap: int):
-        view = hda.space.indexed
-        start = view.pos.get(hda.initial)
-        if start is None or view.dims[start] != 0:
-            raise ModelError("unfolding requires a valid initial 0-cube")
-        self.view = view
-        self.cap = cap
-        self.successors = _Successors(hda.space)
-        self.reps: list[tuple[int, ...]] = [(start,)]
-        self.child: dict[tuple[int, int], int] = {}
-        self.via: list[dict[int, int]] = [{}]
-        self._merges: dict[int, list[tuple[int, int, int]]] = {}
-
-    def _merges_after(self, g: int) -> list[tuple[int, int, int]]:
-        """The (a, a', y) with (g, a, y) adjacent to (g, a', y)."""
-        hit = self._merges.get(g)
-        if hit is None:
-            view, successors = self.view, self.successors
-            hit = []
-            for a, b in itertools.combinations(successors[g], 2):
-                after_b = set(successors[b])
-                for y in successors[a]:
-                    if (y in after_b and _adjacency_at(
-                            view, (g, a, y), (g, b, y), 2) is not None):
-                        hit.append((a, b, y))
-            self._merges[g] = hit
-        return hit
-
-    def layers(self, depth: int) -> Iterator[list[int]]:
-        """The classes at lengths 1..depth, one sorted layer at a time,
-        stopping early at the first length with no class."""
-        reps, child, via = self.reps, self.child, self.via
-        successors = self.successors
-        grand: list[int] = []
-        layer = [0]
-        yield layer
-        for _length in range(2, depth + 1):
-            keys = [(c, y) for c in layer for y in successors[reps[c][-1]]]
-            if not keys:
-                return
-            index = {key: i for i, key in enumerate(keys)}
-            parent = list(range(len(keys)))
-
-            def find(i: int) -> int:
-                root = i
-                while parent[root] != root:
-                    root = parent[root]
-                while parent[i] != root:
-                    parent[i], i = root, parent[i]
-                return root
-
-            for g in grand:
-                for a, b, y in self._merges_after(reps[g][-1]):
-                    i = find(index[child[g, a], y])
-                    j = find(index[child[g, b], y])
-                    if i < j:
-                        parent[j] = i
-                    elif j < i:
-                        parent[i] = j
-            cls: dict[int, int] = {}
-            nxt: list[int] = []
-            for i, (c, y) in enumerate(keys):
-                root = find(i)
-                if root == i:
-                    if len(reps) >= self.cap:
-                        raise CapExceeded(
-                            f"more than {self.cap} homotopy classes within "
-                            f"depth {depth}")
-                    cls[i] = len(reps)
-                    nxt.append(len(reps))
-                    reps.append(reps[c] + (y,))
-                    via.append({})
-                node = cls[root]
-                child[c, y] = node
-                via[node].setdefault(reps[c][-1], c)
-            grand, layer = layer, nxt
-            yield layer
+def _quotient(hda: HDA, cap: int) -> _Quotient:
+    """The homotopy quotient of the pointed paths, from the initial cube."""
+    view = hda.space.indexed
+    start = view.pos.get(hda.initial)
+    if start is None or view.dims[start] != 0:
+        raise ModelError("unfolding requires a valid initial 0-cube")
+    return _Quotient(hda.space, start, cap)
 
 
 def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
@@ -224,7 +103,7 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
     CapExceeded past `cap` nodes."""
     if depth < 1:
         raise ModelError("unfolding depth must be >= 1")
-    quotient = _Quotient(hda, cap)
+    quotient = _quotient(hda, cap)
     order = [c for layer in quotient.layers(depth) for c in layer]
     view, reps = quotient.view, quotient.reps
     names, dims, lower, upper = view.ids, view.dims, view.lower, view.upper
@@ -280,7 +159,7 @@ def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
     """Bounded tree check: every cube reached within `depth` admits exactly
     one homotopy class of pointed cube paths of length <= depth; raises
     CapExceeded past `cap` classes."""
-    quotient = _Quotient(hda, cap)
+    quotient = _quotient(hda, cap)
     ends: set[int] = set()
     for layer in quotient.layers(depth):
         for c in layer:
@@ -298,8 +177,6 @@ def lift_path(unfolding: Unfolding, start: str, sigma: CubePath) -> CubePath:
         raise ModelError(f"unknown tree node {start!r}")
     if sigma.space is not unfolding.base.space:
         raise ModelError("lift requires a path in the unfolding's base")
-    from .paths import is_cube_path
-
     check = is_cube_path(sigma.space, sigma.seq)
     if not check:
         raise ModelError(

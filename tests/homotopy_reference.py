@@ -4,8 +4,11 @@ reference of the differential tests (`test_homotopy_engine.py`,
 
 These are the adjacency clauses, the closure and the layered quotient as
 they were when they walked string ids through `dim`, `lower`, `upper` and
-`successors`.  They share no code with the int engine of `hdabisim.paths`
-and `hdabisim.unfold._Quotient`, which they check.
+`successors`.  They share no code with the int engine of `hdabisim.paths`,
+which they check: its clauses against `adjacency_at`, its `_Quotient`
+against `Quotient`, and `are_homotopic`, `homotopy_class` and
+`canonical_rep`, which read `_Quotient`, against `closure`, the breadth-
+first search over adjacency that the library no longer has.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -95,13 +96,16 @@ def test_hp_bisim_alias():
     assert "hp-bisimilarity" in report["justification"]
 
 
-def test_homotopic_true_false_exhausted():
+def test_homotopic_true_false_cap_exceeded():
     args = ("homotopic", model("fig3.json"),
             "--path", "i,a,x,b,bc,c,z,d", "--path", "i,a,x,cb,y,tb,z,d")
     code, report = run_json(*args)
     assert code == 0 and report["result"] is True
+    # --cap counts the classes of the paths from i up to length 8.
     code, report = run_json(*args, "--cap", "2")
-    assert code == 3 and report["result"] == "exhausted"
+    assert code == 3 and report == {
+        "result": "cap-exceeded",
+        "error": "more than 2 homotopy classes within depth 8"}
     code, report = run_json("homotopic", model("fig3.json"),
                             "--path", "i,a,x,b,bc,c,z,d",
                             "--path", "i,a,x,b,bc,c,z")
@@ -288,7 +292,7 @@ def test_cap_env_override(monkeypatch):
     code, report = run_json("homotopic", model("fig3.json"),
                             "--path", "i,a,x,b,bc,c,z,d",
                             "--path", "i,a,x,cb,y,tb,z,d")
-    assert code == 3 and report["result"] == "exhausted"
+    assert code == 3 and report["result"] == "cap-exceeded"
 
 
 def test_pretty_output():
@@ -300,6 +304,35 @@ def test_pretty_output():
 def test_usage_error_exit_code():
     code, _ = run("bogus-subcommand")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("bogus-subcommand",), "hdabisim: argument command: invalid choice"),
+    (("bisim", "FIG1"), "hdabisim bisim: the following arguments are "
+                        "required: fileY"),
+    (("unfold", "FIG1", "--depth", "x"),
+     "hdabisim unfold: argument --depth: invalid int value: 'x'"),
+], ids=["unknown-subcommand", "missing-positional", "bad-depth-type"])
+def test_usage_errors_print_one_error_line(argv, error, capsys):
+    argv = [model("fig1_left.json") if a == "FIG1" else a for a in argv]
+    code, text = run(*argv)
+    assert code == 2
+    report = json.loads(text)
+    assert report["result"] == "error" and report["error"].startswith(error)
+    assert text.count("\n") == 1
+    # The usage text stays on stderr, as argparse prints it.
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hdabisim") and "error: " in err
+
+
+def test_help_and_version_print_to_out(capsys):
+    code, text = run("--version")
+    assert (code, text.strip()) == (0, hb.__version__)
+    code, text = run("unfold", "--help")
+    assert code == 0 and text.startswith("usage: hdabisim unfold")
+    code, text = run("--help")
+    assert code == 0 and "--cap counts homotopy classes" in text
+    assert capsys.readouterr().out == ""
 
 
 @pytest.fixture
@@ -493,7 +526,7 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     assert reused == fresh
     assert [code for code, *_ in reused] == [1, 2, 0, 0]
     assert "required: fileY" in reused[1][3]
-    assert reused[2][2].strip() == hb.__version__
+    assert reused[2][1].strip() == hb.__version__
 
 
 def test_huge_depth_reports_equal_the_complete_depth():
@@ -539,6 +572,14 @@ def test_readme_examples_run(in_models_copy):
             assert report["counterexample"] == {"x1": "a", "y2": "ab", "k": 2}
     assert (in_models_copy / "tree.json").exists()
     assert (in_models_copy / "tree.projection.json").exists()
+
+
+def test_readme_quick_start_runs(monkeypatch):
+    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(MODELS.parent)
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 # sha256 over "<x> <y> <exit code>\n" plus the stdout of every decision

@@ -2,9 +2,12 @@
 
 `homotopy_reference` keeps the string clauses, closure and layered quotient.
 The int engine must fire the same clause with the same (position, k, ell,
-swapped), visit the same paths in the same order (so a cap stops both at the
-same `seen` set), and build the same classes, on models whose id order
-differs from the int view's (dimension, id) order.
+swapped) and build the same classes, on models whose id order differs from
+the int view's (dimension, id) order.  `are_homotopic`, `homotopy_class`
+and `canonical_rep` read the quotient of the paths from a path's first cube
+up to its length: they must agree with the string closure of the path, and
+a cap must stop them exactly when those classes (or, for `homotopy_class`,
+the members) outnumber it.
 """
 
 import itertools
@@ -16,8 +19,7 @@ import pytest
 import hdabisim as hb
 from hdabisim import HDA, CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, random_pointed_path, sub_hda
-from hdabisim.paths import _closure, _indices
-from hdabisim.unfold import _Quotient
+from hdabisim.paths import _classes, _Quotient
 
 import homotopy_reference as ref
 from conftest import load
@@ -95,57 +97,106 @@ def test_adjacency_clauses_agree_with_string_reference():
     assert min(fired.values()) >= 20, fired
 
 
-def _same_endpoint_pairs(rng, hda, max_len, count):
-    by_key = {}
-    for path in hb.enumerate_pointed_paths(hda, max_len):
-        by_key.setdefault((len(path), path.end), []).append(path.seq)
-    groups = [seqs for seqs in by_key.values() if len(seqs) > 1]
-    for _ in range(count if groups else 0):
-        yield tuple(rng.sample(rng.choice(groups), 2))
+def _reference_classes(space, start, length, budget=2000):
+    """The classes of the cube paths from `start`, one list per length from
+    1 up to `length` or the last length with a path, each class the string
+    closure of its least member; None past `budget` paths of one length."""
+    layer, out = [(start,)], []
+    while layer and len(out) < length:
+        if len(layer) > budget:
+            return None
+        left, classes = set(layer), []
+        for seq in layer:
+            if seq in left:
+                _found, seen, _capped = ref.closure(space, seq, 100_000)
+                classes.append(seen)
+                left -= seen
+        out.append(classes)
+        layer = [seq + (y,) for seq in layer
+                 for y in space.successors(seq[-1])]
+    return out
 
 
-def test_closure_agrees_with_string_reference_under_caps():
+def _cases(rng, space, length, count):
+    """(rho, its reference class, the number of classes of the paths from
+    rho's first cube up to its length): up to three paths of the longest
+    length up to a random bound, from each of `count` random cubes."""
+    for _ in range(count):
+        start = rng.choice(space.ids())
+        layers = _reference_classes(space, start, rng.randint(2, length))
+        if layers is None or len(layers) < 2:
+            continue
+        classes = sum(map(len, layers))
+        of = {seq: cls for cls in layers[-1] for seq in cls}
+        for seq in rng.sample(sorted(of), min(3, len(of))):
+            yield CubePath(space, seq), of[seq], classes
+
+
+def _raises_cap_exceeded(call) -> bool:
+    try:
+        call()
+    except hb.CapExceeded:
+        return True
+    return False
+
+
+def _check_verdicts(rng, rho, cls, classes, tally):
+    """are_homotopic of rho and a member of its class, and of rho and up to
+    four paths of its length from its first cube to its end cube."""
+    space = rho.space
+    for seq in (rng.choice(sorted(cls)), *_same_end(rho)):
+        sigma = CubePath(space, seq)
+        want = ref.closure(space, rho.seq, 100_000, stop_at=sigma.seq)[0]
+        assert hb.are_homotopic(rho, sigma, cap=100_000) is want, (rho, sigma)
+        tally[want] += 1
+        for cap in {classes - 1, classes} - {0}:
+            capped = _raises_cap_exceeded(
+                lambda: hb.are_homotopic(rho, sigma, cap=cap))
+            assert capped == (classes > cap), (rho, sigma, cap)
+            tally["capped" if capped else "uncapped"] += 1
+
+
+def _same_end(rho):
+    layer, space = [rho.seq[:1]], rho.space
+    for _ in range(len(rho) - 1):
+        layer = [seq + (y,) for seq in layer for y in space.successors(seq[-1])]
+        if len(layer) > 2000:
+            return []
+    return sorted(seq for seq in layer if seq[-1] == rho.end)[:4]
+
+
+def test_are_homotopic_agrees_with_string_reference():
     rng = random.Random(7272)
-    verdicts = Counter()
+    tally = Counter()
     for hda in _models():
-        space = hda.space
-        view = space.indexed
-        for rho, sigma in _same_endpoint_pairs(rng, hda, 8, 6):
-            for cap in (1, 2, 3, 5, 8, 13, 100_000):
-                want = ref.closure(space, rho, cap, stop_at=sigma)
-                found, seen, capped = _closure(view, _indices(view, rho), cap,
-                                               stop_at=_indices(view, sigma))
-                assert (found, capped) == want[::2], (rho, sigma, cap)
-                assert {tuple(view.ids[i] for i in s) for s in seen} == want[1]
-                got = hb.are_homotopic(CubePath(space, rho),
-                                       CubePath(space, sigma), cap=cap)
-                expected = (True if want[0] else
-                            hb.EXHAUSTED if want[2] else False)
-                assert got == expected, (rho, sigma, cap)
-                verdicts[got] += 1
-    assert min(verdicts[v] for v in (True, False, hb.EXHAUSTED)) >= 50, verdicts
+        for rho, cls, classes in _cases(rng, hda.space, 8, 3):
+            _check_verdicts(rng, rho, cls, classes, tally)
+    # Both verdicts, and capped and uncapped calls, occur often enough for
+    # the comparison to mean something.
+    assert min(tally[k] for k in (True, False, "capped", "uncapped")) >= 50, tally
+
+
+def _check_class(rho, cls, classes, tally):
+    members = [p.seq for p in hb.homotopy_class(rho, 100_000)]
+    assert members == sorted(cls), rho
+    assert hb.canonical_rep(rho, cap=100_000).seq == min(cls), rho
+    tally[len(cls) > 1] += 1
+    for cap in {classes - 1, classes, len(cls) - 1, len(cls)} - {0}:
+        capped = _raises_cap_exceeded(lambda: hb.homotopy_class(rho, cap))
+        assert capped == (classes > cap or len(cls) > cap), (rho, cap)
+        capped = _raises_cap_exceeded(lambda: hb.canonical_rep(rho, cap=cap))
+        assert capped == (classes > cap), (rho, cap)
+        tally["capped" if capped else "uncapped"] += 1
 
 
 def test_class_and_canonical_rep_agree_with_string_reference():
     rng = random.Random(7373)
-    sizes = Counter()
+    tally = Counter()
     for hda in _models():
-        space = hda.space
-        for _ in range(6):
-            rho = random_pointed_path(rng, hda, 9)
-            for cap in (4, 100_000):
-                _found, seen, capped = ref.closure(space, rho.seq, cap)
-                if capped:
-                    with pytest.raises(hb.CapExceeded):
-                        hb.homotopy_class(rho, cap=cap)
-                    with pytest.raises(hb.CapExceeded):
-                        hb.canonical_rep(rho, cap=cap)
-                    continue
-                members = [p.seq for p in hb.homotopy_class(rho, cap=cap)]
-                assert members == sorted(seen)
-                assert hb.canonical_rep(rho, cap=cap).seq == min(seen)
-                sizes[len(seen) > 1] += 1
-    assert min(sizes.values()) >= 50, sizes
+        for rho, cls, classes in _cases(rng, hda.space, 8, 3):
+            _check_class(rho, cls, classes, tally)
+    # Classes of one member and of several, capped and uncapped calls.
+    assert min(tally[k] for k in (True, False, "capped", "uncapped")) >= 50, tally
 
 
 def _faulty(hda, rng):
@@ -180,12 +231,12 @@ def _faulty(hda, rng):
 
 def test_engine_agrees_with_string_reference_on_faulty_models():
     rng = random.Random(7474)
-    hits = capped_runs = 0
+    hits = 0
+    verdicts, classes_seen = Counter(), Counter()
     for base in _models():
         for _ in range(2):
             hda = _faulty(base, rng)
             space = hda.space
-            view = space.indexed
             for _ in range(8):
                 seq = _walk(rng, space, rng.randint(3, 8))
                 for p in range(1, len(seq) - 1):
@@ -200,21 +251,20 @@ def test_engine_agrees_with_string_reference_on_faulty_models():
                                            CubePath(space, other))
                         assert got == want, (seq, other)
                         hits += want is not None
-                for cap in (2, 3, 5, 8, 100_000):
-                    want = ref.closure(space, seq, cap)
-                    _found, seen, capped = _closure(view, _indices(view, seq), cap)
-                    assert capped == want[2], (seq, cap)
-                    assert {tuple(view.ids[i] for i in s) for s in seen} == want[1]
-                    capped_runs += capped
-    assert hits >= 200 and capped_runs >= 200, (hits, capped_runs)
+            for rho, cls, classes in _cases(rng, space, 7, 2):
+                _check_verdicts(rng, rho, cls, classes, verdicts)
+                _check_class(rho, cls, classes, classes_seen)
+    assert hits >= 200, hits
+    assert min(verdicts[k] for k in (True, False, "capped")) >= 50, verdicts
+    assert min(classes_seen[k] for k in (True, False)) >= 50, classes_seen
 
 
 def test_alternatives_follow_id_order_across_dimensions():
     # In a valid model the cubes that can replace one path entry share a
     # dimension, so id order and the int view's (dimension, id) order agree
     # on them.  Here a face list one too long lets a 3-cube and a 0-cube
-    # both replace the square; the 3-cube comes first by id, so a closure
-    # capped at one path stops before it meets the vertex.
+    # both replace the square; the 3-cube comes first by id, so it, not the
+    # vertex that comes first by dimension, is in the representative.
     space = PrecubicalSet({
         "u": (0, (), ()), "v": (0, (), ()), "w": (0, (), ()),
         "e1": (1, ("u",), ("v",)),
@@ -224,8 +274,11 @@ def test_alternatives_follow_id_order_across_dimensions():
     rho = CubePath(space, ("e1", "s", "e4"))
     dip = CubePath(space, ("e1", "v", "e4"))
     assert ref.adjacent_seqs(space, rho.seq) == [("e1", "a3", "e4"), dip.seq]
-    assert hb.are_homotopic(rho, dip, cap=1) == hb.EXHAUSTED
-    assert hb.are_homotopic(rho, dip, cap=2) is True
+    assert hb.canonical_rep(rho).seq == ("e1", "a3", "e4")
+    # Five classes: (e1), then (e1, a3), (e1, s) and (e1, v), then one.
+    with pytest.raises(hb.CapExceeded):
+        hb.are_homotopic(rho, dip, cap=4)
+    assert hb.are_homotopic(rho, dip, cap=5) is True
     assert [p.seq for p in hb.homotopy_class(rho)] == sorted(
         [rho.seq, dip.seq, ("e1", "a3", "e4")])
 
@@ -242,6 +295,45 @@ def test_unknown_ids_raise_model_error(fig3):
             call()
 
 
+def test_broken_steps_raise_model_error(fig3):
+    space = fig3.hda.space
+    good = CubePath(space, ("i", "a", "x", "b"))
+    bad = CubePath(space, ("i", "a", "b", "x"))
+    for call in (lambda: hb.are_homotopic(good, bad),
+                 lambda: hb.homotopy_class(bad),
+                 lambda: hb.canonical_rep(bad)):
+        with pytest.raises(hb.ModelError, match="first broken step at "
+                                                "position 2"):
+            call()
+
+
+def test_grid_path_builds_one_class_per_reachable_cell():
+    # A filled grid is a tree: a cell whose lower corner is p is reached
+    # by paths of length 2 * sum(p) + dim + 1 only, all homotopic.  A
+    # 15-cube path from the origin of the 4x4x4 grid therefore builds one
+    # class per cell within that length, while its own class has 60,060
+    # members (the closure used to list them one by one).
+    hda = grid_hda((4, 4, 4))
+    seq, rng = [hda.initial], random.Random(7575)
+    while len(seq) < 15:  # the far corner is 25 cubes away
+        seq.append(rng.choice(hda.space.successors(seq[-1])))
+    rho = CubePath(hda.space, seq)
+    cells = 0
+    for cell in itertools.product(range(9), repeat=3):
+        dim = sum(c % 2 for c in cell)
+        if sum(c - c % 2 for c in cell) + dim + 1 <= 15:
+            cells += 1
+    quotient, (c,) = _classes(100_000, rho)
+    assert len(quotient.reps) == cells
+    assert hb.are_homotopic(rho, rho, cap=cells) is True
+    with pytest.raises(hb.CapExceeded):
+        hb.canonical_rep(rho, cap=cells - 1)
+
+
+def _pointed_quotient(hda, cap):
+    return _Quotient(hda.space, hda.space.indexed.pos[hda.initial], cap)
+
+
 def test_quotient_agrees_with_string_reference():
     for i, hda in enumerate(_models()):
         depth = 2 + i % 6
@@ -249,7 +341,7 @@ def test_quotient_agrees_with_string_reference():
         want_layers = [list(layer) for layer in want.layers(depth)]
         while want_layers and not want_layers[-1]:
             want_layers.pop()
-        got = _Quotient(hda, 100_000)
+        got = _pointed_quotient(hda, 100_000)
         assert [list(layer) for layer in got.layers(depth)] == want_layers
         ids = got.view.ids
         assert [tuple(ids[j] for j in rep) for rep in got.reps] == want.reps
@@ -262,6 +354,7 @@ def test_quotient_agrees_with_string_reference():
 
 def test_layers_stop_at_the_first_empty_layer(fig2, fig3):
     for hda in (fig2.hda, fig3.hda):
-        layers = list(itertools.islice(_Quotient(hda, 1000).layers(10**9), 50))
+        layers = list(itertools.islice(
+            _pointed_quotient(hda, 1000).layers(10**9), 50))
         assert layers and all(layers)
         assert len(layers) == hb.longest_pointed_path_length(hda)

@@ -120,9 +120,12 @@ def test_homotopy_needs_equal_endpoints(fig3):
     assert hb.are_homotopic(rho, different_end) is False
 
 
-def test_homotopy_cap_reports_exhaustion(fig3):
+def test_homotopy_cap_counts_classes(fig3):
+    # Every length from 1 to 8 has a class of the paths from i, so deciding
+    # builds at least 8 classes and passes a cap of 2.
     chain = square_homotopy_chain(fig3.hda.space)
-    assert hb.are_homotopic(chain[0], chain[-1], cap=2) == hb.EXHAUSTED
+    with pytest.raises(hb.CapExceeded, match="more than 2 homotopy classes"):
+        hb.are_homotopic(chain[0], chain[-1], cap=2)
 
 
 def test_homotopy_class_of_fig3_path(fig3):
