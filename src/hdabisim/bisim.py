@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
-                   PrecubicalSet, reachable, reachable_mask)
+                   PrecubicalSet, reachable)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
 
@@ -292,7 +292,7 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
     offset = 0
     for hda, labeling in sides:
         view = hda.space.indexed
-        mask = reachable_mask(hda)
+        mask = hda.reach_mask
         lower, upper, dims = view.lower, view.upper, view.dims
         # The sentinels UNKNOWN (-1) and OMITTED (-2) index the two zero
         # pads rather than wrapping round to the last cubes.

@@ -221,6 +221,13 @@ class HDA:
     space: PrecubicalSet
     initial: str
 
+    @functools.cached_property
+    def reach_mask(self) -> bytearray:
+        """`reachable_mask(self)`, walked on first use and kept, so that the
+        decision and the witness audit of one request walk once.  Read-only
+        by convention."""
+        return reachable_mask(self)
+
 
 @dataclass(frozen=True)
 class EventSet:
@@ -569,8 +576,7 @@ def reachable_mask(hda: HDA) -> bytearray:
 def reachable(hda: HDA) -> frozenset[str]:
     """All cubes connected to the initial cube by a pointed cube path,
     i.e. the closure of {initial} under the step relation."""
-    return frozenset(itertools.compress(hda.space.indexed.ids,
-                                        reachable_mask(hda)))
+    return frozenset(itertools.compress(hda.space.indexed.ids, hda.reach_mask))
 
 
 def torus_cube_id(names: tuple[str, ...]) -> str:

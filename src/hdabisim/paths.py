@@ -22,9 +22,12 @@ the minimum T = (n_m^2 + m - 1)/2 and `fan_shape` reaches one by rewrite
 iterations that each drop T by exactly 2.
 
 Homotopy classes have one engine, `_Quotient`, a union-find over the paths
-from one cube built one length at a time.  `unfold` and `is_tree` run it
-from the initial cube; the path queries run it from the path's first cube
-up to its length and follow the path to its class, so `cap` counts classes.
+from one cube built one length at a time.  It reads each exchange off the
+cube that witnesses it rather than testing pairs of paths with the
+clauses, which stay the definition behind `adjacency`.  `unfold` and
+`is_tree` run it from the initial cube; the path queries run it from the
+path's first cube up to its length and follow the path to its class, so
+`cap` counts classes.
 The engine and the clauses read the int view (`PrecubicalSet.indexed`),
 which orders cubes by (dimension, id), but every order exposed here stays
 by id: steps are taken in id order, so classes come out sorted by id and
@@ -37,8 +40,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (HDA, UNKNOWN, CapExceeded, CubeIndex, ModelError,
-                   PrecubicalSet)
+from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, CubeIndex,
+                   ModelError, PrecubicalSet)
 
 DEFAULT_CAP = 100_000
 
@@ -280,13 +283,13 @@ class _Successors(dict):
 
     def __missing__(self, i: int) -> tuple[int, ...]:
         view = self.view
+        ends = view.upper[i]
+        if UNKNOWN in ends:
+            ref = self.space.row(view.ids[i])[2][ends.index(UNKNOWN)]
+            raise ModelError(f"unknown cube id {ref!r}")
         after = {j for _k, j in view.cofaces[i]}
-        for k, j in enumerate(view.upper[i]):
-            if j >= 0:
-                after.add(j)
-            elif j == UNKNOWN:
-                ref = self.space.row(view.ids[i])[2][k]
-                raise ModelError(f"unknown cube id {ref!r}")
+        after.update(ends)
+        after.discard(OMITTED)
         out = self[i] = tuple(sorted(after, key=view.ids.__getitem__))
         return out
 
@@ -301,11 +304,13 @@ class _Quotient:
     chain of these merges joins them: for a class G at length L-2 ending
     in g and two different steps a, a' after g, (child(G, a), y) and
     (child(G, a'), y) merge when (g, a, y) and (g, a', y) are adjacent at
-    their middle (p = L-1; adjacency at p < L-1 stays inside one key).  The
-    lex-least member of a key is rep(C) + (y,), so keys are numbered in
-    lex order and every union-find group keeps its least key as its root:
-    the root's member is the class representative, and a layer's classes
-    come out sorted.
+    their middle (p = L-1; adjacency at p < L-1 stays inside one key).
+    `_merges_after(g)` reads these exchanges off the cubes that witness
+    them, one or two steps from g on the int view.  The lex-least member
+    of a key is rep(C) + (y,), so keys are numbered in lex order and every
+    union-find group keeps its least key as its root: the root's member is
+    the class representative, a layer's classes come out sorted, and the
+    order of the merges changes nothing.
 
     Paths are tuples of indices into the int view (`PrecubicalSet.indexed`),
     which orders cubes by (dimension, id); steps are taken in id order, so
@@ -326,18 +331,56 @@ class _Quotient:
         self._merges: dict[int, list[tuple[int, int, int]]] = {}
 
     def _merges_after(self, g: int) -> list[tuple[int, int, int]]:
-        """The (a, a', y) with (g, a, y) adjacent to (g, a', y)."""
+        """The (a, a', y) with (g, a, y) adjacent to (g, a', y), in no
+        particular order and possibly repeated.  Each is read off the cube
+        that witnesses its exchange, with every bound and step that the
+        clauses check, so that sets failing validation merge exactly what
+        the clauses accept."""
         hit = self._merges.get(g)
-        if hit is None:
-            view, successors = self.view, self.successors
-            hit = []
-            for a, b in itertools.combinations(successors[g], 2):
-                after_b = set(successors[b])
-                for y in successors[a]:
-                    if (y in after_b and _adjacency_at(
-                            view, (g, a, y), (g, b, y), 2) is not None):
-                        hit.append((a, b, y))
-            self._merges[g] = hit
+        if hit is not None:
+            return hit
+        view = self.view
+        dims, lower, upper = view.dims, view.lower, view.upper
+        ends, hit = upper[g], []
+        for k, v in view.cofaces[g]:
+            if k > dims[v]:
+                continue
+            # Clause 1: g = d0_k v and v = d0_ell y, so the other path
+            # starts d0_k y, which d0_{ell-1} must take back to g.
+            for ell, y in view.cofaces[v]:
+                if k < ell <= dims[y]:
+                    b = lower[y][k - 1]
+                    if (b >= 0 and b != v and len(lower[b]) >= ell - 1
+                            and lower[b][ell - 2] == g):
+                        hit.append((v, b, y))
+            # Clauses 3 and 4: v climbs from g = d0_k v to y = d1_e v; the
+            # path that ends first dips through a = d0_k y (k < e) or
+            # a = d1_e g (e < k), which must be a step after g and before y.
+            for e, y in enumerate(upper[v][:dims[v]], 1):
+                if y < 0 or e == k:
+                    continue
+                if e > k:
+                    lo = lower[y]
+                    a = lo[k - 1] if k <= len(lo) else -1
+                    if a >= 0 and a != v and (a in ends or g in lower[a]):
+                        hit.append((a, v, y))
+                else:
+                    a = ends[e - 1] if e <= len(ends) else -1
+                    if a >= 0 and a != v and (a in lower[y] or y in upper[a]):
+                        hit.append((a, v, y))
+        # Clause 2: a = d1_k g and b = d1_ell g end on one cube
+        # y = d1_{ell-1} a = d1_k b.
+        top = ends[:dims[g]]
+        for k, a in enumerate(top, 1):
+            if a < 0:
+                continue
+            after_a = upper[a]
+            for ell in range(k + 1, min(len(top), len(after_a) + 1) + 1):
+                b, y = top[ell - 1], after_a[ell - 2]
+                if (b >= 0 and b != a and y >= 0 and len(upper[b]) >= k
+                        and upper[b][k - 1] == y):
+                    hit.append((a, b, y))
+        self._merges[g] = hit
         return hit
 
     def layers(self, depth: int) -> Iterator[list[int]]:
@@ -368,22 +411,22 @@ class _Quotient:
                         parent[j] = i
                     elif j < i:
                         parent[i] = j
-            cls: dict[int, int] = {}
+            node_of = [0] * len(keys)
             nxt: list[int] = []
             for i, (c, y) in enumerate(keys):
-                root = find(i)
-                if root == i:
+                if parent[i] == i:
                     if len(reps) >= self.cap:
                         raise CapExceeded(
                             f"more than {self.cap} homotopy classes within "
                             f"depth {depth}")
-                    cls[i] = len(reps)
-                    nxt.append(len(reps))
+                    node_of[i] = node = len(reps)
+                    nxt.append(node)
                     reps.append(reps[c] + (y,))
-                    via.append({})
-                node = cls[root]
+                    via.append({reps[c][-1]: c})
+                else:
+                    node = node_of[find(i)]
+                    via[node].setdefault(reps[c][-1], c)
                 child[c, y] = node
-                via[node].setdefault(reps[c][-1], c)
             grand, layer = layer, nxt
             yield layer
 
@@ -654,13 +697,18 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
     never holds more than the layer built so far.  Extending the previous
     layer, which is in lex order, by each end's sorted successors gives the
     next layer in lex order too.  The layers stop at the first length with
-    no path, so a bound past the longest path costs nothing more.
+    no path, so a bound past the longest path costs nothing more.  Raises
+    ModelError when the initial cube is missing or not a 0-cube, and at the
+    first step that changes the dimension by an even amount (on a set whose
+    faces skip or keep a dimension; validation reports those).
     """
     if max_len < 1:
         return
     space = hda.space
     if hda.initial not in space:
         raise ModelError(f"initial cube {hda.initial!r} does not exist")
+    if space.dim(hda.initial) != 0:
+        raise ModelError("unfolding requires a valid initial 0-cube")
     layer = [(hda.initial,)]
     yield CubePath(space, layer[0])
     for length in range(2, max_len + 1):
@@ -669,8 +717,12 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
         nxt = []
         for seq in layer:
             for y in space.successors(seq[-1]):
-                # Position minus dimension stays odd along pointed paths.
-                assert (length - space.dim(y)) % 2 == 1
+                # Position minus dimension stays odd along pointed paths
+                # when every step changes the dimension by one.
+                if (length - space.dim(y)) % 2 != 1:
+                    raise ModelError(
+                        f"the step from {seq[-1]!r} to {y!r} at position "
+                        f"{length} changes the dimension by an even amount")
                 ext = seq + (y,)
                 nxt.append(ext)
                 yield CubePath(space, ext)

@@ -6,8 +6,10 @@ import random
 import pytest
 
 import hdabisim as hb
-from hdabisim import PrecubicalSet
+from hdabisim import PrecubicalSet, bisim, core
 from hdabisim.generators import random_hda, sub_hda
+
+from conftest import load
 
 
 def identity_morphism(hda, pointed=True):
@@ -58,6 +60,23 @@ def test_bisimilar_reflexive_with_diagonal_witness(fig3):
     diagonal = {(c, c) for c in fig3.hda.space.ids()}
     assert diagonal <= set(decision.witness)
     assert hb.verify_bisim_relation(fig3.hda, fig3.hda, decision.witness) == []
+
+
+def test_a_positive_decision_walks_each_model_once(monkeypatch):
+    # The decision and the audit of its witness read one reachability walk
+    # per model (fresh models: the session fixtures may have walked).
+    walks, walk = [], core.reachable_mask
+
+    def counted(hda):
+        walks.append(hda)
+        return walk(hda)
+
+    # Counted also if the decision imports the walk by name.
+    monkeypatch.setattr(core, "reachable_mask", counted)
+    monkeypatch.setattr(bisim, "reachable_mask", counted, raising=False)
+    x, y = load("fig5_x.json").hda, load("fig5_y.json").hda
+    assert hb.bisimilar(x, y).result is True
+    assert sorted(map(id, walks)) == sorted((id(x), id(y)))
 
 
 def test_witness_passes_independent_audit(fig5_x, fig5_y):

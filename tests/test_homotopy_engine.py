@@ -20,6 +20,7 @@ import hdabisim as hb
 from hdabisim import HDA, CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, random_pointed_path, sub_hda
 from hdabisim.paths import _classes, _Quotient
+from hdabisim.unfold import _quotient
 
 import homotopy_reference as ref
 from conftest import load
@@ -334,15 +335,58 @@ def _pointed_quotient(hda, cap):
     return _Quotient(hda.space, hda.space.indexed.pos[hda.initial], cap)
 
 
+def _dangling(hda, rng):
+    """The model with the last lower or upper face of one cube renamed to
+    `zz`, an id that names no cube."""
+    space = hda.space
+    rows = space.rows()
+    cid = rng.choice([c for c in space.ids() if space.dim(c)])
+    dim, lower, upper = rows[cid]
+    if rng.random() < 0.5 and upper:
+        upper = upper[:-1] + ("zz",)
+    elif lower:
+        lower = lower[:-1] + ("zz",)
+    return HDA(PrecubicalSet({**rows, cid: (dim, lower, upper)}), hda.initial)
+
+
+def _built(make, depth):
+    """The quotient `make()` returns, its layers up to `depth`, and the
+    ModelError message that stopped it, if any."""
+    quotient, layers = None, []
+    try:
+        quotient = make()
+        for layer in quotient.layers(depth):
+            layers.append(list(layer))
+    except hb.ModelError as exc:
+        return quotient, layers, str(exc)
+    return quotient, layers, None
+
+
+def _quotient_models():
+    rng = random.Random(7676)
+    for base in _models():
+        yield base
+        for _ in range(2):
+            faulty = _faulty(base, rng)
+            yield faulty
+            if faulty.space.max_dim():
+                yield _dangling(faulty, rng)
+
+
 def test_quotient_agrees_with_string_reference():
-    for i, hda in enumerate(_models()):
+    errors = Counter()
+    for i, hda in enumerate(_quotient_models()):
         depth = 2 + i % 6
-        want = ref.Quotient(hda, 100_000)
-        want_layers = [list(layer) for layer in want.layers(depth)]
+        want, want_layers, want_error = _built(
+            lambda: ref.Quotient(hda, 100_000), depth)
         while want_layers and not want_layers[-1]:
             want_layers.pop()
-        got = _pointed_quotient(hda, 100_000)
-        assert [list(layer) for layer in got.layers(depth)] == want_layers
+        got, got_layers, got_error = _built(
+            lambda: _quotient(hda, 100_000), depth)
+        assert (got_layers, got_error) == (want_layers, want_error), i
+        errors[want_error] += 1
+        if want is None:
+            continue
         ids = got.view.ids
         assert [tuple(ids[j] for j in rep) for rep in got.reps] == want.reps
         assert {(c, ids[y]): d for (c, y), d in got.child.items()} == want.child
@@ -350,6 +394,35 @@ def test_quotient_agrees_with_string_reference():
         for cube in got.successors:
             assert tuple(ids[j] for j in got.successors[cube]) == \
                 hda.space.successors(ids[cube])
+    # Whole quotients, quotients stopped at a face naming no cube, and
+    # models whose initial cube is not a 0-cube.
+    assert errors[None] >= 150 and errors["unknown cube id 'zz'"] >= 10, errors
+    assert errors["unfolding requires a valid initial 0-cube"] >= 10, errors
+
+
+def test_merges_agree_with_the_clause_search():
+    # Each merge is read off its witness; the reference tests every pair of
+    # steps after g, and every common step after them, with the clauses.
+    # Without a dangling upper face the reference never raises, so the two
+    # merge sets can be compared cube by cube.
+    fired = 0
+    for hda in _quotient_models():
+        space = hda.space
+        view = space.indexed
+        if any(f == "zz" for c in space.ids() for f in space.row(c)[2]):
+            continue
+        start = next((c for c in space.ids() if space.dim(c) == 0), None)
+        if start is None:
+            continue
+        want = ref.Quotient(HDA(space, start), 100_000)
+        got = _Quotient(space, view.pos[start], 100_000)
+        for g, cube in enumerate(view.ids):
+            merges = {(frozenset((view.ids[a], view.ids[b])), view.ids[y])
+                      for a, b, y in got._merges_after(g)}
+            assert merges == {(frozenset((a, b)), y) for a, b, y
+                              in want._merges_after(cube)}, cube
+            fired += bool(merges)
+    assert fired >= 500, fired
 
 
 def test_layers_stop_at_the_first_empty_layer(fig2, fig3):

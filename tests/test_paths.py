@@ -318,6 +318,23 @@ def test_enumerate_pointed_paths_fig1(fig1_left):
     assert len(upto4) == 13
 
 
+def test_enumerate_rejects_a_positive_initial_cube_and_a_skipped_dimension():
+    # An initial edge fails as `unfold` fails on it; a square whose faces
+    # are vertices fails at its step, also under `python -O`.
+    rows = {"v": (0, (), ()), "w": (0, (), ()), "e": (1, ("v",), ("w",))}
+    edge = hb.HDA(PrecubicalSet(rows), "e")
+    for call in (lambda: list(hb.enumerate_pointed_paths(edge, 3)),
+                 lambda: hb.unfold(edge, 3)):
+        with pytest.raises(hb.ModelError,
+                           match="^unfolding requires a valid initial 0-cube$"):
+            call()
+    skip = hb.HDA(PrecubicalSet({**rows, "s": (2, ("v", "v"), ("w", "w"))}),
+                  "v")
+    with pytest.raises(hb.ModelError, match="^the step from 'v' to 's' at "
+                       "position 2 changes the dimension by an even amount$"):
+        list(hb.enumerate_pointed_paths(skip, 3))
+
+
 def test_enumerate_order_is_deterministic(fig1_left):
     once = [p.seq for p in hb.enumerate_pointed_paths(fig1_left.hda, 4)]
     twice = [p.seq for p in hb.enumerate_pointed_paths(fig1_left.hda, 4)]
