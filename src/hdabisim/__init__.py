@@ -16,11 +16,11 @@ from .core import (HDA, CapExceeded, EventSet, Labeling, ModelError,
                    validate_precubical)
 from .model_io import (LoadedModel, dump_model, load_model, model_from_dict,
                        model_to_dict)
-from .paths import (DEFAULT_CAP, AdjacencyInfo, CubePath, PathObjectResult,
-                    adjacency, are_homotopic, canonical_rep, concat,
-                    enumerate_pointed_paths, fan_shape, fan_shape_trace,
-                    fan_t_bound, homotopy_class, is_adjacent, is_cube_path,
-                    is_fan_shaped, is_path_object, is_prefix, t_measure)
+from .paths import (DEFAULT_CAP, AdjacencyInfo, CubePath, adjacency,
+                    are_homotopic, canonical_rep, enumerate_pointed_paths,
+                    fan_shape, fan_shape_trace, fan_t_bound, homotopy_class,
+                    is_adjacent, is_cube_path, is_fan_shaped, path_object,
+                    t_measure)
 from .unfold import (DepthExceeded, UnfoldNode, Unfolding, is_acyclic,
                      is_tree, lift_path, longest_pointed_path_length,
                      morphism_is_isomorphism, node_id_of, torus_unfolding,

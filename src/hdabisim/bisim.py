@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
-                   PrecubicalSet, reachable)
+                   PrecubicalSet, check_total, reachable)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
 
@@ -65,9 +65,11 @@ def open_map_check(f: PrecubicalMorphism, x_hda: HDA, y_hda: HDA) -> OpenMapResu
     new event above f(x1), some x2 above x1 maps onto y2.
 
     Frontier cubes of a truncated source carry no obligations (their
-    neighborhood is unknown).
+    neighborhood is unknown).  Raises ModelError, as `check_morphism` does,
+    when the mapping is not total or names a cube the target lacks.
     """
     xs, ys = f.source, f.target
+    check_total(f)
     for x1 in sorted(reachable(x_hda), key=lambda c: (xs.dim(c), c)):
         if x1 in xs.frontier:
             continue

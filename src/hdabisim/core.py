@@ -477,20 +477,25 @@ def validate_labeling(hda: HDA, labeling: Labeling) -> ValidationReport:
     return ValidationReport(violations)
 
 
+def check_total(f: PrecubicalMorphism) -> None:
+    """Raise ModelError unless f maps every source cube to a target cube."""
+    for x in f.source.ids():
+        if x not in f.mapping:
+            raise ModelError(f"morphism is not total: {x!r} unmapped")
+        if f.mapping[x] not in f.target:
+            raise ModelError(f"morphism maps {x!r} to unknown cube {f.mapping[x]!r}")
+
+
 def check_morphism(f: PrecubicalMorphism) -> bool:
     """True iff f preserves dimensions, commutes with every face map, and
     (when pointed) sends the initial cube to the initial cube.
 
     Raises ModelError when the mapping is not total on the source or maps
-    into unknown target cubes.  Face equations whose source face was omitted
-    by truncation are skipped.
+    into unknown target cubes (`check_total`).  Face equations whose source
+    face was omitted by truncation are skipped.
     """
     src, tgt = f.source, f.target
-    for x in src.ids():
-        if x not in f.mapping:
-            raise ModelError(f"morphism is not total: {x!r} unmapped")
-        if f.mapping[x] not in tgt:
-            raise ModelError(f"morphism maps {x!r} to unknown cube {f.mapping[x]!r}")
+    check_total(f)
     for x in src.ids():
         fx = f.mapping[x]
         if tgt.dim(fx) != src.dim(x):

@@ -1,4 +1,4 @@
-"""Paths of cubes, adjacency, homotopy, and the fan-shaping normal form.
+"""Paths of cubes, their path objects, adjacency, homotopy, and fan shapes.
 
 A cube path is a sequence (x_1, ..., x_m) of cubes in which every step
 either starts a new part of the computation (x_j = delta_k^0 x_{j+1}) or
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, CubeIndex,
-                   ModelError, PrecubicalSet)
+                   ModelError, PrecubicalMorphism, PrecubicalSet, Row)
 
 DEFAULT_CAP = 100_000
 
@@ -131,21 +131,63 @@ def is_cube_path(space: PrecubicalSet, seq: tuple[str, ...] | list[str]) -> Path
     return PathCheck(True, steps)
 
 
-def concat(rho: CubePath, sigma: CubePath) -> CubePath:
-    """Concatenate two paths whose junction satisfies the step relation."""
-    if rho.space is not sigma.space:
-        raise ModelError("concatenation requires paths in the same space")
-    if _step(rho.space, rho.end, sigma.start) is None:
-        raise ModelError(
-            f"incompatible junction: no step from {rho.end!r} to {sigma.start!r}")
-    return CubePath(rho.space, rho.seq + sigma.seq)
+def path_object(rho: CubePath) -> PrecubicalMorphism:
+    """The path object P_rho of a path from a 0-cube, with its morphism.
 
+    P_rho glues one standard cube per entry along the steps `is_cube_path`
+    reports (the least k on a self-linked step): a start x_i = d0_k x_{i+1}
+    glues x_i as lower face k of x_{i+1}, an end x_{i+1} = d1_k x_i glues
+    x_{i+1} as upper face k of x_i.  A face of the i-th cube (i from 0) is a
+    word over 0, 1 and *; each cube of P_rho is named ``<i>:<word>`` after
+    the least (i, word) in its class and sent to that face of x_i, and P_rho
+    is pointed at ``0:``.  Raises ModelError when rho is not a cube path,
+    starts above dimension 0, or meets a face that names no cube.
+    """
+    space, seq = rho.space, rho.seq
+    check = is_cube_path(space, seq)
+    if not check:
+        raise ModelError(f"{rho!r} is not a cube path; first broken step at "
+                         f"position {check.failure}")
+    if space.dim(seq[0]) != 0:
+        raise ModelError("a path object requires a path starting at a 0-cube")
+    words = [["".join(w) for w in itertools.product("*01", repeat=space.dim(x))]
+             for x in seq]
+    parent = {(i, w): (i, w) for i, ws in enumerate(words) for w in ws}
 
-def is_prefix(rho: CubePath, chi: CubePath) -> bool:
-    """True iff chi extends rho (equality included)."""
-    if rho.space is not chi.space:
-        raise ModelError("prefix requires paths in the same space")
-    return len(rho) <= len(chi) and chi.seq[:len(rho)] == rho.seq
+    def find(key: tuple[int, str]) -> tuple[int, str]:
+        while parent[key] != key:  # path halving
+            parent[key] = key = parent[parent[key]]
+        return key
+
+    for step in check.steps:
+        # Face w of the glued cube is the other cube's face with nu inserted
+        # at position k; a class's least key stays its root.
+        i, k = step.position - 1, step.k - 1
+        low, high, nu = ((i, i + 1, "0") if step.kind == "lower-face-of-next"
+                         else (i + 1, i, "1"))
+        for w in words[low]:
+            a, b = find((low, w)), find((high, w[:k] + nu + w[k:]))
+            parent[max(a, b)] = min(a, b)
+
+    name = {key: "%d:%s" % find(key) for key in parent}
+    rows: dict[str, Row] = {}
+    mapping: dict[str, str] = {}
+    for (i, w), cid in name.items():
+        if find((i, w)) != (i, w):
+            continue
+        stars = [q for q, c in enumerate(w) if c == "*"]
+        lower, upper = (tuple(name[i, w[:q] + nu + w[q + 1:]] for q in stars)
+                        for nu in "01")
+        rows[cid] = (len(stars), lower, upper)
+        cube = seq[i]
+        for q in reversed(range(len(w))):  # the last first: no k renumbers
+            if w[q] != "*":
+                cube = space.face(cube, q + 1, int(w[q]))
+                if cube not in space:
+                    raise ModelError(f"face {w!r} of {seq[i]!r} names no cube")
+        mapping[cid] = cube
+    return PrecubicalMorphism(PrecubicalSet(rows), space, mapping, pointed=True,
+                              source_initial="0:", target_initial=seq[0])
 
 
 @dataclass(frozen=True)
@@ -597,96 +639,6 @@ def fan_shape(rho: CubePath) -> CubePath:
     """A fan-shaped path homotopic to rho, with equal length and endpoints."""
     trace = fan_shape_trace(rho)
     return trace[-1][-1] if trace else rho
-
-
-@dataclass
-class PathObjectResult:
-    ok: bool
-    rep: tuple[str, ...] | None
-    reason: str | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _face_reprs(space: PrecubicalSet, top: str) -> dict[str, list[tuple]]:
-    """All iterated faces of `top`, keyed by cube, with their normalized
-    (strictly increasing k-sequence, orientation-sequence) descriptions.
-    Raises ModelError when a face names no cube of the set."""
-    out: dict[str, list[tuple]] = {top: [((), ())]}
-    dim = space.dim(top)
-    for p in range(1, dim + 1):
-        for ks in itertools.combinations(range(1, dim + 1), p):
-            for nus in itertools.product((0, 1), repeat=p):
-                cur: str | None = top
-                for k, nu in zip(reversed(ks), reversed(nus)):
-                    # The innermost (largest) index applies first.
-                    cur = space.face(cur, k, nu) if cur is not None else None
-                    if cur is None:
-                        break
-                if cur is not None:
-                    if cur not in space:
-                        raise ModelError(f"unknown cube id {cur!r}")
-                    out.setdefault(cur, []).append((ks, nus))
-    return out
-
-
-def is_path_object(space: PrecubicalSet,
-                   cap: int = 50_000) -> PathObjectResult:
-    """Search for a representing sequence exhibiting the set as the track of
-    a single pointed cube path.
-
-    A candidate sequence must have pairwise distinct entries starting at a
-    0-cube, consecutive entries in the step relation, every cube of the set
-    an iterated face of some entry, and each cube obtainable from any given
-    entry in at most one normalized way (so the track has no accidental
-    self-identifications).  Candidates are tried in (length, lexicographic)
-    order and the first hit is returned.  Raises ModelError when a face
-    names no cube of the set.
-    """
-    all_ids = set(space.ids())
-    reprs = {top: _face_reprs(space, top) for top in space.ids()}
-
-    def candidate_failure(seq: tuple[str, ...]) -> str | None:
-        covered: set[str] = set()
-        for entry in seq:
-            for cube, ways in reprs[entry].items():
-                if len(ways) > 1:
-                    return (f"cube {cube!r} has {len(ways)} face "
-                            f"representations from entry {entry!r}")
-                covered.add(cube)
-        missing = all_ids - covered
-        if missing:
-            return f"cube {sorted(missing)[0]!r} is not a face of any entry"
-        return None
-
-    zero_cubes = [c for c in space.ids() if space.dim(c) == 0]
-    layer: list[tuple[str, ...]] = [(c,) for c in sorted(zero_cubes)]
-    tried = 0
-    first_failure: str | None = None
-    while layer:
-        for seq in layer:
-            tried += 1
-            if tried > cap:
-                raise CapExceeded(f"path-object search exceeded {cap} candidates")
-            failure = candidate_failure(seq)
-            if failure is None:
-                return PathObjectResult(True, seq, None)
-            if first_failure is None:
-                first_failure = failure
-        nxt: list[tuple[str, ...]] = []
-        for seq in layer:
-            for y in space.successors(seq[-1]):
-                if y not in seq:
-                    nxt.append(seq + (y,))
-        nxt.sort()
-        layer = nxt
-    if first_failure is None:
-        first_failure = "the set has no 0-cube to start a pointed sequence at"
-    return PathObjectResult(
-        False, None,
-        f"no representing sequence among {tried} candidates; first failure: "
-        + first_failure)
 
 
 def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:

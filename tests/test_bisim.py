@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from hdabisim import PrecubicalSet, bisim, core
 from hdabisim.generators import random_hda, sub_hda
 
 from conftest import load
+from open_map_reference import extensions, is_open, lifts, pointed_ends
 
 
 def identity_morphism(hda, pointed=True):
@@ -47,6 +49,93 @@ def test_projections_of_full_unfoldings_are_open(fig3, fig1_left):
         result = hb.open_map_check(unfolding.projection, unfolding.tree,
                                    loaded.hda)
         assert result.ok
+
+
+def _maps_to_compare(seed):
+    """An identity, two sub-HDA inclusions, an unfolding's projection and a
+    torus unfolding mapped by its labels, all drawn from one seed, each with
+    its source, its target and the unfolding it projects, if any."""
+    rng = random.Random(seed)
+    y = random_hda(rng, max_cubes=12, max_dim=3, cyclic=seed % 2 == 1)
+    yield identity_morphism(y), y, y, None
+    for _ in range(2):
+        x = sub_hda(y, set(rng.sample(y.space.ids(),
+                                      rng.randint(1, len(y.space)))))
+        yield hb.PrecubicalMorphism(
+            x.space, y.space, {c: c for c in x.space.ids()}, pointed=True,
+            source_initial=x.initial, target_initial=y.initial), x, y, None
+    unfolding = hb.unfold(y, rng.randint(1, 6))
+    yield unfolding.projection, unfolding.tree, y, unfolding
+    # Node <x>@<m>:<c> of a torus unfolding is labeled by its end cube x; it
+    # maps into a torus with at least its events and dimension.
+    names = tuple("abc"[:rng.randint(1, 3)])
+    maxdim = rng.randint(0, 2)
+    tree = hb.torus_unfolding(hb.EventSet(names[:rng.randint(1, len(names))]),
+                              rng.randint(1, 5), maxdim)
+    torus, _lab = hb.torus_hda(hb.EventSet(names), rng.randint(maxdim, 3))
+    yield hb.PrecubicalMorphism(
+        tree.space, torus.space, {n: n.split("@")[0] for n in tree.space.ids()},
+        pointed=True, source_initial=tree.initial,
+        target_initial=torus.initial), tree, torus, None
+
+
+def test_open_map_check_agrees_with_the_definition():
+    # A one-step failure at x1 shows on a path to x1 and one step more, and
+    # every reachable x1 is the end of a pointed path of at most |X| cubes,
+    # so depth |X| + 1 decides the definition exactly.
+    verdicts = []
+    for seed in range(200):
+        for f, x, y, unfolding in _maps_to_compare(seed):
+            assert hb.check_morphism(f)
+            verdict = is_open(f, x, len(f.source) + 1)
+            assert hb.open_map_check(f, x, y).ok == verdict, seed
+            verdicts.append(verdict)
+            if unfolding:
+                # Within the depth every extension has exactly one lift, and
+                # it is the tree path that lift_path gives.
+                for length, ends in pointed_ends(x, unfolding.depth):
+                    for node in ends:
+                        start = unfolding.project(node)
+                        for sigma in extensions(y.space, start,
+                                                unfolding.depth - length):
+                            path = hb.CubePath(y.space, (start,) + tuple(
+                                step[2] for step in sigma))
+                            lifted = hb.lift_path(unfolding, node, path)
+                            assert list(lifts(f, node, sigma)) == [lifted.seq[1:]]
+    assert verdicts.count(True) > 400 and verdicts.count(False) > 200
+
+
+def _self_linked_map():
+    # a.b has a as its lower face 2 only; a.a has a as lower faces 1 and 2.
+    x = sub_hda(hb.torus_hda(hb.EventSet(("a", "b")), 2)[0], {"a.b"})
+    y, _lab = hb.torus_hda(hb.EventSet(("a",)), 2)
+    return x, y, {"()": "()", "a": "a", "b": "a", "a.b": "a.a"}
+
+
+def test_open_maps_lift_each_step_with_its_k():
+    x, y, mapping = _self_linked_map()
+    f = hb.PrecubicalMorphism(x.space, y.space, mapping, pointed=True,
+                              source_initial="()", target_initial="()")
+    assert hb.check_morphism(f)
+    # The cube sequence ((), a, a.a) lifts to ((), a, a.b), but a.a starts
+    # at its face 1 and a.b leaves a by its face 2.
+    assert "a.b" in x.space.successors("a")
+    assert hb.open_map_check(f, x, y).counterexample == ("a", "a.a", 1)
+    assert not is_open(f, x, len(x.space) + 1)
+
+
+def test_open_map_check_rejects_a_map_that_misses_a_cube():
+    # Both checks raise ModelError, and with one text, for a mapping that
+    # leaves a source cube out or sends one outside the target.
+    x, y, mapping = _self_linked_map()
+    for bad, message in (
+            ({"()": "()"}, "morphism is not total: 'a' unmapped"),
+            ({**mapping, "a.b": "b.b"}, "morphism maps 'a.b' to unknown cube 'b.b'")):
+        f = hb.PrecubicalMorphism(x.space, y.space, bad)
+        for check in (hb.check_morphism,
+                      lambda f: hb.open_map_check(f, x, y)):
+            with pytest.raises(hb.ModelError, match=f"^{re.escape(message)}$"):
+                check(f)
 
 
 def test_bisimilar_figures(fig1_left, fig1_right, fig5_x, fig5_y):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import hdabisim as hb
 from hdabisim import CubePath, EventSet, ModelError, PrecubicalSet
-from hdabisim.generators import random_hda, random_pointed_path
+from hdabisim.generators import grid_hda, random_hda, random_pointed_path
 
 from conftest import square_homotopy_chain
+from path_object_reference import face_reprs, is_path_object
 
 
 FIG3_PATH = ("i", "a", "x", "b", "bc", "c", "z", "d")
@@ -36,42 +37,6 @@ def test_reversed_fig3_path_fails(fig3):
 
 def test_single_cube_is_a_path(fig3):
     assert hb.is_cube_path(fig3.hda.space, ("i",))
-
-
-def test_concat(fig3):
-    space = fig3.hda.space
-    joined = hb.concat(CubePath(space, ("i", "a")), CubePath(space, ("x",)))
-    assert joined.seq == ("i", "a", "x")
-    assert hb.is_cube_path(space, joined.seq)
-
-    joined = hb.concat(CubePath(space, ("i", "a", "x")),
-                       CubePath(space, ("b", "bc")))
-    assert joined.seq == ("i", "a", "x", "b", "bc")
-
-
-def test_concat_rejects_bad_junction(fig3):
-    space = fig3.hda.space
-    rho = CubePath(space, ("i", "a"))
-    with pytest.raises(hb.ModelError, match="junction"):
-        hb.concat(rho, CubePath(space, ("a",)))
-
-
-def test_prefix(fig3):
-    space = fig3.hda.space
-    whole = CubePath(space, FIG3_PATH)
-    assert hb.is_prefix(CubePath(space, ("i", "a", "x")), whole)
-    assert hb.is_prefix(whole, whole)
-    assert not hb.is_prefix(CubePath(space, ("i", "a", "z")), whole)
-
-
-def test_prefix_agrees_with_concat(fig3):
-    space = fig3.hda.space
-    whole = CubePath(space, FIG3_PATH)
-    for cut in range(1, len(FIG3_PATH)):
-        head = CubePath(space, FIG3_PATH[:cut])
-        tail = CubePath(space, FIG3_PATH[cut:])
-        assert hb.is_prefix(head, whole)
-        assert hb.concat(head, tail).seq == whole.seq
 
 
 def test_adjacency_chain_clauses(fig3):
@@ -254,14 +219,14 @@ def test_one_cube_homotopy_on_plain_square(fig2):
 
 
 def test_path_object_fig3(fig3):
-    result = hb.is_path_object(fig3.hda.space)
+    result = is_path_object(fig3.hda.space)
     assert result.ok
     assert result.rep == FIG3_PATH
 
 
 def test_path_object_single_point():
     space = PrecubicalSet({"v": (0, (), ())})
-    result = hb.is_path_object(space)
+    result = is_path_object(space)
     assert result.ok and result.rep == ("v",)
 
 
@@ -269,7 +234,7 @@ def test_path_object_filled_square(fig1_left):
     # The filled square is exactly the track of the one pointed path that
     # ends inside the two-dimensional transition, so it is accepted with
     # that representation.
-    result = hb.is_path_object(fig1_left.hda.space)
+    result = is_path_object(fig1_left.hda.space)
     assert result.ok
     assert result.rep == ("i", "a", "ab")
 
@@ -277,14 +242,14 @@ def test_path_object_filled_square(fig1_left):
 def test_path_object_rejects_hollow_square(fig1_right):
     # Without the filler there are two maximal branches and no single
     # sequence can cover all four edges.
-    result = hb.is_path_object(fig1_right.hda.space)
+    result = is_path_object(fig1_right.hda.space)
     assert not result.ok
     assert result.rep is None
 
 
 def test_path_object_rejects_self_loop():
     space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("v",))})
-    assert not hb.is_path_object(space).ok
+    assert not is_path_object(space).ok
 
 
 def test_path_object_rejects_a_face_that_names_no_cube():
@@ -296,7 +261,63 @@ def test_path_object_rejects_a_face_that_names_no_cube():
         "b": (1, ("v",), ("zz",)), "s": (2, ("a", "b"), ("b", "a"))}
     for rows in (dangling_upper, dangling_corner):
         with pytest.raises(ModelError, match="unknown cube id 'zz'"):
-            hb.is_path_object(PrecubicalSet(rows))
+            is_path_object(PrecubicalSet(rows))
+
+
+def test_path_object_is_a_track_the_search_accepts():
+    # P_rho is a valid set, its map is a morphism, the search recognises it
+    # as a track, and the path object of the search's representative is P_rho
+    # again, up to the names its cubes take from their least (i, word).
+    rng = random.Random(1717)
+    for trial in range(900):
+        if trial % 2:
+            hda = grid_hda(tuple(rng.randint(1, 3)
+                                 for _ in range(rng.randint(1, 3))))
+        else:
+            hda, _lab = hb.torus_hda(
+                EventSet(tuple("abc"[:rng.randint(1, 3)])), rng.randint(1, 3))
+        rho = random_pointed_path(rng, hda, 7)
+        f = hb.path_object(rho)
+        assert f.source_initial == "0:" and f.target_initial == rho.start
+        assert hb.validate_precubical(f.source).ok, rho
+        assert hb.check_morphism(f), rho
+        found = is_path_object(f.source)
+        assert found.ok, (rho, found.reason)
+        back = hb.path_object(CubePath(f.source, found.rep))
+        assert hb.morphism_is_isomorphism(back), (rho, found.rep)
+
+
+def test_path_object_of_a_sweeping_path_is_the_model(fig3, fig1_left):
+    for loaded, seq in ((fig3, FIG3_PATH), (fig1_left, ("i", "a", "ab"))):
+        f = hb.path_object(CubePath(loaded.hda.space, seq))
+        assert hb.morphism_is_isomorphism(f)
+    # Each cube is named after the least (position, face word) of its class:
+    # the edge a is lower face 2 of ab, so it keeps its own name 1:*.
+    assert dict(f.mapping) == {
+        "0:": "i", "1:*": "a", "1:1": "p", "2:**": "ab", "2:0*": "b",
+        "2:01": "q", "2:*1": "a2", "2:1*": "b2", "2:11": "f"}
+
+
+def test_path_object_glues_a_self_linked_step_at_the_least_k():
+    # a is lower face 1 and lower face 2 of a.a; the step is glued at k = 1,
+    # the k that is_cube_path reports, so face 2 stays a cube of its own.
+    torus, _lab = hb.torus_hda(EventSet(("a",)), 2)
+    f = hb.path_object(CubePath(torus.space, ("()", "a", "a.a")))
+    assert f.source.row("2:**") == (2, ("1:*", "2:*0"), ("2:1*", "2:*1"))
+    assert len(f.source) == 9 and f.mapping["2:*0"] == "a"
+
+
+def test_path_object_rejects_what_is_not_a_pointed_track(fig3, fig1_left):
+    space = fig3.hda.space
+    with pytest.raises(ModelError, match="not a cube path; first broken step "
+                       "at position 1$"):
+        hb.path_object(CubePath(space, tuple(reversed(FIG3_PATH))))
+    with pytest.raises(ModelError, match="starting at a 0-cube"):
+        hb.path_object(CubePath(space, ("a", "x")))
+    # A frontier node of a truncated unfolding has its upper faces omitted.
+    tree = hb.unfold(fig1_left.hda, 2).tree
+    with pytest.raises(ModelError, match="^face '1' of 'i/a' names no cube$"):
+        hb.path_object(CubePath(tree.space, ("i", "i/a")))
 
 
 def test_enumerate_pointed_paths_fig5(fig5_x):
@@ -371,17 +392,9 @@ def test_empty_path_rejected(fig3):
         CubePath(fig3.hda.space, ())
 
 
-def test_concat_requires_same_space(fig3, fig2):
-    with pytest.raises(hb.ModelError, match="same space"):
-        hb.concat(CubePath(fig3.hda.space, ("i",)),
-                  CubePath(fig2.hda.space, ("c00",)))
-
-
 def test_normalized_face_enumeration_is_complete():
     # Every iterated face reachable by arbitrary face applications shows up
     # among the normalized (sorted-index) representations.
-    from hdabisim.paths import _face_reprs
-
     rng = random.Random(777)
     for trial in range(6):
         hda = random_hda(rng, max_cubes=20, max_dim=3, cyclic=bool(trial % 2))
@@ -395,7 +408,7 @@ def test_normalized_face_enumeration_is_complete():
                     if f is not None and f not in closure:
                         closure.add(f)
                         frontier.append(f)
-            assert set(_face_reprs(space, top)) == closure
+            assert set(face_reprs(space, top)) == closure
 
 
 def test_two_end_orders_from_a_three_cube_are_adjacent():
@@ -416,8 +429,6 @@ def test_one_cube_corner_paths_exhaustive_dim_three():
     # Every pair of lower-corner climbs into the same cube is homotopic:
     # checked for all index sequences (k_j <= j) on every cube of dimension
     # up to three, over a torus and a solid grid cube.
-    from hdabisim.generators import grid_hda
-
     spaces = [hb.torus(EventSet(("a", "b")), 3)[0], grid_hda((1, 1, 1)).space]
     for space in spaces:
         for n in (1, 2, 3):
