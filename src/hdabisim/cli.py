@@ -17,13 +17,13 @@ traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
 `--cap` bounds the homotopy classes built by `unfold`, `is-tree`, `oracle`
-and `homotopic`, the node pairs `oracle` starts from, and the paths `paths`
-enumerates; past it each stops with exit 3 (`cap-exceeded`).  `torus` has
-no `--cap`; the default cap bounds its cubes and its unfolding's nodes.
-`bisim`, `hp-bisim` and `oracle` take `--labeled` to relate only cubes with
-equal event labels; it requires labels in both models.  Environment variables
-`HDABISIM_CAP` and `HDABISIM_DEPTH` override the default cap and the
-default depth for subcommands that accept them.
+and `homotopic`, the node pairs `oracle` starts from, the paths `paths`
+enumerates, and the cubes of a `torus` and its unfolding's nodes; past it
+each stops with exit 3 (`cap-exceeded`).  `bisim`, `hp-bisim` and `oracle`
+take `--labeled` to relate only cubes with equal event labels; it requires
+labels in both models.  Argparse checks each numeric option against its
+floor, before any model file is read; a report depends on its argv and
+files alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import contextlib
 import functools
 import json
 import math
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -52,12 +51,25 @@ from .unfold import is_tree, torus_unfolding, unfold
 _EXIT_CODES = {True: 0, False: 1, "inconclusive": 3, "error": 2,
                "cap-exceeded": 3, "internal-error": 4}
 
+
+def _at_least(floor: int):
+    """An argparse type for integers >= `floor`.  It is named `int`, so a
+    non-integer gets argparse's "invalid int value" message."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 # The options several subcommands take, each declared here once.
 _SHARED = {
     "--labeled": {"action": "store_true",
                   "help": "relate only cubes with equal event labels"},
-    "--depth": {"type": int},
-    "--cap": {"type": int},
+    "--depth": {"type": _at_least(1), "required": True},
+    "--cap": {"type": _at_least(1), "default": DEFAULT_CAP},
 }
 
 # name -> (help, model files, shared options, own options, validate the
@@ -94,11 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model higher-dimensional automata as pointed precubical "
                     "sets and decide history-preserving bisimilarity.",
         epilog="--cap counts homotopy classes for unfold, is-tree, oracle "
-               "and homotopic, node pairs for oracle, and paths for paths.  "
+               "and homotopic, node pairs for oracle, paths for paths, and "
+               "cubes and unfolding nodes for torus; it defaults to 100000.  "
                "--labeled (bisim, hp-bisim, oracle) needs labels in both "
-               "models.  Environment: HDABISIM_CAP overrides the default cap "
-               "(100000), which also bounds torus; HDABISIM_DEPTH supplies a "
-               "default for --depth where it is omitted.")
+               "models.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, files, shared, own, _, _) in _COMMANDS.items():
@@ -140,24 +151,6 @@ def _parse_path(loaded: LoadedModel, raw: str) -> CubePath:
     return CubePath(loaded.hda.space, seq)
 
 
-def _bound(args, name: str) -> int:
-    """`--depth` or `--cap`, else the environment variable HDABISIM_DEPTH or
-    HDABISIM_CAP, else the default cap (depth has none); at least 1."""
-    value, env = getattr(args, name, None), f"HDABISIM_{name.upper()}"
-    if value is None and env in os.environ:
-        try:
-            value = int(os.environ[env])
-        except ValueError:
-            raise ModelError(f"environment variable {env} must be an integer")
-    if value is None and name == "cap":
-        value = DEFAULT_CAP
-    if value is None:
-        raise ModelError(f"--{name} is required (or set {env})")
-    if value < 1:
-        raise ModelError(f"{name} must be >= 1")
-    return value
-
-
 def _labelings(args, lx: LoadedModel, ly: LoadedModel) -> tuple:
     """The two models' labelings under --labeled, else (None, None)."""
     if not args.labeled:
@@ -182,17 +175,15 @@ def _run_reachable(args, loaded: LoadedModel) -> dict:
 
 
 @_command("paths", "enumerate pointed cube paths up to a length bound",
-          shared=("--cap",), own={"--max-len": {"type": int, "required": True}})
+          shared=("--cap",),
+          own={"--max-len": {"type": _at_least(1), "required": True}})
 def _run_paths(args, loaded: LoadedModel) -> dict:
-    if args.max_len < 1:
-        raise ModelError("--max-len must be >= 1")
-    cap = _bound(args, "cap")
     paths = []
     # The enumeration streams, so the count is checked while each layer is
     # built and nothing past the cap is held.
     for path in enumerate_pointed_paths(loaded.hda, args.max_len):
-        if len(paths) == cap:
-            raise CapExceeded(f"more than {cap} pointed paths of length "
+        if len(paths) == args.cap:
+            raise CapExceeded(f"more than {args.cap} pointed paths of length "
                               f"<= {args.max_len}")
         paths.append(path.to_json())
     return {"result": True, "paths": paths, "count": len(paths)}
@@ -207,8 +198,7 @@ def _run_homotopic(args, loaded: LoadedModel) -> dict:
     if len(args.path) != 2:
         raise ModelError("give --path exactly twice")
     rho, sigma = (_parse_path(loaded, raw) for raw in args.path)
-    cap = _bound(args, "cap")
-    return {"result": are_homotopic(rho, sigma, cap=cap), "cap": cap}
+    return {"result": are_homotopic(rho, sigma, cap=args.cap), "cap": args.cap}
 
 
 @_command("fan", "rewrite a pointed cube path into its fan shape",
@@ -233,7 +223,7 @@ def _run_fan(args, loaded: LoadedModel) -> dict:
           own={"--out": {"help": "write the tree model here (plus a "
                          ".projection.json sidecar)"}})
 def _run_unfold(args, loaded: LoadedModel) -> dict:
-    unfolding = unfold(loaded.hda, _bound(args, "depth"), cap=_bound(args, "cap"))
+    unfolding = unfold(loaded.hda, args.depth, cap=args.cap)
     report = {
         "result": True,
         "depth": unfolding.depth,
@@ -253,9 +243,8 @@ def _run_unfold(args, loaded: LoadedModel) -> dict:
 @_command("is-tree", "check the bounded higher-dimensional tree property",
           shared=("--depth", "--cap"))
 def _run_is_tree(args, loaded: LoadedModel) -> dict:
-    depth = _bound(args, "depth")
-    return {"result": is_tree(loaded.hda, depth, cap=_bound(args, "cap")),
-            "depth": depth}
+    return {"result": is_tree(loaded.hda, args.depth, cap=args.cap),
+            "depth": args.depth}
 
 
 @_command("open-map", "check the zig-zag lifting property of a cube map",
@@ -297,36 +286,27 @@ def _run_hp_bisim(args, lx: LoadedModel, ly: LoadedModel) -> dict:
 @_command("oracle", "run-based cross-check on bounded unfoldings", files=_XY,
           shared=("--labeled", "--depth", "--cap"))
 def _run_oracle(args, lx: LoadedModel, ly: LoadedModel) -> dict:
-    labelings = _labelings(args, lx, ly)  # reported before a bad depth or cap
-    return hp_oracle(lx.hda, ly.hda, _bound(args, "depth"), *labelings,
-                     cap=_bound(args, "cap")).to_json()
+    return hp_oracle(lx.hda, ly.hda, args.depth, *_labelings(args, lx, ly),
+                     cap=args.cap).to_json()
 
 
 @_command("torus", "build an event torus (and optionally its unfolding)",
-          files=(), own={
+          files=(), shared=("--cap",), own={
               "--events": {"required": True, "help": "comma-separated event "
                            "names; empty for the trivial torus"},
-              "--maxdim": {"type": int, "required": True},
-              "--unfold-depth": {"type": int}})
+              "--maxdim": {"type": _at_least(0), "required": True},
+              "--unfold-depth": {"type": _at_least(1)}})
 def _run_torus(args) -> dict:
-    if args.maxdim < 0:
-        raise ModelError("--maxdim must be >= 0")
     events = EventSet(tuple(n for n in args.events.split(",") if n))
-    cap = _bound(args, "cap")
-    try:
-        # The torus has one cube per multiset of at most maxdim events.
-        cubes = math.comb(len(events) + args.maxdim, args.maxdim)
-        if cubes > cap:
-            raise CapExceeded(f"the torus has {cubes} cubes, more than {cap}")
-        report = {"result": True,
-                  "torus": model_to_dict(*torus_hda(events, args.maxdim))}
-        if args.unfold_depth is not None:
-            if args.unfold_depth < 1:
-                raise ModelError("--unfold-depth must be >= 1")
-            report["unfolding"] = model_to_dict(torus_unfolding(
-                events, args.unfold_depth, args.maxdim, cap=cap))
-    except CapExceeded as exc:
-        raise CapExceeded(f"{exc}; HDABISIM_CAP overrides the default cap")
+    # The torus has one cube per multiset of at most maxdim events.
+    cubes = math.comb(len(events) + args.maxdim, args.maxdim)
+    if cubes > args.cap:
+        raise CapExceeded(f"the torus has {cubes} cubes, more than {args.cap}")
+    report = {"result": True,
+              "torus": model_to_dict(*torus_hda(events, args.maxdim))}
+    if args.unfold_depth is not None:
+        report["unfolding"] = model_to_dict(torus_unfolding(
+            events, args.unfold_depth, args.maxdim, cap=args.cap))
     return report
 
 

@@ -293,8 +293,11 @@ def _id_map_json(table: Mapping[str, str]) -> str:
 
 
 def _write(text: str, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc}") from exc
 
 
 def dump_model(hda: HDA, path: str | Path,

@@ -131,6 +131,15 @@ def is_cube_path(space: PrecubicalSet, seq: tuple[str, ...] | list[str]) -> Path
     return PathCheck(True, steps)
 
 
+def _checked(rho: CubePath) -> PathCheck:
+    """The check of rho; raises ModelError when rho is not a cube path."""
+    check = is_cube_path(rho.space, rho.seq)
+    if not check:
+        raise ModelError(f"{rho!r} is not a cube path; first broken step at "
+                         f"position {check.failure}")
+    return check
+
+
 def path_object(rho: CubePath) -> PrecubicalMorphism:
     """The path object P_rho of a path from a 0-cube, with its morphism.
 
@@ -143,11 +152,7 @@ def path_object(rho: CubePath) -> PrecubicalMorphism:
     is pointed at ``0:``.  Raises ModelError when rho is not a cube path,
     starts above dimension 0, or meets a face that names no cube.
     """
-    space, seq = rho.space, rho.seq
-    check = is_cube_path(space, seq)
-    if not check:
-        raise ModelError(f"{rho!r} is not a cube path; first broken step at "
-                         f"position {check.failure}")
+    space, seq, check = rho.space, rho.seq, _checked(rho)
     if space.dim(seq[0]) != 0:
         raise ModelError("a path object requires a path starting at a 0-cube")
     words = [["".join(w) for w in itertools.product("*01", repeat=space.dim(x))]
@@ -617,8 +622,10 @@ def fan_shape_trace(rho: CubePath) -> list[list[CubePath]]:
 
     Each iteration is the list of one or two paths it stepped through; every
     consecutive pair across the whole trace is adjacent and each iteration
-    lowers the T-measure by exactly 2.
+    lowers the T-measure by exactly 2.  Raises ModelError when rho is not a
+    cube path or starts above dimension 0.
     """
+    _checked(rho)
     if rho.space.dim(rho.start) != 0:
         raise ModelError("fan shaping requires a path starting at a 0-cube")
     space = rho.space

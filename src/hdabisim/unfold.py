@@ -156,9 +156,11 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
 
 
 def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
-    """Bounded tree check: every cube reached within `depth` admits exactly
-    one homotopy class of pointed cube paths of length <= depth; raises
-    CapExceeded past `cap` classes."""
+    """Bounded tree check (depth >= 1): every cube reached within `depth`
+    admits exactly one homotopy class of pointed cube paths of length
+    <= depth; raises CapExceeded past `cap` classes."""
+    if depth < 1:
+        raise ModelError("unfolding depth must be >= 1")
     quotient = _quotient(hda, cap)
     ends: set[int] = set()
     for layer in quotient.layers(depth):

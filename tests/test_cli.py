@@ -235,7 +235,7 @@ def test_oracle_labeled():
     assert report["error"] == "--labeled requires events/labels in both models"
 
 
-def test_paths_honours_the_cap(tmp_path, monkeypatch):
+def test_paths_honours_the_cap(tmp_path):
     torus = tmp_path / "torus.json"
     hda, labeling = hb.torus_hda(hb.EventSet(("a", "b")), 2)
     hb.dump_model(hda, torus, labeling)
@@ -251,9 +251,6 @@ def test_paths_honours_the_cap(tmp_path, monkeypatch):
     code, report = run_json("paths", str(torus), "--max-len", "24")
     assert code == 3 and report["result"] == "cap-exceeded"
     assert "100000" in report["error"]
-    monkeypatch.setenv("HDABISIM_CAP", "100")
-    code, report = run_json("paths", str(torus), "--max-len", "8")
-    assert code == 3 and report["result"] == "cap-exceeded"
 
 
 def test_open_map(tmp_path):
@@ -278,20 +275,18 @@ def test_torus_subcommand():
     assert "()@0" in unfold_ids
 
 
-def test_depth_env_override(monkeypatch):
-    monkeypatch.setenv("HDABISIM_DEPTH", "5")
-    code, report = run_json("is-tree", model("fig1_left.json"))
+def test_is_tree_requires_depth():
+    code, report = run_json("is-tree", model("fig1_left.json"), "--depth", "5")
     assert code == 0 and report["depth"] == 5
-    monkeypatch.delenv("HDABISIM_DEPTH")
     code, report = run_json("is-tree", model("fig1_left.json"))
-    assert code == 2  # no depth available at all
+    assert code == 2 and report["error"] == (
+        "hdabisim is-tree: the following arguments are required: --depth")
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HDABISIM_CAP", "2")
+def test_homotopic_honours_the_cap():
     code, report = run_json("homotopic", model("fig3.json"),
                             "--path", "i,a,x,b,bc,c,z,d",
-                            "--path", "i,a,x,cb,y,tb,z,d")
+                            "--path", "i,a,x,cb,y,tb,z,d", "--cap", "2")
     assert code == 3 and report["result"] == "cap-exceeded"
 
 
@@ -312,7 +307,15 @@ def test_usage_error_exit_code():
                         "required: fileY"),
     (("unfold", "FIG1", "--depth", "x"),
      "hdabisim unfold: argument --depth: invalid int value: 'x'"),
-], ids=["unknown-subcommand", "missing-positional", "bad-depth-type"])
+    (("unfold", "FIG1"),
+     "hdabisim unfold: the following arguments are required: --depth"),
+    # Numeric options are checked before any model file is read.
+    (("unfold", "missing.json", "--depth", "0"),
+     "hdabisim unfold: argument --depth: must be >= 1, got 0"),
+    (("torus", "--events", "a", "--maxdim", "-1"),
+     "hdabisim torus: argument --maxdim: must be >= 0, got -1"),
+], ids=["unknown-subcommand", "missing-positional", "bad-depth-type",
+        "missing-depth", "depth-zero-before-load", "negative-maxdim"])
 def test_usage_errors_print_one_error_line(argv, error, capsys):
     argv = [model("fig1_left.json") if a == "FIG1" else a for a in argv]
     code, text = run(*argv)
@@ -347,47 +350,47 @@ def in_models_copy(tmp_path, monkeypatch):
 _FIG3 = "models/fig3.json"
 _OPEN_MAP = ("open-map", "models/fig1_right.json", "models/fig1_left.json",
              "--map", "map.json")
-# (argv, environment, text of map.json or None for no map file)
+# (argv, text of map.json or None for no map file)
 _INPUT_ERRORS = [
     pytest.param(("unfold", _FIG3, "--depth", "3", "--cap", "0"),
-                 {}, None, id="cap-zero"),
-    pytest.param(("is-tree", _FIG3, "--depth", "3"),
-                 {"HDABISIM_CAP": "abc"}, None, id="cap-env-not-an-integer"),
+                 None, id="cap-zero"),
+    pytest.param(("is-tree", _FIG3, "--depth", "3", "--cap", "abc"),
+                 None, id="cap-not-an-integer"),
     pytest.param(("paths", _FIG3, "--max-len", "0"),
-                 {}, None, id="paths-max-len-zero"),
+                 None, id="paths-max-len-zero"),
     pytest.param(("homotopic", _FIG3, "--path", "i,a,x,b,bc,c,z,d"),
-                 {}, None, id="homotopic-one-path"),
-    pytest.param(_OPEN_MAP, {}, None, id="open-map-missing-file"),
-    pytest.param(_OPEN_MAP, {}, '["i"]', id="open-map-not-an-object"),
+                 None, id="homotopic-one-path"),
+    pytest.param(_OPEN_MAP, None, id="open-map-missing-file"),
+    pytest.param(_OPEN_MAP, '["i"]', id="open-map-not-an-object"),
     # Every cube, edges included, sent to the initial vertex.
-    pytest.param(_OPEN_MAP, {}, json.dumps(dict.fromkeys(
+    pytest.param(_OPEN_MAP, json.dumps(dict.fromkeys(
         ("a", "a2", "b", "b2", "f", "i", "p", "q"), "i")),
         id="open-map-not-a-morphism"),
     pytest.param(("torus", "--events", "a", "--maxdim", "-1"),
-                 {}, None, id="torus-negative-maxdim"),
+                 None, id="torus-negative-maxdim"),
     pytest.param(("torus", "--events", "a", "--maxdim", "1",
-                  "--unfold-depth", "0"), {}, None, id="torus-unfold-depth-zero"),
+                  "--unfold-depth", "0"), None, id="torus-unfold-depth-zero"),
+    pytest.param(("unfold", _FIG3, "--depth", "3", "--out", "missing/t.json"),
+                 None, id="unfold-out-in-a-missing-directory"),
+    pytest.param(("unfold", _FIG3, "--depth", "3", "--out", "models"),
+                 None, id="unfold-out-is-a-directory"),
 ]
 
 
-def _run_case(monkeypatch, argv, env=None, map_text=None):
-    """Run `argv` in the current directory with `env` set and, unless
-    `map_text` is None, a `map.json` holding it."""
+def _run_case(argv, map_text=None):
+    """Run `argv` in the current directory with, unless `map_text` is None,
+    a `map.json` holding it."""
     map_file = Path("map.json")
     if map_text is not None:
         map_file.write_text(map_text, encoding="utf-8")
-    with monkeypatch.context() as patch:
-        for name, value in (env or {}).items():
-            patch.setenv(name, value)
-        result = run(*argv)
+    result = run(*argv)
     map_file.unlink(missing_ok=True)
     return result
 
 
-@pytest.mark.parametrize("argv, env, map_text", _INPUT_ERRORS)
-def test_input_errors_exit_2_with_one_report(argv, env, map_text, in_models_copy,
-                                             monkeypatch):
-    code, text = _run_case(monkeypatch, argv, env, map_text)
+@pytest.mark.parametrize("argv, map_text", _INPUT_ERRORS)
+def test_input_errors_exit_2_with_one_report(argv, map_text, in_models_copy):
+    code, text = _run_case(argv, map_text)
     assert code == 2, text
     assert text.endswith("\n") and text.count("\n") == 1, text
     assert json.loads(text)["result"] == "error"
@@ -443,26 +446,23 @@ def test_internal_error_exit_code(monkeypatch):
     assert "forced problem" in report["error"]
 
 
-def test_torus_is_bounded_by_the_cap(monkeypatch):
+def test_torus_is_bounded_by_the_cap():
     argv = ("torus", "--events", "a,b", "--maxdim", "2")
-    monkeypatch.setenv("HDABISIM_CAP", "6")
-    assert run_json(*argv)[0] == 0
-    monkeypatch.setenv("HDABISIM_CAP", "5")
-    code, report = run_json(*argv)
+    assert run_json(*argv, "--cap", "6")[0] == 0
+    code, report = run_json(*argv, "--cap", "5")
     assert code == 3 and report == {
         "result": "cap-exceeded",
-        "error": "the torus has 6 cubes, more than 5; "
-                 "HDABISIM_CAP overrides the default cap"}
+        "error": "the torus has 6 cubes, more than 5"}
     # The unfolding counts its nodes: 9 here, over 3 torus cubes.
     argv = ("torus", "--events", "a,b", "--maxdim", "1", "--unfold-depth", "4")
-    monkeypatch.setenv("HDABISIM_CAP", "9")
-    assert run_json(*argv)[0] == 0
-    monkeypatch.setenv("HDABISIM_CAP", "8")
-    code, report = run_json(*argv)
-    assert code == 3 and report["result"] == "cap-exceeded"
-    assert "HDABISIM_CAP" in report["error"]
-    monkeypatch.delenv("HDABISIM_CAP")
-    # C(1004, 4), about 4.2e10 cubes, is refused before any is built.
+    assert run_json(*argv, "--cap", "9")[0] == 0
+    code, report = run_json(*argv, "--cap", "8")
+    assert code == 3 and report == {
+        "result": "cap-exceeded",
+        "error": "more than 8 nodes in the torus unfolding within "
+                 "depth 4"}
+    # Without --cap the default cap applies: C(1004, 4), about 4.2e10
+    # cubes, is refused before any is built.
     code, report = run_json("torus", "--events", "a,b,c,d", "--maxdim", "1000")
     assert code == 3 and "more than 100000" in report["error"]
     code, report = run_json("torus", "--events", "", "--maxdim", str(10**9),
@@ -574,6 +574,19 @@ def test_readme_examples_run(in_models_copy):
     assert (in_models_copy / "tree.projection.json").exists()
 
 
+def test_reports_do_not_read_the_environment(in_models_copy, monkeypatch):
+    # Variables that once set a default cap and depth change no byte.
+    def outputs():
+        reports = [run(*argv) for argv in _readme_cli_lines()]
+        return reports, [Path(name).read_bytes()
+                         for name in ("tree.json", "tree.projection.json")]
+
+    plain = outputs()
+    monkeypatch.setenv("HDABISIM_CAP", "1")
+    monkeypatch.setenv("HDABISIM_DEPTH", "1")
+    assert outputs() == plain
+
+
 def test_readme_quick_start_runs(monkeypatch):
     readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
@@ -606,22 +619,24 @@ _REQUEST_DIGESTS = {
     "readme --pretty":
         "18d487b72ac5138da4386f80b6ca1ed374df9632eb0cc1e254b09262d0e19a4a",
     "input errors":
-        "f0c29b42470898e81d50f1f55bd69372c91d788953617a5cdcb64da421c93251",
+        "5f29aa84d7867388e2e8c40df328b315e41689b4caf958714f18cffd4a7c488d",
     "double faults":
-        "0061299f0d2243fb3bbbeadb850777b79e88d69ad45c9a30e1627ae50f739719",
+        "ee20df6a57382ae2d5454f6a12611a7a051d8dea94b61ab82cd62d68fc83ffd6",
 }
-# Two faults in one request; the report names the first one met.  Every
-# model file is loaded before any is validated, and the models are
-# validated before the subcommand reads its own options.  A failure stays
-# one JSON line under --pretty.
+# Two faults in one request; the report names the first one met.  Numeric
+# options are checked as the argv is parsed, before any model file is
+# loaded; every model file is loaded before any is validated, and the
+# models are validated before the subcommand runs.  A failure stays one
+# JSON line under --pretty.
 _DOUBLE_FAULTS = (
     ("bisim", "invalid.json", "missing.json"),
     ("unfold", "invalid.json", "--depth", "0"),
     ("oracle", "models/fig3.json", "invalid.json", "--depth", "0", "--pretty"),
+    ("oracle", "invalid.json", "models/fig3.json", "--depth", "3", "--labeled"),
 )
 
 
-def _request_digests(monkeypatch):
+def _request_digests():
     invalid = model_dict("fig2_square.json")
     invalid["initial"] = "btm"
     Path("invalid.json").write_text(json.dumps(invalid), encoding="utf-8")
@@ -636,7 +651,7 @@ def _request_digests(monkeypatch):
     for group, cases in groups.items():
         digest = hashlib.sha256()
         for case in cases:
-            code, text = _run_case(monkeypatch, *case)
+            code, text = _run_case(*case)
             digest.update(f"{' '.join(case[0])} {code}\n{text}".encode())
         if group.startswith("readme"):
             for name in ("tree.json", "tree.projection.json"):
@@ -645,7 +660,7 @@ def _request_digests(monkeypatch):
     return digests
 
 
-def test_decisions_on_figure_models_keep_their_bytes(in_models_copy, monkeypatch):
+def test_decisions_on_figure_models_keep_their_bytes(in_models_copy):
     """`bisim` and `hp-bisim` on every ordered pair of figure models, and
     with `--labeled` on every ordered pair of labeled ones; then the groups
     of `_REQUEST_DIGESTS`: every README line, plain and with --pretty,
@@ -664,4 +679,4 @@ def test_decisions_on_figure_models_keep_their_bytes(in_models_copy, monkeypatch
                              *(["--labeled"] if flag else []))
             digest.update(f"{x} {y} {code}\n".encode() + text.encode())
         assert digest.hexdigest() == expected, (command, flag)
-    assert _request_digests(monkeypatch) == _REQUEST_DIGESTS
+    assert _request_digests() == _REQUEST_DIGESTS

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -145,6 +146,15 @@ def test_dump_model_writes_json_dump_bytes(tmp_path):
         assert ours.read_bytes() == ref.read_bytes(), name
         cases += 1
     assert cases >= 30
+
+
+def test_a_failed_write_is_a_model_error(tmp_path, fig3):
+    for path in (tmp_path / "missing" / "tree.json", tmp_path):
+        error = f"^cannot write {re.escape(str(path))}: "
+        with pytest.raises(hb.ModelError, match=error):
+            hb.dump_model(fig3.hda, path)
+        with pytest.raises(hb.ModelError, match=error):
+            dump_id_map({}, path)
 
 
 def test_projection_sidecar_writes_json_dump_bytes(tmp_path):

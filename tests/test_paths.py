@@ -175,6 +175,12 @@ def test_fan_shape_requires_pointed_start(fig3):
         hb.fan_shape(CubePath(fig3.hda.space, ("a", "x")))
 
 
+def test_fan_shape_rejects_what_is_not_a_cube_path(fig3):
+    with pytest.raises(ModelError, match=r"^CubePath\(i, x, d\) is not a cube "
+                       "path; first broken step at position 1$"):
+        hb.fan_shape_trace(CubePath(fig3.hda.space, ("i", "x", "d")))
+
+
 def test_position_minus_dimension_is_odd_along_pointed_paths():
     rng = random.Random(99)
     for trial in range(10):

@@ -158,6 +158,12 @@ def test_is_tree_figures(fig1_left, fig1_right):
     assert not hb.is_tree(fig1_right.hda, 5)
 
 
+def test_is_tree_requires_a_positive_depth(fig1_right):
+    for depth in (0, -3):
+        with pytest.raises(hb.ModelError, match="^unfolding depth must be >= 1$"):
+            hb.is_tree(fig1_right.hda, depth)
+
+
 def test_prefix_projections_stay_in_their_class(fig1_left):
     unfolding = hb.unfold(fig1_left.hda, 5)
     tree = unfolding.tree
