@@ -234,7 +234,13 @@ def _run_unfold(args, loaded: LoadedModel) -> dict:
     if args.out:
         dump_model(unfolding.tree, args.out)
         sidecar = str(Path(args.out).with_suffix(".projection.json"))
-        dump_id_map(unfolding.projection_table(), sidecar)
+        try:
+            dump_id_map(unfolding.projection_table(), sidecar)
+        except ModelError:
+            # An error report leaves no output behind.
+            with contextlib.suppress(OSError):
+                Path(args.out).unlink()
+            raise
         report["out"] = args.out
         report["projection"] = sidecar
     return report
@@ -255,7 +261,7 @@ def _run_open_map(args, lx: LoadedModel, ly: LoadedModel) -> dict:
     try:
         with open(args.map_file, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ModelError(f"cannot read map file {args.map_file}: {exc}")
     if not isinstance(raw, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in raw.items()):

@@ -515,34 +515,6 @@ def check_morphism(f: PrecubicalMorphism) -> bool:
     return True
 
 
-def pair_id(x: str, y: str) -> str:
-    return f"({x},{y})"
-
-
-def product(x_space: PrecubicalSet, y_space: PrecubicalSet) -> PrecubicalSet:
-    """The product precubical set: pairs of equal-dimension cubes with
-    componentwise faces."""
-    if x_space.frontier or y_space.frontier:
-        raise ModelError("product of truncated structures is not defined")
-    rows: dict[str, Row] = {}
-    for x in x_space.ids():
-        dx = x_space.dim(x)
-        for y in y_space.ids():
-            if y_space.dim(y) != dx:
-                continue
-            lower = tuple(
-                pair_id(x_space.lower(x, k), y_space.lower(y, k))
-                for k in range(1, dx + 1))
-            upper = tuple(
-                pair_id(x_space.upper(x, k), y_space.upper(y, k))
-                for k in range(1, dx + 1))
-            cid = pair_id(x, y)
-            if cid in rows:
-                raise ModelError(f"duplicate cube id {cid!r}")
-            rows[cid] = (dx, lower, upper)
-    return PrecubicalSet(rows)
-
-
 def reachable_mask(hda: HDA) -> bytearray:
     """Flags over the int view (`PrecubicalSet.indexed`): entry i is 1 iff
     cube i is reachable from the initial cube."""

@@ -200,7 +200,8 @@ def load_model(path: str | Path) -> LoadedModel:
             data = json.load(handle)
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Undecodable bytes, nesting too deep or integers too long to parse.
         raise ModelError(f"malformed JSON in {path}: {exc}") from exc
     return model_from_dict(data)
 

@@ -1,4 +1,4 @@
-"""Paths of cubes, their path objects, adjacency, homotopy, and fan shapes.
+"""Paths of cubes, their path objects, homotopy, and fan shapes.
 
 A cube path is a sequence (x_1, ..., x_m) of cubes in which every step
 either starts a new part of the computation (x_j = delta_k^0 x_{j+1}) or
@@ -24,14 +24,15 @@ iterations that each drop T by exactly 2.
 Homotopy classes have one engine, `_Quotient`, a union-find over the paths
 from one cube built one length at a time.  It reads each exchange off the
 cube that witnesses it rather than testing pairs of paths with the
-clauses, which stay the definition behind `adjacency`.  `unfold` and
+clauses; the clauses themselves, as string code over whole paths, live in
+the tests as the reference its merges are checked against.  `unfold` and
 `is_tree` run it from the initial cube; the path queries run it from the
 path's first cube up to its length and follow the path to its class, so
 `cap` counts classes.
-The engine and the clauses read the int view (`PrecubicalSet.indexed`),
-which orders cubes by (dimension, id), but every order exposed here stays
-by id: steps are taken in id order, so classes come out sorted by id and
-the canonical representative is the lex-least id sequence.
+The engine reads the int view (`PrecubicalSet.indexed`), which orders
+cubes by (dimension, id), but every order exposed here stays by id: steps
+are taken in id order, so classes come out sorted by id and the canonical
+representative is the lex-least id sequence.
 """
 
 from __future__ import annotations
@@ -195,127 +196,12 @@ def path_object(rho: CubePath) -> PrecubicalMorphism:
                               source_initial="0:", target_initial=seq[0])
 
 
-@dataclass(frozen=True)
-class AdjacencyInfo:
-    clause: int    # 1..4
-    position: int  # 1-based index of the differing cube
-    k: int
-    ell: int
-    swapped: bool  # True when the second path played the leading role
-
-
-# The adjacency clauses, written once over the int view
-# (`PrecubicalSet.indexed`): xs and ys are tuples of cube indices and p is
-# the 1-based position of the cube they differ in.  The loops over k and ell
-# stop at the cube's dimension; a face position past the end of its list,
-# like a negative sentinel, names no cube and so matches no path entry.
-
-def _clause1(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
-    # Two consecutive starts swap: x takes direction k then ell (k < ell),
-    # y takes ell (renumbered ell-1 after the climb) then k.
-    lower, dims = view.lower, view.dims
-    xm1, xp, xp1 = xs[p - 2], xs[p - 1], xs[p]
-    ym1, yp, yp1 = ys[p - 2], ys[p - 1], ys[p]
-    top, ylo, ylo1 = lower[xp1][:dims[xp1]], lower[yp], lower[yp1]
-    for k, f in enumerate(lower[xp][:dims[xp]], 1):
-        if f != xm1:
-            continue
-        for ell in range(k + 1, len(top) + 1):
-            if (top[ell - 1] == xp and len(ylo) >= ell - 1
-                    and ylo[ell - 2] == ym1 and len(ylo1) >= k
-                    and ylo1[k - 1] == yp):
-                return k, ell
-    return None
-
-
-def _clause2(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
-    # Two consecutive ends swap: x ends direction k then ell (renumbered
-    # ell-1), y ends ell then k, for k < ell in the top cube's indexing.
-    upper, dims = view.upper, view.dims
-    xm1, xp, xp1 = xs[p - 2], xs[p - 1], xs[p]
-    yp, yp1 = ys[p - 1], ys[p]
-    top, xup, yup = upper[xm1][:dims[xm1]], upper[xp], upper[yp]
-    for k, f in enumerate(top, 1):
-        if f != xp:
-            continue
-        for ell in range(k + 1, len(top) + 1):
-            if (top[ell - 1] == yp and len(xup) >= ell - 1
-                    and xup[ell - 2] == xp1 and len(yup) >= k
-                    and yup[k - 1] == yp1):
-                return k, ell
-    return None
-
-
-def _clause3(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
-    # y climbs through the big cube (start k, then end ell); x dips two
-    # dimensions below by doing the end first.
-    xp = xs[p - 1]
-    ym1, yp, yp1 = ys[p - 2], ys[p - 1], ys[p]
-    n, lo1 = view.dims[yp], view.lower[yp1]
-    up = view.upper[yp][:n]
-    for k, f in enumerate(view.lower[yp][:n], 1):
-        if f != ym1:
-            continue
-        for ell in range(k + 1, len(up) + 1):
-            if up[ell - 1] == yp1 and len(lo1) >= k and lo1[k - 1] == xp:
-                return k, ell
-    return None
-
-
-def _clause4(view: CubeIndex, xs, ys, p: int) -> tuple[int, int] | None:
-    # Mirror of clause 3: y does end k after not yet starting ell; x takes
-    # the end first and stays two dimensions below.
-    xp = xs[p - 1]
-    ym1, yp, yp1 = ys[p - 2], ys[p - 1], ys[p]
-    n, up1 = view.dims[yp], view.upper[ym1]
-    lo = view.lower[yp][:n]
-    for k, f in enumerate(view.upper[yp][:n], 1):
-        if f != yp1:
-            continue
-        for ell in range(k + 1, len(lo) + 1):
-            if lo[ell - 1] == ym1 and len(up1) >= k and up1[k - 1] == xp:
-                return k, ell
-    return None
-
-
-_CLAUSES = ((1, _clause1), (2, _clause2), (3, _clause3), (4, _clause4))
-
-
-def _adjacency_at(view: CubeIndex, xs: tuple[int, ...], ys: tuple[int, ...],
-                  p: int) -> AdjacencyInfo | None:
-    for swapped, (a, b) in ((False, (xs, ys)), (True, (ys, xs))):
-        for num, fn in _CLAUSES:
-            hit = fn(view, a, b, p)
-            if hit is not None:
-                return AdjacencyInfo(num, p, hit[0], hit[1], swapped)
-    return None
-
-
 def _indices(view: CubeIndex, seq: tuple[str, ...]) -> tuple[int, ...]:
     """The path's cube indices in the int view."""
     try:
         return tuple(map(view.pos.__getitem__, seq))
     except KeyError as missing:
         raise ModelError(f"unknown cube id {missing.args[0]!r}") from None
-
-
-def adjacency(rho: CubePath, sigma: CubePath) -> AdjacencyInfo | None:
-    """The fired clause and position when the two paths are adjacent."""
-    if rho.space is not sigma.space:
-        raise ModelError("adjacency requires paths in the same space")
-    xs, ys = rho.seq, sigma.seq
-    if len(xs) != len(ys) or xs[0] != ys[0] or xs[-1] != ys[-1]:
-        return None
-    diff = [j for j in range(len(xs)) if xs[j] != ys[j]]
-    if len(diff) != 1:
-        return None
-    view = rho.space.indexed
-    return _adjacency_at(view, _indices(view, xs), _indices(view, ys),
-                         diff[0] + 1)
-
-
-def is_adjacent(rho: CubePath, sigma: CubePath) -> bool:
-    return adjacency(rho, sigma) is not None
 
 
 class _Successors(dict):

@@ -8,7 +8,10 @@ to its endpoint.  Built trees are truncated at a depth bound (path length,
 counting cubes, so depth 1 keeps only the root); nodes whose extensions
 were cut off are flagged as the frontier and their upper faces are omitted.
 A truncation that cut nothing is *complete* and coincides with the full
-unfolding.
+unfolding.  A truncated base unfolds too: its omitted upper faces stay
+omitted, and every node ending in a base frontier cube is on the frontier,
+since its extensions are unknown; so the unfolding is complete only when it
+reaches no such node.
 
 The classes come from the one homotopy engine, `paths._Quotient`, run from
 the initial cube one path length at a time: `cap` bounds how many are built,
@@ -128,14 +131,16 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
         ups: list[str | None] = []
         cut = False
         for k in range(n):
-            if k >= len(up) or up[k] == OMITTED:
-                raise ModelError("cannot unfold a truncated base")
-            if m + 1 <= depth:
+            if k >= len(up):
+                raise ModelError(f"cube {names[end]!r} lacks upper face "
+                                 f"k={k + 1}")
+            if m < depth and up[k] != OMITTED:
                 ups.append(ids[quotient.child[c, up[k]]])
             else:
                 ups.append(None)
                 cut = True
-        if m == depth and (cut or view.cofaces[end]):
+        if (cut or (m == depth and view.cofaces[end])
+                or names[end] in hda.space.frontier):
             frontier.add(ids[c])
         if ids[c] in rows:
             raise ModelError(

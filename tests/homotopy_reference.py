@@ -1,24 +1,35 @@
 """The string homotopy engine that the int engine replaced, kept as the
 reference of the differential tests (`test_homotopy_engine.py`,
-`test_unfold.py`).
+`test_unfold.py`) and as the one copy of the adjacency clauses.
 
 These are the adjacency clauses, the closure and the layered quotient as
 they were when they walked string ids through `dim`, `lower`, `upper` and
 `successors`.  They share no code with the int engine of `hdabisim.paths`,
-which they check: its clauses against `adjacency_at`, its `_Quotient`
-against `Quotient`, and `are_homotopic`, `homotopy_class` and
-`canonical_rep`, which read `_Quotient`, against `closure`, the breadth-
-first search over adjacency that the library no longer has.
+which they check: the merges its `_Quotient` reads off their witnesses
+against the clause search of `Quotient._merges_after`, its classes against
+`Quotient`, and `are_homotopic`, `homotopy_class` and `canonical_rep`,
+which read `_Quotient`, against `closure`, the breadth-first search over
+adjacency that the library no longer has.  `adjacency` classifies a pair
+of whole paths, for the tests that name the clause an exchange fires.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 from hdabisim.core import HDA, CapExceeded, ModelError, PrecubicalSet
-from hdabisim.paths import AdjacencyInfo
+
+
+@dataclass(frozen=True)
+class AdjacencyInfo:
+    clause: int    # 1..4
+    position: int  # 1-based index of the differing cube
+    k: int
+    ell: int
+    swapped: bool  # True when the second path played the leading role
 
 
 def clause1(sp: PrecubicalSet, xs, ys, p: int) -> tuple[int, int] | None:
@@ -89,13 +100,25 @@ CLAUSES = ((1, clause1), (2, clause2), (3, clause3), (4, clause4))
 
 
 def adjacency_at(space: PrecubicalSet, xs: tuple[str, ...],
-                  ys: tuple[str, ...], p: int) -> AdjacencyInfo | None:
+                 ys: tuple[str, ...], p: int) -> AdjacencyInfo | None:
     for swapped, (a, b) in ((False, (xs, ys)), (True, (ys, xs))):
         for num, fn in CLAUSES:
             hit = fn(space, a, b, p)
             if hit is not None:
                 return AdjacencyInfo(num, p, hit[0], hit[1], swapped)
     return None
+
+
+def adjacency(space: PrecubicalSet, xs: tuple[str, ...],
+              ys: tuple[str, ...]) -> AdjacencyInfo | None:
+    """The fired clause and position when the two paths are adjacent: equal
+    length and endpoints, and exactly one differing position."""
+    if len(xs) != len(ys) or xs[0] != ys[0] or xs[-1] != ys[-1]:
+        return None
+    diff = [j for j in range(len(xs)) if xs[j] != ys[j]]
+    if len(diff) != 1:
+        return None
+    return adjacency_at(space, tuple(xs), tuple(ys), diff[0] + 1)
 
 
 def between_candidates(space: PrecubicalSet, a: str, b: str) -> set[str]:

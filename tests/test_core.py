@@ -1,4 +1,4 @@
-"""Static model layer: validation, morphisms, products, reachability, tori."""
+"""Static model layer: validation, morphisms, reachability, tori."""
 
 import math
 import random
@@ -106,52 +106,6 @@ def test_morphism_must_be_total(fig2):
     space = fig2.hda.space
     with pytest.raises(hb.ModelError):
         hb.check_morphism(hb.PrecubicalMorphism(space, space, {"x": "x"}))
-
-
-def test_product_with_point(fig1_left):
-    point = PrecubicalSet({"pt": (0, (), ())})
-    prod = hb.product(point, fig1_left.hda.space)
-    assert hb.validate_precubical(prod).ok
-    assert len(prod) == len(fig1_left.hda.space.by_dim(0))
-    assert all(prod.dim(c) == 0 for c in prod.ids())
-
-
-def test_product_edge_with_itself():
-    edge = PrecubicalSet({"s": (0, (), ()), "t": (0, (), ()),
-                          "e": (1, ("s",), ("t",))})
-    prod = hb.product(edge, edge)
-    assert hb.validate_precubical(prod).ok
-    assert len(prod.by_dim(0)) == 4
-    assert len(prod.by_dim(1)) == 1
-
-
-def test_product_rejects_colliding_pair_ids():
-    # "(a,b,c)" names both the pair (a, b,c) and the pair (a,b, c).
-    x = PrecubicalSet({"a": (0, (), ()), "a,b": (0, (), ())})
-    y = PrecubicalSet({"b,c": (0, (), ()), "c": (0, (), ())})
-    with pytest.raises(hb.ModelError, match=r"^duplicate cube id '\(a,b,c\)'$"):
-        hb.product(x, y)
-
-
-def test_product_fig1_counts(fig1_left, fig1_right):
-    prod = hb.product(fig1_left.hda.space, fig1_right.hda.space)
-    assert hb.validate_precubical(prod).ok
-    assert len(prod.by_dim(0)) == 16
-    assert len(prod.by_dim(1)) == 16
-    assert len(prod.by_dim(2)) == 0
-
-
-def test_product_counts_random():
-    from hdabisim.generators import random_hda
-
-    rng = random.Random(42)
-    for _ in range(5):
-        x = random_hda(rng, max_cubes=14, max_dim=2)
-        y = random_hda(rng, max_cubes=14, max_dim=2)
-        prod = hb.product(x.space, y.space)
-        assert hb.validate_precubical(prod).ok
-        for n in range(max(x.space.max_dim(), y.space.max_dim()) + 1):
-            assert len(prod.by_dim(n)) == len(x.space.by_dim(n)) * len(y.space.by_dim(n))
 
 
 def test_reachable_fig3(fig3):

@@ -1,9 +1,9 @@
 """The int homotopy engine against the string engine it replaced.
 
 `homotopy_reference` keeps the string clauses, closure and layered quotient.
-The int engine must fire the same clause with the same (position, k, ell,
-swapped) and build the same classes, on models whose id order differs from
-the int view's (dimension, id) order.  `are_homotopic`, `homotopy_class`
+The int engine must read the same merges off their witnesses as the clause
+search finds and build the same classes, on models whose id order differs
+from the int view's (dimension, id) order.  `are_homotopic`, `homotopy_class`
 and `canonical_rep` read the quotient of the paths from a path's first cube
 up to its length: they must agree with the string closure of the path, and
 a cap must stop them exactly when those classes (or, for `homotopy_class`,
@@ -18,7 +18,7 @@ import pytest
 
 import hdabisim as hb
 from hdabisim import HDA, CubePath, EventSet, PrecubicalSet
-from hdabisim.generators import grid_hda, random_hda, random_pointed_path, sub_hda
+from hdabisim.generators import grid_hda, random_hda, sub_hda
 from hdabisim.paths import _classes, _Quotient
 from hdabisim.unfold import _quotient
 
@@ -57,45 +57,6 @@ def _models():
     for name in ("fig1_left.json", "fig1_right.json", "fig2_square.json",
                  "fig3.json", "fig5_x.json"):
         yield load(name).hda
-
-
-def _walk(rng, space, length):
-    """A random walk along the step relation from a random cube."""
-    seq = [rng.choice(space.ids())]
-    while len(seq) < length:
-        succs = space.successors(seq[-1])
-        if not succs:
-            break
-        seq.append(rng.choice(succs))
-    return tuple(seq)
-
-
-def test_adjacency_clauses_agree_with_string_reference():
-    rng = random.Random(7171)
-    fired = Counter()
-    for hda in _models():
-        space = hda.space
-        ids = space.ids()
-        for _ in range(30):
-            seq = (random_pointed_path(rng, hda, 9).seq if rng.random() < 0.5
-                   else _walk(rng, space, rng.randint(3, 8)))
-            if len(seq) < 3:
-                continue
-            for p in range(1, len(seq) - 1):
-                cands = sorted(ref.between_candidates(space, seq[p - 1], seq[p + 1]))
-                cands += rng.sample(ids, min(3, len(ids)))
-                for cand in cands:
-                    if cand == seq[p]:
-                        continue
-                    other = seq[:p] + (cand,) + seq[p + 1:]
-                    want = ref.adjacency_at(space, seq, other, p + 1)
-                    got = hb.adjacency(CubePath(space, seq), CubePath(space, other))
-                    assert got == want, (seq, other)
-                    if want is not None:
-                        fired[want.clause, want.swapped] += 1
-    # Every clause fires, from either side, often enough to be compared.
-    assert set(fired) == set(itertools.product((1, 2, 3, 4), (False, True)))
-    assert min(fired.values()) >= 20, fired
 
 
 def _reference_classes(space, start, length, budget=2000):
@@ -232,30 +193,13 @@ def _faulty(hda, rng):
 
 def test_engine_agrees_with_string_reference_on_faulty_models():
     rng = random.Random(7474)
-    hits = 0
     verdicts, classes_seen = Counter(), Counter()
     for base in _models():
         for _ in range(2):
-            hda = _faulty(base, rng)
-            space = hda.space
-            for _ in range(8):
-                seq = _walk(rng, space, rng.randint(3, 8))
-                for p in range(1, len(seq) - 1):
-                    cands = sorted(ref.between_candidates(space, seq[p - 1],
-                                                          seq[p + 1]))
-                    for cand in cands + rng.sample(space.ids(), 2):
-                        other = seq[:p] + (cand,) + seq[p + 1:]
-                        if other == seq:
-                            continue
-                        want = ref.adjacency_at(space, seq, other, p + 1)
-                        got = hb.adjacency(CubePath(space, seq),
-                                           CubePath(space, other))
-                        assert got == want, (seq, other)
-                        hits += want is not None
+            space = _faulty(base, rng).space
             for rho, cls, classes in _cases(rng, space, 7, 2):
                 _check_verdicts(rng, rho, cls, classes, verdicts)
                 _check_class(rho, cls, classes, classes_seen)
-    assert hits >= 200, hits
     assert min(verdicts[k] for k in (True, False, "capped")) >= 50, verdicts
     assert min(classes_seen[k] for k in (True, False)) >= 50, classes_seen
 
@@ -288,8 +232,7 @@ def test_unknown_ids_raise_model_error(fig3):
     space = fig3.hda.space
     good = CubePath(space, ("i", "a", "x"))
     bad = CubePath(space, ("i", "zz", "x"))
-    for call in (lambda: hb.adjacency(good, bad),
-                 lambda: hb.are_homotopic(good, bad),
+    for call in (lambda: hb.are_homotopic(good, bad),
                  lambda: hb.homotopy_class(bad),
                  lambda: hb.canonical_rep(bad)):
         with pytest.raises(hb.ModelError, match="unknown cube id 'zz'"):

@@ -8,7 +8,6 @@ import re
 import pytest
 
 import hdabisim as hb
-from hdabisim.core import pair_id
 from hdabisim.generators import grid_labeling, random_hda
 from hdabisim.model_io import dump_id_map
 
@@ -170,13 +169,11 @@ def test_projection_sidecar_writes_json_dump_bytes(tmp_path):
 
 
 def _generated_models() -> dict[str, list[tuple[hb.HDA, hb.Labeling | None]]]:
-    """The models `torus_hda`, `torus_unfolding` and `product` build, in a
-    fixed order, by family: tori over 0-3 events up to dimension 3, their
-    closed-form unfoldings to depth 5 (with and without `maxdim`), and the
-    products of every ordered pair of figure models."""
+    """The models `torus_hda` and `torus_unfolding` build, in a fixed order,
+    by family: tori over 0-3 events up to dimension 3, and their closed-form
+    unfoldings to depth 5 (with and without `maxdim`)."""
     families: dict[str, list] = {
-        "torus": [], "torus_unfolding": [], "torus_unfolding_maxdim": [],
-        "product": []}
+        "torus": [], "torus_unfolding": [], "torus_unfolding_maxdim": []}
     for n in range(4):
         events = hb.EventSet(("a", "b", "c")[:n])
         for maxdim in range(4):
@@ -187,15 +184,6 @@ def _generated_models() -> dict[str, list[tuple[hb.HDA, hb.Labeling | None]]]:
             for maxdim in range(4):
                 families["torus_unfolding_maxdim"].append(
                     (hb.torus_unfolding(events, depth, maxdim), None))
-    figures = [load(name).hda for name in (
-        "fig1_left.json", "fig1_right.json", "fig2_square.json", "fig3.json",
-        "fig5_x.json", "fig5_y.json", "ab_square_abc.json",
-        "ac_square_abc.json")]
-    for x in figures:
-        for y in figures:
-            space = hb.product(x.space, y.space)
-            families["product"].append(
-                (hb.HDA(space, pair_id(x.initial, y.initial)), None))
     return families
 
 
@@ -209,8 +197,6 @@ _GENERATED_DIGESTS = {
         "55b93440177cd0da37a71be95d0e0f99f3596b2ea31d58510d978ff5380b5d81",
     "torus_unfolding_maxdim":
         "d3705897c77488eb303ab7f65927400aaa45275170a2c2b5d035e04ee8ccc4ee",
-    "product":
-        "704921f094b48cdd54100aa23c3e68694aa401640b69840613e1e9e4cfdadf03",
 }
 
 

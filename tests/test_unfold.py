@@ -8,7 +8,7 @@ import pytest
 import hdabisim as hb
 from hdabisim import CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, sub_hda
-from conftest import torus_closed_form_map
+from conftest import MODELS, torus_closed_form_map
 from homotopy_reference import closure
 
 # Large enough that the reference never stops early on the corpus below.
@@ -127,6 +127,20 @@ def test_unfold_hollow_square_duplicates_far_corner(fig1_right):
     assert ends.count("f") == 2  # two non-homotopic histories reach f
 
 
+def test_unfold_keeps_a_truncated_base_truncated(fig3):
+    # Unfolding a truncated tree again cuts nothing more: its omitted upper
+    # faces stay omitted, the nodes over its frontier stay on the frontier,
+    # and the projection is an isomorphism.
+    tree = hb.unfold(fig3.hda, 4).tree
+    assert (len(tree.space), len(tree.space.frontier)) == (5, 2)
+    again = hb.unfold(tree, 9)
+    assert (len(again.tree.space), len(again.frontier)) == (5, 2)
+    assert not again.complete
+    assert {again.project(n) for n in again.frontier} == tree.space.frontier
+    assert hb.validate_model(again.tree).ok
+    assert hb.morphism_is_isomorphism(again.projection)
+
+
 def test_unfold_truncated_torus_line():
     hda, _lab = hb.torus_hda(EventSet(("a",)), 1)
     unfolding = hb.unfold(hda, 5)
@@ -212,6 +226,22 @@ def test_lift_depth_bound(fig5_x):
     sigma = CubePath(fig5_x.hda.space, ("x", "e1", "y", "e2", "x"))
     with pytest.raises(hb.DepthExceeded):
         hb.lift_path(unfolding, "x", sigma)
+
+
+def test_lift_rejects_what_it_cannot_lift(fig5_x):
+    unfolding = hb.unfold(fig5_x.hda, 5)
+    space = fig5_x.hda.space
+    other = hb.load_model(MODELS / "fig5_x.json").hda.space
+    cases = [
+        ("zz", CubePath(space, ("x",)), r"unknown tree node 'zz'"),
+        ("x", CubePath(other, ("x",)), r"in the unfolding's base"),
+        ("x", CubePath(space, ("x", "y")), r"fails at position 1"),
+        ("x/e1", CubePath(space, ("x", "e1")),
+         r"expected the projection 'e1' of 'x/e1'"),
+    ]
+    for start, sigma, message in cases:
+        with pytest.raises(hb.ModelError, match=message):
+            hb.lift_path(unfolding, start, sigma)
 
 
 def test_torus_unfolding_single_event():
