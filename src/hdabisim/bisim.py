@@ -31,7 +31,6 @@ one-step.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -151,8 +150,6 @@ def _greatest_relation(xs: PrecubicalSet, ys: PrecubicalSet,
     while queue:
         pair = queue.popleft()
         queued.discard(pair)
-        if pair not in alive:
-            continue
         x, y = pair
         if not (face_violation(x, y) or zig_violation(x, y)):
             continue
@@ -206,20 +203,20 @@ def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
 
 
 def _forward_classes(mask: bytearray, kinds: Sequence,
-                     tails: Sequence[tuple[int, ...]],
+                     upper: Sequence[tuple[int, ...]],
                      cofaces: Sequence[list[tuple[int, int]]],
                      classes: dict[tuple, int]) -> list[int | None]:
     """The forward class of every reachable cube of one side (None for the
     others), interned in `classes`, which the sides share.
 
     A forward step starts an event (to a lower coface, listed as (k, cube)
-    in `cofaces`) or finishes one (to an upper face, listed in `tails`).  A
+    in `cofaces`) or finishes one (to an upper face, listed in `upper`).  A
     depth-first walk closes a cube after every cube one forward step on that
     is not still open on the walk's path, so in post-order.  A cube with a
     step to an open cube, or to a marked one, can reach a forward cycle and
     is marked; its class interns its kind alone.  Any other cube's class
-    interns its kind, the classes of its tails in position order and the set
-    of (k, class) over its lower cofaces.
+    interns its kind, the classes of its upper faces in position order and
+    the set of (k, class) over its lower cofaces.
     Bisimilar cubes get one class (by induction on the longest forward run,
     and a cube that can reach a forward cycle is never bisimilar to one
     that cannot), so the classes are coarser than the coarsest stable
@@ -244,7 +241,7 @@ def _forward_classes(mask: bytearray, kinds: Sequence,
                     path.append(j)
                     stack.append(~j)
                     stack.extend([p for _k, p in cofaces[j]])
-                    stack.extend(tails[j])
+                    stack.extend(upper[j])
                 elif seen == 1 or marked[j]:
                     marked[path[-1]] = 1
                 continue
@@ -256,7 +253,7 @@ def _forward_classes(mask: bytearray, kinds: Sequence,
                     marked[path[-1]] = 1
                 continue
             cls[j] = classes.setdefault(
-                (kinds[j], tuple([cls[u] for u in tails[j]]),
+                (kinds[j], tuple([cls[u] for u in upper[j]]),
                  frozenset([(k, cls[p]) for k, p in cofaces[j]])),
                 len(classes))
     for j in itertools.compress(range(len(kinds)), marked):
@@ -269,10 +266,9 @@ class _Seed:
     """The forward seed of `_refine` over one or two sides.  Per side, by
     int view index: `blocks` holds the forward class of every reachable
     cube (None for the others), `masks` marks the reachable cubes, and
-    `tables` holds (heads, tails, cofaces): the faces before and past the
-    cube's dimension and its lower cofaces.  Across sides a cube is known by
-    its side's entry in `offsets` plus its view index.  `classes` interns
-    the forward classes."""
+    `tables` holds the view's lower faces, upper faces and lower cofaces.
+    Across sides a cube is known by its side's entry in `offsets` plus its
+    view index.  `classes` interns the forward classes."""
     blocks: list[list[int | None]] = field(default_factory=list)
     masks: list[bytearray] = field(default_factory=list)
     tables: list[tuple] = field(default_factory=list)
@@ -284,41 +280,30 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
     """The forward classes (`_forward_classes`) of the reachable parts of
     one or two (hda, labeling) sides, with the tables `_refine` reads.
 
-    Each side is read in place on its own int view.  A cube's faces are
-    read as one tuple, lower then upper, split at the cube's dimension into
-    heads and tails, also on a malformed cube.  A reachable
-    cube with a face outside the reachable part raises ModelError, naming
-    the first such cube in (dimension, id) order.
+    Each side is read in place on its own int view, which reachability
+    has validated.  From a 0-cube, the reachable part of a valid
+    untruncated set is face-closed: by the face identity, each lower face
+    of a reachable cube is a lower coface of a reachable face of the cube
+    the path came from, and each upper face is one end step away.  So a
+    truncated side, or one pointed above dimension 0, raises ModelError.
     """
+    if any(hda.space.frontier for hda, _labeling in sides):
+        raise ModelError("cannot decide bisimilarity of a truncated model "
+                         "(non-empty frontier); use `oracle` for truncated trees")
     seed = _Seed()
     offset = 0
     for hda, labeling in sides:
         view = hda.space.indexed
         mask = hda.reach_mask
-        lower, upper, dims = view.lower, view.upper, view.dims
-        # The sentinels UNKNOWN (-1) and OMITTED (-2) index the two zero
-        # pads rather than wrapping round to the last cubes.
-        padded = mask + bytes(2)
-        reached = itertools.chain.from_iterable(itertools.chain(
-            itertools.compress(lower, mask), itertools.compress(upper, mask)))
-        if not all(map(padded.__getitem__, reached)):
-            j = next(j for j in itertools.compress(range(len(dims)), mask)
-                     if not all(map(padded.__getitem__, lower[j] + upper[j])))
-            raise ModelError(f"a face of the reachable cube {view.ids[j]!r} "
-                             "is not reachable; validate the model first")
-        # Heads and tails differ from the lower and upper faces only on a
-        # cube whose lower faces are not as many as its dimension.
-        heads, tails = list(lower), list(upper)
-        for j in itertools.compress(itertools.count(),
-                                    map(operator.ne, map(len, lower), dims)):
-            faces = lower[j] + upper[j]
-            heads[j], tails[j] = faces[:dims[j]], faces[dims[j]:]
+        dims = view.dims
+        if dims[view.pos[hda.initial]]:
+            raise ModelError(f"initial cube {hda.initial!r} is not a 0-cube")
         kinds = dims if labeling is None else tuple(
             zip(dims, map(labeling.assign.get, view.ids)))
-        seed.blocks.append(
-            _forward_classes(mask, kinds, tails, view.cofaces, seed.classes))
+        seed.blocks.append(_forward_classes(mask, kinds, view.upper,
+                                            view.cofaces, seed.classes))
         seed.masks.append(mask)
-        seed.tables.append((heads, tails, view.cofaces))
+        seed.tables.append((view.lower, view.upper, view.cofaces))
         seed.offsets.append(offset)
         offset += len(mask)
     return seed
@@ -352,29 +337,29 @@ def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
     """
     blocks, masks, offsets, classes = (seed.blocks, seed.masks, seed.offsets,
                                        seed.classes)
-    # Per side: (blocks, heads, tails, cofaces).
+    # Per side: (blocks, lower faces, upper faces, lower cofaces).
     tables = [(blk,) + table for blk, table in zip(blocks, seed.tables)]
     # A cube known by offset + index is on side 1 iff past the first side.
     split = len(masks[0])
 
     def sign(g: int) -> tuple:
-        """Cube g's signature: the blocks of its heads and of its tails,
-        and the set of (k, block) over its lower cofaces."""
+        """Cube g's signature: the blocks of its lower faces and of its
+        upper faces, and the set of (k, block) over its lower cofaces."""
         s = g >= split
-        blk, heads, tails, cofaces = tables[s]
+        blk, lower, upper, cofaces = tables[s]
         j = g - offsets[s]
-        return (tuple([blk[f] for f in heads[j]]), tuple([blk[f] for f in tails[j]]),
+        return (tuple([blk[f] for f in lower[j]]), tuple([blk[f] for f in upper[j]]),
                 frozenset([(k, blk[p]) for k, p in cofaces[j]]))
 
     cyclic = {c for key, c in classes.items() if key[1] is None}
     # Round 1 signs every reachable cube.  parts[b] maps each signature met
     # in block b to the cubes that have it.
     parts: dict[int, dict[tuple, list[int]]] = {}
-    for (blk, heads, _tails, _cofaces), mask, off in zip(tables, masks, offsets):
+    for (blk, lower, _upper, _cofaces), mask, off in zip(tables, masks, offsets):
         for j in itertools.compress(range(len(blk)), mask):
             b = blk[j]
             sig = (sign(off + j) if b in cyclic
-                   else tuple([blk[f] for f in heads[j]]))
+                   else tuple([blk[f] for f in lower[j]]))
             parts.setdefault(b, {}).setdefault(sig, []).append(off + j)
     # In a later round, spare[b] is the part of block b that its untouched
     # members join without being listed in it, and their number.
@@ -406,13 +391,13 @@ def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
         if members is None:
             # Built when a round first moves a cube.
             members = [set() for _ in classes]
-            for (blk, heads, tails, cofaces), mask, off in zip(
+            for (blk, lower, upper, cofaces), mask, off in zip(
                     tables, masks, offsets):
                 side: list[list[int]] = [[] for _ in mask]
                 for i in itertools.compress(range(len(mask)), mask):
                     g = off + i
                     members[blk[i]].add(g)
-                    for f in itertools.chain(heads[i], tails[i]):
+                    for f in itertools.chain(lower[i], upper[i]):
                         side[f].append(g)
                     for _k, p in cofaces[i]:
                         side[p].append(g)
@@ -449,9 +434,6 @@ def _decide(x_hda: HDA, y_hda: HDA,
             lx: Labeling | None, ly: Labeling | None,
             justification: str) -> BisimDecision:
     _check_labelings(lx, ly)
-    if x_hda.space.frontier or y_hda.space.frontier:
-        raise ModelError("cannot decide bisimilarity of a truncated model "
-                         "(non-empty frontier); use `oracle` for truncated trees")
     seed = _seed(((x_hda, lx), (y_hda, ly)))
     views = (x_hda.space.indexed, y_hda.space.indexed)
     root = (x_hda.initial, y_hda.initial)
@@ -490,8 +472,9 @@ def bisimilar(x_hda: HDA, y_hda: HDA) -> BisimDecision:
     """Decide bisimilarity of finite, untruncated HDA; on success the
     witness is the greatest face-closed zig-zag relation on reachable pairs.
 
-    Raises ModelError when either model has a frontier (a truncated tree
-    leaves faces unknown; `hp_oracle` handles those).
+    Raises ModelError when either model fails validation, has a frontier
+    (a truncated tree leaves faces unknown; `hp_oracle` handles those) or
+    starts above dimension 0.
     """
     return _decide(x_hda, y_hda, None, None, "partition-refinement")
 
@@ -527,7 +510,8 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
                           ly: Labeling | None = None) -> list[str]:
     """Independent witness audit: re-checks membership of the initial pair,
     dimension (and label) agreement, face-closure of every pair, and both
-    zig-zag conditions on reachable pairs.  Returns human-readable problems.
+    zig-zag conditions on reachable pairs.  Returns human-readable problems;
+    raises ModelError when either set fails validation.
     """
     xs, ys = x_hda.space, y_hda.space
     rel = set(pairs)
@@ -548,8 +532,7 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
         if label_x is not None and label_x(x) != label_y(y):
             problems.append(f"label mismatch in pair ({x}, {y})")
         for nu, faces_x, faces_y in ((0, lower_x, lower_y), (1, upper_x, upper_y)):
-            # Positions past either face list are absent, as in `face`.
-            for k, (fx, fy) in enumerate(zip(faces_x[:dim], faces_y), start=1):
+            for k, (fx, fy) in enumerate(zip(faces_x, faces_y), start=1):
                 if fx is None or fy is None:
                     continue
                 if (fx, fy) not in rel:

@@ -93,12 +93,11 @@ class PrecubicalSet:
     cubes whose omitted upper faces are ``None``.  The dict is kept, not
     copied, so the caller must not change it afterwards.  Construction sorts
     the ids; structural validity (face closure, arity, the face identity)
-    is checked by :func:`validate_precubical`.  Two indexes are built
+    is checked by :func:`validate_precubical`.  Three things are built
     lazily, each the first time it is read, and then kept: the string
     coface tables behind `cofaces_lower`, `cofaces_upper` and `successors`,
-    and `indexed`, the int view (:class:`CubeIndex`) that validation,
-    reachability and the bisimulation engine read.  Callers that use
-    neither pay for neither.
+    `indexed`, the int view (:class:`CubeIndex`) that the int walks read,
+    and what validation finds, which those walks require to be nothing.
     """
 
     def __init__(self, rows: dict[str, Row], frontier: Iterable[str] = ()):
@@ -114,6 +113,11 @@ class PrecubicalSet:
     def indexed(self) -> CubeIndex:
         """The int view of the set, built on first use and kept."""
         return CubeIndex(self._ids, self._rows)
+
+    @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        # What `validate_precubical` reports, found on first use and kept.
+        return _precubical_violations(self)
 
     def _coface_table(self, upper: bool) -> dict[str, tuple[tuple[int, str], ...]]:
         # For each cube f, the parents x with delta_k^nu x = f, in (x, k) order.
@@ -312,8 +316,19 @@ def validate_precubical(space: PrecubicalSet) -> ValidationReport:
     """Check face arity, face closure, and the face identity everywhere.
 
     Identity violations name the offending cube, the indices (k, l, nu, mu)
-    with k < l, and the two corner ids that should have coincided.
+    with k < l, and the two corner ids that should have coincided.  The set
+    keeps what is found, so each call returns a fresh report of one check.
     """
+    return ValidationReport(list(space._violations))
+
+
+def _require_valid(space: PrecubicalSet) -> None:
+    """Raise ModelError naming the set's first violation, if it has one."""
+    if space._violations:
+        raise ModelError(f"the set fails validation: {space._violations[0].detail}")
+
+
+def _precubical_violations(space: PrecubicalSet) -> tuple[Violation, ...]:
     view = space.indexed
     ids, dims, tables = view.ids, view.dims, (view.lower, view.upper)
     lower, upper = tables
@@ -398,7 +413,7 @@ def validate_precubical(space: PrecubicalSet) -> ValidationReport:
                             {"k": k, "ell": ell, "nu": nu, "mu": mu,
                              "left": left, "right": right},
                         ))
-    return ValidationReport(violations)
+    return tuple(violations)
 
 
 def validate_model(hda: HDA, labeling: Labeling | None = None) -> ValidationReport:
@@ -517,7 +532,8 @@ def check_morphism(f: PrecubicalMorphism) -> bool:
 
 def reachable_mask(hda: HDA) -> bytearray:
     """Flags over the int view (`PrecubicalSet.indexed`): entry i is 1 iff
-    cube i is reachable from the initial cube."""
+    cube i is reachable from the initial cube.  Refuses an invalid set."""
+    _require_valid(hda.space)
     view = hda.space.indexed
     start = view.pos.get(hda.initial)
     if start is None:
@@ -526,27 +542,16 @@ def reachable_mask(hda: HDA) -> bytearray:
     seen = bytearray(len(view.ids))
     seen[start] = 1
     stack = [start]
-    # An unknown upper face is pushed as a negative number -3 - n naming
-    # unknown[n] and raises when it is popped, as looking the id up would.
-    unknown: list[str] = []
     while stack:
         i = stack.pop()
-        if i < 0:
-            raise ModelError(f"unknown cube id {unknown[-3 - i]!r}")
         for _k, j in cofaces[i]:
             if not seen[j]:
                 seen[j] = 1
                 stack.append(j)
-        for k, j in enumerate(upper[i]):
-            if j >= 0:
-                if not seen[j]:
-                    seen[j] = 1
-                    stack.append(j)
-            elif j == UNKNOWN:
-                ref = hda.space._rows[view.ids[i]][2][k]
-                if ref not in unknown:
-                    unknown.append(ref)
-                    stack.append(-3 - unknown.index(ref))
+        for j in upper[i]:
+            if j >= 0 and not seen[j]:
+                seen[j] = 1
+                stack.append(j)
     return seen
 
 

@@ -28,7 +28,7 @@ clauses; the clauses themselves, as string code over whole paths, live in
 the tests as the reference its merges are checked against.  `unfold` and
 `is_tree` run it from the initial cube; the path queries run it from the
 path's first cube up to its length and follow the path to its class, so
-`cap` counts classes.
+`cap` counts classes.  The engine refuses a set that fails validation.
 The engine reads the int view (`PrecubicalSet.indexed`), which orders
 cubes by (dimension, id), but every order exposed here stays by id: steps
 are taken in id order, so classes come out sorted by id and the canonical
@@ -41,8 +41,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (HDA, OMITTED, UNKNOWN, CapExceeded, CubeIndex,
-                   ModelError, PrecubicalMorphism, PrecubicalSet, Row)
+from .core import (HDA, OMITTED, CapExceeded, CubeIndex, ModelError,
+                   PrecubicalMorphism, PrecubicalSet, Row, _require_valid)
 
 DEFAULT_CAP = 100_000
 
@@ -207,21 +207,16 @@ def _indices(view: CubeIndex, seq: tuple[str, ...]) -> tuple[int, ...]:
 class _Successors(dict):
     """A cube's index -> the indices of the cubes one step after it, in
     ascending id order: the sets `PrecubicalSet.successors` lists, read from
-    the int view as they are first asked for.  An upper face naming no cube
-    raises, as looking that id up does."""
+    the int view as they are first asked for."""
 
-    def __init__(self, space: PrecubicalSet):
+    def __init__(self, view: CubeIndex):
         super().__init__()
-        self.space, self.view = space, space.indexed
+        self.view = view
 
     def __missing__(self, i: int) -> tuple[int, ...]:
         view = self.view
-        ends = view.upper[i]
-        if UNKNOWN in ends:
-            ref = self.space.row(view.ids[i])[2][ends.index(UNKNOWN)]
-            raise ModelError(f"unknown cube id {ref!r}")
         after = {j for _k, j in view.cofaces[i]}
-        after.update(ends)
+        after.update(view.upper[i])
         after.discard(OMITTED)
         out = self[i] = tuple(sorted(after, key=view.ids.__getitem__))
         return out
@@ -255,9 +250,10 @@ class _Quotient:
     """
 
     def __init__(self, space: PrecubicalSet, start: int, cap: int):
+        _require_valid(space)
         self.view = space.indexed
         self.cap = cap
-        self.successors = _Successors(space)
+        self.successors = _Successors(self.view)
         self.reps: list[tuple[int, ...]] = [(start,)]
         self.child: dict[tuple[int, int], int] = {}
         self.via: list[dict[int, int]] = [{}]
@@ -266,52 +262,41 @@ class _Quotient:
     def _merges_after(self, g: int) -> list[tuple[int, int, int]]:
         """The (a, a', y) with (g, a, y) adjacent to (g, a', y), in no
         particular order and possibly repeated.  Each is read off the cube
-        that witnesses its exchange, with every bound and step that the
-        clauses check, so that sets failing validation merge exactly what
-        the clauses accept."""
+        that witnesses its exchange.  The set is valid: every face list is
+        as long as its cube's dimension, the face identity holds, and only
+        an upper face can be missing (omitted by truncation)."""
         hit = self._merges.get(g)
         if hit is not None:
             return hit
         view = self.view
-        dims, lower, upper = view.dims, view.lower, view.upper
+        lower, upper = view.lower, view.upper
         ends, hit = upper[g], []
         for k, v in view.cofaces[g]:
-            if k > dims[v]:
-                continue
             # Clause 1: g = d0_k v and v = d0_ell y, so the other path
-            # starts d0_k y, which d0_{ell-1} must take back to g.
+            # starts d0_k y, which d0_{ell-1} takes back to g (the face
+            # identity).
             for ell, y in view.cofaces[v]:
-                if k < ell <= dims[y]:
-                    b = lower[y][k - 1]
-                    if (b >= 0 and b != v and len(lower[b]) >= ell - 1
-                            and lower[b][ell - 2] == g):
-                        hit.append((v, b, y))
+                if k < ell and lower[y][k - 1] != v:
+                    hit.append((v, lower[y][k - 1], y))
             # Clauses 3 and 4: v climbs from g = d0_k v to y = d1_e v; the
-            # path that ends first dips through a = d0_k y (k < e) or
-            # a = d1_e g (e < k), which must be a step after g and before y.
-            for e, y in enumerate(upper[v][:dims[v]], 1):
+            # path that ends first dips two dimensions below v, through
+            # a = d0_k y (k < e), a step before y that must be an end after
+            # g, or a = d1_e g (e < k), an end after g that the face
+            # identity makes d0_{k-1} y.
+            for e, y in enumerate(upper[v], 1):
                 if y < 0 or e == k:
                     continue
-                if e > k:
-                    lo = lower[y]
-                    a = lo[k - 1] if k <= len(lo) else -1
-                    if a >= 0 and a != v and (a in ends or g in lower[a]):
-                        hit.append((a, v, y))
-                else:
-                    a = ends[e - 1] if e <= len(ends) else -1
-                    if a >= 0 and a != v and (a in lower[y] or y in upper[a]):
-                        hit.append((a, v, y))
+                a = lower[y][k - 1] if e > k else ends[e - 1]
+                if a >= 0 and (e < k or a in ends):
+                    hit.append((a, v, y))
         # Clause 2: a = d1_k g and b = d1_ell g end on one cube
         # y = d1_{ell-1} a = d1_k b.
-        top = ends[:dims[g]]
-        for k, a in enumerate(top, 1):
+        for k, a in enumerate(ends, 1):
             if a < 0:
                 continue
-            after_a = upper[a]
-            for ell in range(k + 1, min(len(top), len(after_a) + 1) + 1):
-                b, y = top[ell - 1], after_a[ell - 2]
-                if (b >= 0 and b != a and y >= 0 and len(upper[b]) >= k
-                        and upper[b][k - 1] == y):
+            for ell in range(k + 1, len(ends) + 1):
+                b, y = ends[ell - 1], upper[a][ell - 2]
+                if b >= 0 and b != a and y >= 0 and upper[b][k - 1] == y:
                     hit.append((a, b, y))
         self._merges[g] = hit
         return hit
@@ -479,10 +464,17 @@ def _fan_once(space: PrecubicalSet, seq: tuple[str, ...]) -> list[tuple[str, ...
     def replaced(s, idx, value):
         return s[:idx] + (value,) + s[idx + 1:]
 
+    def upper(cube, k):
+        face = space.upper(cube, k)
+        if face is None:
+            raise ModelError(f"cannot fan-shape the path: upper face k={k} of "
+                             f"{cube!r} is omitted by truncation")
+        return face
+
     if k2 < k3:
         return [replaced(seq, i, space.lower(seq[i + 1], k2))]
     if k2 > k3:
-        return [replaced(seq, i, space.upper(seq[i - 1], k3))]
+        return [replaced(seq, i, upper(seq[i - 1], k3))]
     # k2 == k3: first move the preceding cube so the two start indices
     # separate, then reduce.
     k1 = next((k for k in range(1, space.dim(seq[i - 1]) + 1)
@@ -495,7 +487,7 @@ def _fan_once(space: PrecubicalSet, seq: tuple[str, ...]) -> list[tuple[str, ...
         low = replaced(mid, i, space.lower(mid[i + 1], k1))
     else:
         mid = replaced(seq, i - 1, space.lower(seq[i], k1 + 1))
-        low = replaced(mid, i, space.upper(mid[i - 1], k3))
+        low = replaced(mid, i, upper(mid[i - 1], k3))
     if mid == seq:
         # Self-linked cubes can make the transposition a no-op; the
         # reduction is then directly adjacent to the input.

@@ -11,7 +11,8 @@ A truncation that cut nothing is *complete* and coincides with the full
 unfolding.  A truncated base unfolds too: its omitted upper faces stay
 omitted, and every node ending in a base frontier cube is on the frontier,
 since its extensions are unknown; so the unfolding is complete only when it
-reaches no such node.
+reaches no such node.  The omissions may leave a class with no member
+through one of its lower faces; that base is refused, as is an invalid one.
 
 The classes come from the one homotopy engine, `paths._Quotient`, run from
 the initial cube one path length at a time: `cap` bounds how many are built,
@@ -121,32 +122,26 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
         m, end = len(rep), rep[-1]
         n, lo, up = dims[end], lower[end], upper[end]
         faces = []
-        for k in range(n):
-            face = via.get(lo[k]) if k < len(lo) else None
+        for k, f in enumerate(lo, 1):
+            face = via.get(f)
             if face is None:
-                raise RuntimeError(
-                    f"class {ids[c]} has no member through lower face "
-                    f"k={k + 1}; the face class is unexpectedly empty")
+                # Only a truncated base leaves a face class empty; cutting
+                # the class instead can break the tree's face identity.
+                raise ModelError(
+                    f"cannot unfold: class {ids[c]} has no member through "
+                    f"lower face k={k} of {names[end]!r}, which the "
+                    "truncated base reaches only through omitted upper faces")
             faces.append(ids[face])
-        ups: list[str | None] = []
-        cut = False
-        for k in range(n):
-            if k >= len(up):
-                raise ModelError(f"cube {names[end]!r} lacks upper face "
-                                 f"k={k + 1}")
-            if m < depth and up[k] != OMITTED:
-                ups.append(ids[quotient.child[c, up[k]]])
-            else:
-                ups.append(None)
-                cut = True
-        if (cut or (m == depth and view.cofaces[end])
+        ups = tuple(None if m == depth or u == OMITTED
+                    else ids[quotient.child[c, u]] for u in up)
+        if (None in ups or (m == depth and view.cofaces[end])
                 or names[end] in hda.space.frontier):
             frontier.add(ids[c])
         if ids[c] in rows:
             raise ModelError(
                 f"two homotopy classes share the node id {ids[c]!r}; "
                 "cube ids containing '/' cannot be unfolded")
-        rows[ids[c]] = (n, tuple(faces), tuple(ups))
+        rows[ids[c]] = (n, tuple(faces), ups)
 
     tree_space = PrecubicalSet(rows, frontier)
     tree = HDA(tree_space, ids[0])

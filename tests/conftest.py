@@ -136,6 +136,42 @@ def torus_closed_form_map(events: hb.EventSet, depth: int,
         source_initial=unfolding.tree.initial, target_initial=closed.initial)
 
 
+def truncated(rng, hda: hb.HDA) -> hb.HDA:
+    """`hda` with 1-3 upper faces omitted and their cubes listed in the
+    frontier.  Validation exempts omitted upper faces of frontier cubes, so
+    a truncation of a valid model is valid.  A model with no cube above
+    dimension 0 comes back unchanged."""
+    rows = dict(hda.space.rows())
+    frontier = set(hda.space.frontier)
+    tops = [c for c in hda.space.ids() if rows[c][0]]
+    for _ in range(rng.randint(1, 3) if tops else 0):
+        cid = rng.choice(tops)
+        dim, lower, upper = rows[cid]
+        k = rng.randrange(dim)
+        rows[cid] = (dim, lower, upper[:k] + (None,) + upper[k + 1:])
+        frontier.add(cid)
+    return hb.HDA(hb.PrecubicalSet(rows, frontier), hda.initial)
+
+
+def cut_square() -> dict:
+    """The model dict of ab_square_abc.json with the upper face of edge `a`
+    omitted: a valid truncation in which the corner `p`, and so the lower
+    face of edge `b2`, is reached only through the omission."""
+    data = model_dict("ab_square_abc.json")
+    for cube in data["cubes"]:
+        if cube["id"] == "a":
+            cube["d1"] = [None]
+    data["frontier"] = ["a"]
+    return data
+
+
+def refusal(space: hb.PrecubicalSet) -> str:
+    """The ModelError message with which the int walks refuse a set that
+    fails validation: its first violation's detail."""
+    first = hb.validate_precubical(space).violations[0]
+    return f"the set fails validation: {first.detail}"
+
+
 # JSON values that are wrong almost anywhere in a model file.
 _JUNK = (None, True, 0, -1, 2, 1.5, "", "ghost", [], {}, [None], ["ghost"],
          [1], [True], {"x": [1]})

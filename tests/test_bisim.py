@@ -10,7 +10,7 @@ import hdabisim as hb
 from hdabisim import PrecubicalSet, bisim, core
 from hdabisim.generators import random_hda, sub_hda
 
-from conftest import load
+from conftest import load, refusal, truncated
 from open_map_reference import extensions, is_open, lifts, pointed_ends
 
 
@@ -782,17 +782,18 @@ def _with_extra_faces(hda, pick):
 
 def _audit_inputs():
     """(x, lx, y, ly, witness) inputs for the audit: decided pairs, truncated
-    trees against themselves, and models with arity faults whose surplus
-    faces differ, each with the diagonal or the decided witness."""
+    trees and truncated models against themselves, and models with arity
+    faults whose surplus faces differ, each with the diagonal or the
+    decided witness."""
+    rng = random.Random(0xA0D2)
     pairs = _differential_pairs()[:600]
     for x, lx, y, ly in pairs:
         decision = (hb.bisimilar(x, y) if lx is None
                     else hb.labeled_bisimilar(x, lx, y, ly))
         yield x, lx, y, ly, decision.witness or []
     for x, _lx, _y, _ly in pairs[:60]:
-        tree = hb.unfold(x, 3).tree
-        diagonal = [(c, c) for c in tree.space.ids()]
-        yield tree, None, tree, None, diagonal
+        for cut in (hb.unfold(x, 3).tree, truncated(rng, x)):
+            yield cut, None, cut, None, [(c, c) for c in cut.space.ids()]
         lower = _with_extra_faces(x, lambda row: row[1][0])
         upper = _with_extra_faces(x, lambda row: row[2][0])
         yield lower, None, upper, None, [(c, c) for c in x.space.ids()]
@@ -801,6 +802,7 @@ def _audit_inputs():
 def test_witness_audit_agrees_with_reference_on_corrupted_witnesses():
     rng = random.Random(0xA0D1)
     kinds = set()
+    refused = 0
     for trial, (x, lx, y, ly, witness) in enumerate(_audit_inputs()):
         witness = list(witness)
         # Drop pairs, and add pairs of any two cubes, so that every kind of
@@ -810,11 +812,21 @@ def test_witness_audit_agrees_with_reference_on_corrupted_witnesses():
                 witness.pop(rng.randrange(len(witness)))
             else:
                 witness.append((rng.choice(x.space.ids()), rng.choice(y.space.ids())))
+        if not hb.validate_precubical(x.space).ok:
+            # Both audits walk the reachable part of x first, which
+            # refuses a set that fails validation.
+            for audit in (hb.verify_bisim_relation, _verify_bisim_relation_ref):
+                with pytest.raises(hb.ModelError) as caught:
+                    audit(x, y, witness, lx, ly)
+                assert str(caught.value) == refusal(x.space), trial
+            refused += 1
+            continue
         got = hb.verify_bisim_relation(x, y, witness, lx, ly)
         assert got == _verify_bisim_relation_ref(x, y, witness, lx, ly), trial
         kinds.update(next(kind for kind in _AUDIT_PROBLEMS if kind in p)
                      for p in got)
     assert kinds == set(_AUDIT_PROBLEMS)
+    assert refused == 60, refused
 
 
 _AUDIT_PROBLEMS = ("initial pair missing", "dimension mismatch",

@@ -6,9 +6,9 @@ import random
 import pytest
 
 import hdabisim as hb
-from hdabisim import EventSet, PrecubicalSet
+from hdabisim import EventSet, PrecubicalSet, core
 
-from conftest import load, model_dict
+from conftest import load, model_dict, refusal
 
 
 def test_figure_models_validate():
@@ -115,17 +115,91 @@ def test_reachable_fig3(fig3):
 
 
 def test_successors_raise_on_a_dangling_upper_face():
-    # Every walk of the step relation stops at the upper face "zz" that
-    # names no cube, with the same error as `successors` itself.
+    # The string walks of the step relation stop at the upper face "zz"
+    # that names no cube, with the same error as `successors` itself.  The
+    # int walks refuse the set before they walk, naming its first violation.
     space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("zz",))})
     hda = hb.HDA(space, "v")
-    walks = (space.successors, lambda _: hb.reachable(hda),
+    walks = (space.successors,
              lambda _: list(hb.enumerate_pointed_paths(hda, 3)),
-             lambda _: hb.longest_pointed_path_length(hda),
-             lambda _: hb.unfold(hda, 3), lambda _: hb.bisimilar(hda, hda))
+             lambda _: hb.longest_pointed_path_length(hda))
     for walk in walks:
         with pytest.raises(hb.ModelError, match="^unknown cube id 'zz'$"):
             walk("e")
+    for walk in (lambda: hb.reachable(hda), lambda: hb.unfold(hda, 3),
+                 lambda: hb.bisimilar(hda, hda)):
+        with pytest.raises(hb.ModelError) as caught:
+            walk()
+        assert str(caught.value) == (
+            "the set fails validation: cube 'e' face k=1 nu=1 refers to "
+            "unknown id 'zz'") == refusal(space)
+
+
+def _int_walks(hda, labeling):
+    """Every library entry point that reads the int view of `hda`'s set."""
+    rho = hb.CubePath(hda.space, (hda.initial,))
+    return {
+        "reachable": lambda: hb.reachable(hda),
+        "bisimilar": lambda: hb.bisimilar(hda, hda),
+        "labeled_bisimilar": lambda: hb.labeled_bisimilar(
+            hda, labeling, hda, labeling),
+        "hp_bisimilar": lambda: hb.hp_bisimilar(hda, hda),
+        "are_homotopic": lambda: hb.are_homotopic(rho, rho),
+        "homotopy_class": lambda: hb.homotopy_class(rho),
+        "canonical_rep": lambda: hb.canonical_rep(rho),
+        "unfold": lambda: hb.unfold(hda, 4),
+        "is_tree": lambda: hb.is_tree(hda, 4),
+        "hp_oracle": lambda: hb.hp_oracle(hda, hda, 4),
+    }
+
+
+def test_int_walks_refuse_a_set_that_fails_validation(ab_square):
+    # One fault of each kind validation reports on the labeled square:
+    # a dangling, missing and mis-dimensioned face, an arity fault and a
+    # broken face identity.
+    faults = {"dangling-face": ("ab", 2, ("ghost", "a2")),
+              "missing-face": ("b", 2, (None,)),
+              "face-dimension": ("b", 2, ("ab",)),
+              "face-arity": ("b", 1, ("i", "q")),
+              "identity": ("ab", 2, ("a2", "b2"))}
+    base = ab_square.hda
+    for kind, (cid, side, faces) in faults.items():
+        rows = dict(base.space.rows())
+        row = list(rows[cid])
+        row[side] = faces
+        rows[cid] = tuple(row)
+        space = PrecubicalSet(rows)
+        hda = hb.HDA(space, base.initial)
+        assert hb.validate_precubical(space).violations[0].kind == kind
+        for name, walk in _int_walks(hda, ab_square.labeling).items():
+            with pytest.raises(hb.ModelError) as caught:
+                walk()
+            assert str(caught.value) == refusal(space), (kind, name)
+
+
+def test_a_set_is_validated_once(monkeypatch, fig5_x, fig5_y):
+    # `validate_model` and then a decision, as the CLI runs them, find
+    # each set's violations once; so does a decision on its own.
+    calls = []
+    find = core._precubical_violations
+    monkeypatch.setattr(core, "_precubical_violations",
+                        lambda space: calls.append(space) or find(space))
+    x, y = (hb.HDA(PrecubicalSet(dict(m.hda.space.rows())), m.hda.initial)
+            for m in (fig5_x, fig5_y))
+    assert hb.validate_model(x).ok and hb.validate_model(y).ok
+    hb.bisimilar(x, y)
+    assert hb.validate_model(x).ok
+    assert calls == [x.space, y.space]
+    z = hb.HDA(PrecubicalSet(dict(fig5_x.hda.space.rows())), "x")
+    hb.bisimilar(z, z)
+    assert calls[2:] == [z.space]
+
+
+def test_the_decision_refuses_an_initial_cube_above_dimension_0(fig3):
+    hda = hb.HDA(fig3.hda.space, "a")
+    assert hb.validate_precubical(hda.space).ok
+    with pytest.raises(hb.ModelError, match="^initial cube 'a' is not a 0-cube$"):
+        hb.bisimilar(hda, hda)
 
 
 def test_reachable_isolated_initial():

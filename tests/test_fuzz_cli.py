@@ -15,7 +15,7 @@ import hdabisim as hb
 from hdabisim.cli import main
 from hdabisim.generators import grid_labeling, random_hda, random_pointed_path
 
-from conftest import model_dict, mutate_model_dict
+from conftest import model_dict, mutate_model_dict, truncated
 
 _BASES = [model_dict(name) for name in (
     "fig1_left.json", "fig1_right.json", "fig3.json", "fig5_x.json",
@@ -45,6 +45,17 @@ _COMMANDS = (
 )
 
 
+def _run(argv):
+    """`main` on argv: its exit code and its one JSON report."""
+    out = io.StringIO()
+    code = main(argv, out=out)
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
+    report = json.loads(text)
+    assert isinstance(report, dict) and "result" in report, (argv, text)
+    return code, report
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_cli_on_mutated_models_exits_cleanly(data):
@@ -64,13 +75,8 @@ def test_cli_on_mutated_models_exits_cleanly(data):
         slots = {**files, **flags}
         for command in _COMMANDS:
             argv = [str(slots.get(arg, arg)) for arg in command]
-            out = io.StringIO()
-            code = main(argv, out=out)
-            text = out.getvalue()
-            assert code in (0, 1, 2, 3), (argv, x, y, text)
-            assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
-            report = json.loads(text)
-            assert isinstance(report, dict) and "result" in report, (argv, text)
+            code, report = _run(argv)
+            assert code in (0, 1, 2, 3), (argv, x, y, report)
 
 
 # Event names, and ones the torus must reject: separators, blanks, and a
@@ -158,10 +164,33 @@ def test_cli_path_map_and_torus_commands_exit_cleanly(data):
         files["MAP"].write_text(_draw_map(data, rng, x, y), encoding="utf-8")
         for command in commands:
             argv = [str(files.get(arg, arg)) for arg in command]
-            out = io.StringIO()
-            code = main(argv, out=out)
-            text = out.getvalue()
-            assert code in (0, 1, 2, 3), (argv, x, y, text)
-            assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
-            report = json.loads(text)
-            assert isinstance(report, dict) and "result" in report, (argv, text)
+            code, report = _run(argv)
+            assert code in (0, 1, 2, 3), (argv, x, y, report)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_on_valid_truncations_exits_cleanly(data):
+    # A truncation of a valid model is valid, so every request gets past
+    # validation; the walks must then handle the omitted upper faces.
+    base = hb.model_from_dict(data.draw(st.sampled_from(_BASES)))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    cut = truncated(rng, base.hda)
+    assert hb.validate_model(cut, base.labeling).ok
+    x = hb.model_to_dict(cut, base.labeling)
+    y = data.draw(st.sampled_from(_BASES + [hb.model_to_dict(base.hda)]))
+    paths = [",".join(random_pointed_path(rng, cut, 7).seq) for _ in range(2)]
+    # Caps that let most walks finish, so that they reach the omissions.
+    flags = ["--depth", data.draw(st.sampled_from(("3", "5", "7"))),
+             "--cap", data.draw(st.sampled_from(("1000", "2")))]
+    with tempfile.TemporaryDirectory() as tmp:
+        X, Y = str(Path(tmp) / "x.json"), str(Path(tmp) / "y.json")
+        for path, model in ((X, x), (Y, y)):
+            Path(path).write_text(json.dumps(model), encoding="utf-8")
+        for argv in (["unfold", X, *flags], ["is-tree", X, *flags],
+                     ["oracle", X, Y, *flags], ["fan", X, "--path", paths[0]],
+                     ["homotopic", X, "--path", paths[0], "--path", paths[1],
+                      "--cap", flags[3]]):
+            code, report = _run(argv)
+            assert code in (0, 1, 2, 3), (argv, x, report)
+            assert "None" not in report.get("error", ""), (argv, x, report)

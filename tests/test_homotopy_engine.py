@@ -12,6 +12,7 @@ the members) outnumber it.
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -23,7 +24,7 @@ from hdabisim.paths import _classes, _Quotient
 from hdabisim.unfold import _quotient
 
 import homotopy_reference as ref
-from conftest import load
+from conftest import load, refusal, truncated
 
 
 def _renamed(hda, rng):
@@ -191,25 +192,44 @@ def _faulty(hda, rng):
                hda.initial)
 
 
+def _assert_paths_refused(space):
+    """The path queries refuse a set that fails validation, naming its first
+    violation, before they read a step."""
+    rho = CubePath(space, space.ids()[:1])
+    for call in (lambda: hb.are_homotopic(rho, rho), lambda: hb.homotopy_class(rho),
+                 lambda: hb.canonical_rep(rho)):
+        with pytest.raises(hb.ModelError) as caught:
+            call()
+        assert str(caught.value) == refusal(space), rho
+
+
 def test_engine_agrees_with_string_reference_on_faulty_models():
+    # Faulty models that still validate and truncations of valid models
+    # are compared with the reference; the other faulty models are refused.
     rng = random.Random(7474)
-    verdicts, classes_seen = Counter(), Counter()
+    verdicts, classes_seen, refused = Counter(), Counter(), 0
     for base in _models():
-        for _ in range(2):
-            space = _faulty(base, rng).space
+        for hda in (_faulty(base, rng), _faulty(base, rng),
+                    truncated(rng, base), truncated(rng, base)):
+            space = hda.space
+            if not hb.validate_precubical(space).ok:
+                _assert_paths_refused(space)
+                refused += 1
+                continue
             for rho, cls, classes in _cases(rng, space, 7, 2):
                 _check_verdicts(rng, rho, cls, classes, verdicts)
                 _check_class(rho, cls, classes, classes_seen)
     assert min(verdicts[k] for k in (True, False, "capped")) >= 50, verdicts
     assert min(classes_seen[k] for k in (True, False)) >= 50, classes_seen
+    assert refused >= 50, refused
 
 
 def test_alternatives_follow_id_order_across_dimensions():
     # In a valid model the cubes that can replace one path entry share a
     # dimension, so id order and the int view's (dimension, id) order agree
     # on them.  Here a face list one too long lets a 3-cube and a 0-cube
-    # both replace the square; the 3-cube comes first by id, so it, not the
-    # vertex that comes first by dimension, is in the representative.
+    # both replace the square, as the clauses find; such a set fails
+    # validation, so the engine refuses it, naming the arity fault.
     space = PrecubicalSet({
         "u": (0, (), ()), "v": (0, (), ()), "w": (0, (), ()),
         "e1": (1, ("u",), ("v",)),
@@ -219,13 +239,9 @@ def test_alternatives_follow_id_order_across_dimensions():
     rho = CubePath(space, ("e1", "s", "e4"))
     dip = CubePath(space, ("e1", "v", "e4"))
     assert ref.adjacent_seqs(space, rho.seq) == [("e1", "a3", "e4"), dip.seq]
-    assert hb.canonical_rep(rho).seq == ("e1", "a3", "e4")
-    # Five classes: (e1), then (e1, a3), (e1, s) and (e1, v), then one.
-    with pytest.raises(hb.CapExceeded):
-        hb.are_homotopic(rho, dip, cap=4)
-    assert hb.are_homotopic(rho, dip, cap=5) is True
-    assert [p.seq for p in hb.homotopy_class(rho)] == sorted(
-        [rho.seq, dip.seq, ("e1", "a3", "e4")])
+    assert refusal(space) == ("the set fails validation: cube 'e4' of "
+                              "dimension 1 has 2 lower / 1 upper faces")
+    _assert_paths_refused(space)
 
 
 def test_unknown_ids_raise_model_error(fig3):
@@ -306,26 +322,43 @@ def _built(make, depth):
 
 
 def _quotient_models():
-    rng = random.Random(7676)
+    rng, cut = random.Random(7676), random.Random(7677)
     for base in _models():
         yield base
         for _ in range(2):
+            yield truncated(cut, base)
             faulty = _faulty(base, rng)
             yield faulty
             if faulty.space.max_dim():
                 yield _dangling(faulty, rng)
 
 
+def _quotient_refusal(hda):
+    """The error `unfold._quotient` stops at on a model that fails
+    validation: the initial cube's, else the set's first violation."""
+    space = hda.space
+    if hda.initial not in space or space.dim(hda.initial):
+        return "unfolding requires a valid initial 0-cube"
+    return refusal(space)
+
+
 def test_quotient_agrees_with_string_reference():
     errors = Counter()
     for i, hda in enumerate(_quotient_models()):
         depth = 2 + i % 6
+        got, got_layers, got_error = _built(
+            lambda: _quotient(hda, 100_000), depth)
+        if not hb.validate_precubical(hda.space).ok:
+            want_error = _quotient_refusal(hda)
+            assert (got, got_layers, got_error) == (None, [], want_error), i
+            if want_error == refusal(hda.space):
+                want_error = "refused 'zz'" if "'zz'" in want_error else "refused"
+            errors[want_error] += 1
+            continue
         want, want_layers, want_error = _built(
             lambda: ref.Quotient(hda, 100_000), depth)
         while want_layers and not want_layers[-1]:
             want_layers.pop()
-        got, got_layers, got_error = _built(
-            lambda: _quotient(hda, 100_000), depth)
         assert (got_layers, got_error) == (want_layers, want_error), i
         errors[want_error] += 1
         if want is None:
@@ -337,25 +370,29 @@ def test_quotient_agrees_with_string_reference():
         for cube in got.successors:
             assert tuple(ids[j] for j in got.successors[cube]) == \
                 hda.space.successors(ids[cube])
-    # Whole quotients, quotients stopped at a face naming no cube, and
-    # models whose initial cube is not a 0-cube.
-    assert errors[None] >= 150 and errors["unknown cube id 'zz'"] >= 10, errors
+    # Whole quotients of valid models, truncated ones included; refusals,
+    # some naming the face "zz" that names no cube; and models whose
+    # initial cube is not a 0-cube.
+    assert errors[None] >= 150 and errors["refused 'zz'"] >= 10, errors
+    assert errors["refused"] >= 50, errors
     assert errors["unfolding requires a valid initial 0-cube"] >= 10, errors
 
 
 def test_merges_agree_with_the_clause_search():
     # Each merge is read off its witness; the reference tests every pair of
     # steps after g, and every common step after them, with the clauses.
-    # Without a dangling upper face the reference never raises, so the two
-    # merge sets can be compared cube by cube.
+    # The engine refuses a set that fails validation; on the valid ones the
+    # two merge sets are compared cube by cube.
     fired = 0
     for hda in _quotient_models():
         space = hda.space
         view = space.indexed
-        if any(f == "zz" for c in space.ids() for f in space.row(c)[2]):
-            continue
         start = next((c for c in space.ids() if space.dim(c) == 0), None)
         if start is None:
+            continue
+        if not hb.validate_precubical(space).ok:
+            with pytest.raises(hb.ModelError, match=re.escape(refusal(space))):
+                _Quotient(space, view.pos[start], 100_000)
             continue
         want = ref.Quotient(HDA(space, start), 100_000)
         got = _Quotient(space, view.pos[start], 100_000)

@@ -20,7 +20,7 @@ from hdabisim import (HDA, EventSet, Labeling, LoadedModel, ModelError,
 from hdabisim.generators import grid_labeling, random_hda
 from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS
 
-from conftest import MODELS, model_dict, mutate_model_dict
+from conftest import MODELS, model_dict, mutate_model_dict, refusal
 from test_bisim import (_blocks, _forward_reference, _naive_refine, _named,
                         _torus_labeling)
 
@@ -368,7 +368,7 @@ def _outcome(fn, arg):
 def test_indexed_core_agrees_with_string_walks():
     rng = random.Random(2024)
     kinds = set()
-    unknown_errors = 0
+    reached = refused = 0
     for hda, labeling in _seeded_models():
         variants = [(hda, labeling)]
         variants += [_mutant(rng, hda, labeling) for _ in range(6)]
@@ -378,17 +378,24 @@ def test_indexed_core_agrees_with_string_walks():
             got_labels = hb.validate_labeling(x, lx).to_json()
             assert got_labels == _validate_labeling_ref(x, lx).to_json()
             reach = _outcome(hb.reachable, x)
-            assert reach == _outcome(_reachable_ref, x)
-            unknown_errors += isinstance(reach, tuple) and "unknown" in reach[1]
+            if got["violations"]:
+                # The walk refuses the set before it reads a face.
+                assert reach == ("error", refusal(x.space))
+                refused += 1
+            else:
+                assert reach == _outcome(_reachable_ref, x)
+                reached += isinstance(reach, frozenset)
             kinds.update(v["kind"] for v in got["violations"])
             kinds.update(v["kind"] for v in got_labels["violations"])
     assert kinds == _KINDS
-    assert unknown_errors, "no walk reached a dangling upper face"
+    assert reached >= 100 and refused >= 100, (reached, refused)
 
 
-def test_reachable_raises_for_the_first_dangling_face_popped():
+def test_reachable_names_the_first_violation_not_the_first_face_popped():
     # Both dangling upper faces of "sq" are pushed before either is popped;
-    # the string walk raised for the one popped first, the later "ghostB".
+    # the string walk raises for the one popped first, the later "ghostB".
+    # The int walk refuses the set before it walks, naming its first
+    # violation, the earlier "ghostA".
     space = PrecubicalSet({
         "v": (0, (), ()), "a": (1, ("v",), ("v",)), "b": (1, ("v",), ("v",)),
         "sq": (2, ("a", "b"), ("ghostA", "ghostB"))})
@@ -397,22 +404,25 @@ def test_reachable_raises_for_the_first_dangling_face_popped():
         _reachable_ref(hda)
     with pytest.raises(ModelError) as new:
         hb.reachable(hda)
-    assert str(new.value) == str(ref.value) == "unknown cube id 'ghostB'"
+    assert str(ref.value) == "unknown cube id 'ghostB'"
+    assert str(new.value) == ("the set fails validation: cube 'sq' face k=1 "
+                              "nu=1 refers to unknown id 'ghostA'")
 
 
-def _refine_error_ref(hda):
-    """The error the string-interning set-up of `_refine` raised on `hda`
-    against itself, or None: the reachable walk's, else the first reachable
-    cube, in (dimension, id) order, with a face outside the reachable part."""
-    try:
-        reach = _reachable_ref(hda)
-    except ModelError as exc:
-        return str(exc)
-    for c in hda.space.ids():
-        _dim, lower, upper = hda.space.row(c)
-        if c in reach and any(f not in reach for f in lower + upper):
-            return (f"a face of the reachable cube {c!r} is not reachable; "
-                    "validate the model first")
+def _seed_error_ref(hda):
+    """The error `_seed` raises on `hda` against itself, or None: a frontier
+    refuses the model, a violation the set, then the initial cube must be a
+    0-cube of the set."""
+    if hda.space.frontier:
+        return ("cannot decide bisimilarity of a truncated model (non-empty "
+                "frontier); use `oracle` for truncated trees")
+    violations = _validate_precubical_ref(hda.space).violations
+    if violations:
+        return f"the set fails validation: {violations[0].detail}"
+    if hda.initial not in hda.space:
+        return f"initial cube {hda.initial!r} does not exist"
+    if hda.space.dim(hda.initial):
+        return f"initial cube {hda.initial!r} is not a 0-cube"
     return None
 
 
@@ -423,7 +433,7 @@ def test_refine_on_the_int_view_matches_string_interning():
     outcomes = set()
     for hda, labeling in _seeded_models():
         for x, lx in [_mutant(rng, hda, labeling) for _ in range(4)]:
-            expected = _refine_error_ref(x)
+            expected = _seed_error_ref(x)
             sides = ((x, None), (x, None))
             try:
                 blocks, rounds = _refine(_seed(sides))
@@ -432,6 +442,11 @@ def test_refine_on_the_int_view_matches_string_interning():
                 outcomes.add("error")
                 continue
             assert expected is None
+            # The reachable part of a valid untruncated set is face-closed,
+            # so every face that refinement reads is reachable.
+            reach = _reachable_ref(x)
+            assert all({*x.space.row(c)[1], *x.space.row(c)[2]} <= reach
+                       for c in reach)
             *naive, _naive_rounds = _naive_refine(x, x)
             *_seeded, seeded_rounds = _naive_refine(
                 x, x, seed=_forward_reference(x, x))

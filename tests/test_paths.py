@@ -12,7 +12,7 @@ from hdabisim import CubePath, EventSet, ModelError, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, random_pointed_path
 
 import homotopy_reference as ref
-from conftest import square_homotopy_chain
+from conftest import cut_square, square_homotopy_chain
 from path_object_reference import face_reprs, is_path_object
 
 
@@ -180,6 +180,18 @@ def test_fan_shape_random_paths():
 def test_fan_shape_requires_pointed_start(fig3):
     with pytest.raises(hb.ModelError):
         hb.fan_shape(CubePath(fig3.hda.space, ("a", "x")))
+
+
+def test_fan_shape_refuses_a_step_onto_an_omitted_upper_face():
+    # Lowering the square on i, a, ab, b2 replaces it by a's upper face,
+    # which the truncation omitted.
+    cut = hb.model_from_dict(cut_square()).hda
+    with pytest.raises(ModelError, match="^cannot fan-shape the path: upper "
+                       "face k=1 of 'a' is omitted by truncation$"):
+        hb.fan_shape(CubePath(cut.space, ("i", "a", "ab", "b2")))
+    # The other order of the two events lowers through b's upper face q.
+    fan = hb.fan_shape(CubePath(cut.space, ("i", "b", "ab", "a2")))
+    assert fan.seq == ("i", "b", "q", "a2")
 
 
 def test_fan_shape_rejects_what_is_not_a_cube_path(fig3):

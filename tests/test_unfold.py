@@ -1,5 +1,7 @@
 """Unfoldings: tree structure, projections, lifts, and the torus closed form."""
 
+import io
+import json
 import random
 from collections import Counter
 
@@ -8,7 +10,8 @@ import pytest
 import hdabisim as hb
 from hdabisim import CubePath, EventSet, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, sub_hda
-from conftest import MODELS, torus_closed_form_map
+from hdabisim.cli import main
+from conftest import MODELS, cut_square, torus_closed_form_map
 from homotopy_reference import closure
 
 # Large enough that the reference never stops early on the corpus below.
@@ -139,6 +142,36 @@ def test_unfold_keeps_a_truncated_base_truncated(fig3):
     assert {again.project(n) for n in again.frontier} == tree.space.frontier
     assert hb.validate_model(again.tree).ok
     assert hb.morphism_is_isomorphism(again.projection)
+
+
+def test_unfold_refuses_a_class_whose_face_lies_past_the_truncation(tmp_path):
+    # Class i/a/ab/b2 has no member through b2's lower face p, which the
+    # truncated base reaches only through a's omitted upper face.  Cutting
+    # such a class could break the tree's face identity, so `unfold`, and
+    # the oracle that unfolds, refuse the base as an input error.
+    data = cut_square()
+    cut = hb.model_from_dict(data)
+    assert hb.validate_model(cut.hda, cut.labeling).ok
+    message = ("cannot unfold: class i/a/ab/b2 has no member through lower "
+               "face k=1 of 'b2', which the truncated base reaches only "
+               "through omitted upper faces")
+    square = hb.load_model(MODELS / "ab_square_abc.json").hda
+    for call in (lambda: hb.unfold(cut.hda, 4),
+                 lambda: hb.hp_oracle(cut.hda, square, 6)):
+        with pytest.raises(hb.ModelError) as caught:
+            call()
+        assert str(caught.value) == message
+    # Short of that class the truncation unfolds, with the nodes over the
+    # base's frontier on the tree's frontier.
+    assert sorted(hb.unfold(cut.hda, 3).frontier) == ["i/a", "i/a/ab", "i/b/q"]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (["unfold", str(path), "--depth", "4"],
+                 ["oracle", str(path), str(MODELS / "ab_square_abc.json"),
+                  "--depth", "6"]):
+        out = io.StringIO()
+        assert main(argv, out=out) == 2
+        assert json.loads(out.getvalue()) == {"result": "error", "error": message}
 
 
 def test_unfold_truncated_torus_line():
