@@ -23,17 +23,16 @@ nothing outside the reachable parts can matter.
 History-preserving bisimilarity (runs related up to homotopy and extension)
 coincides with this relation-based notion, which is what the `hp_*` entry
 points implement; `hp_oracle` cross-checks them on truncated unfoldings
-with an independent engine, a pairwise greatest fixed point, where the
-zig-zag condition on homotopy classes is the run-based definition made
-one-step.
+with an independent engine, a pairwise greatest fixed point on the node
+pairs the initial pair reaches, where the zig-zag condition on homotopy
+classes is the run-based definition made one-step.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
                    PrecubicalSet, check_total, reachable)
@@ -112,12 +111,14 @@ class BisimDecision:
 def _greatest_relation(xs: PrecubicalSet, ys: PrecubicalSet,
                        universe: list[Pair],
                        zig_obliged) -> tuple[set[Pair], int]:
-    """Delete pairs violating face-closure or zig-zag until stable.
+    """Delete pairs violating face-closure or zig-zag until stable; return
+    the survivors and the number of pairs deleted.
 
     `zig_obliged(x, y)` says whether the pair carries zig-zag obligations;
-    face equations touching an omitted (truncated) face are skipped.  The
-    greatest fixed point is unique, so the deterministic schedule below is
-    just for reproducibility of iteration counts.
+    face equations touching an omitted (truncated) face are skipped.  Each
+    pass checks the universe in order and deletes violators at once, until
+    a pass deletes nothing.  The greatest fixed point is unique, so neither
+    the survivors nor the count depend on this schedule.
     """
     alive: set[Pair] = set(universe)
 
@@ -144,55 +145,41 @@ def _greatest_relation(xs: PrecubicalSet, ys: PrecubicalSet,
                 return True
         return False
 
-    queue: deque[Pair] = deque(universe)
-    queued: set[Pair] = set(universe)
-    deletions = 0
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
+    deleted = True
+    while deleted:
+        deleted = False
+        for x, y in universe:
+            if (x, y) in alive and (face_violation(x, y) or zig_violation(x, y)):
+                alive.discard((x, y))
+                deleted = True
+    return alive, len(universe) - len(alive)
+
+
+def _reached_pairs(xs: PrecubicalSet, ys: PrecubicalSet, root: Pair, cap: int,
+                   zig_obliged, same_label=None) -> list[Pair]:
+    """The pairs `_greatest_relation`'s rules read, closed from `root`: the
+    matched faces of every pair (omitted faces skipped) and the matched
+    lower cofaces (equal k) of every pair `zig_obliged` accepts; with
+    `same_label(x, y)`, only pairs it accepts.  Returned sorted.  Raises
+    CapExceeded once more than `cap` pairs are reached."""
+    seen: set[Pair] = set()
+    stack = [root]
+    while stack:
+        pair = stack.pop()
         x, y = pair
-        if not (face_violation(x, y) or zig_violation(x, y)):
+        if (None in pair or pair in seen
+                or (same_label is not None and not same_label(x, y))):
             continue
-        alive.discard(pair)
-        deletions += 1
-        affected: list[Pair] = []
-        for nu in (0, 1):
-            cof_x = xs.cofaces_lower(x) if nu == 0 else xs.cofaces_upper(x)
-            cof_y_at = (ys.cofaces_lower_at if nu == 0 else
-                        lambda c, k: tuple(p for (j, p) in ys.cofaces_upper(c)
-                                           if j == k))
-            for k, x2 in cof_x:
-                for y2 in cof_y_at(y, k):
-                    affected.append((x2, y2))
-        for k in range(1, xs.dim(x) + 1):
-            fx, fy = xs.lower(x, k), ys.lower(y, k)
-            if fx is not None and fy is not None:
-                affected.append((fx, fy))
-        for cand in affected:
-            if cand in alive and cand not in queued:
-                queue.append(cand)
-                queued.add(cand)
-    return alive, deletions
-
-
-def _universe(xs: PrecubicalSet, ys: PrecubicalSet, cap: int,
-              label_x: Callable[[str], object] | None = None,
-              label_y: Callable[[str], object] | None = None) -> list[Pair]:
-    """Equal-dimension cube pairs; with per-side label lookups, only pairs
-    whose labels agree.  Raises CapExceeded once more than `cap` pairs are
-    built, which is checked after the pairs of each x."""
-    pairs: list[Pair] = []
-    for n in range(min(xs.max_dim(), ys.max_dim()) + 1):
-        for x in xs.by_dim(n):
-            for y in ys.by_dim(n):
-                if label_x is not None and label_x(x) != label_y(y):
-                    continue
-                pairs.append((x, y))
-            if len(pairs) > cap:
-                raise CapExceeded(
-                    f"the oracle's pair universe exceeded {cap} pairs: "
-                    f"{len(pairs)} reached at dimension {n}")
-    return pairs
+        seen.add(pair)
+        if len(seen) > cap:
+            raise CapExceeded(f"the oracle reached more than {cap} node pairs "
+                              "from the initial pair")
+        stack.extend((xs.face(x, k, nu), ys.face(y, k, nu))
+                     for nu in (0, 1) for k in range(1, xs.dim(x) + 1))
+        if zig_obliged(x, y):
+            stack.extend((x2, y2) for k, x2 in xs.cofaces_lower(x)
+                         for y2 in ys.cofaces_lower_at(y, k))
+    return sorted(seen)
 
 
 def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
@@ -565,28 +552,30 @@ def hp_oracle(x_hda: HDA, y_hda: HDA, depth: int,
     Builds both unfoldings to `depth`, then computes the greatest
     face-closed zig-zag relation on tree-node pairs, with pairs touching
     the truncation frontier exempted from zig-zag obligations
-    (optimistically).  When nothing was truncated the unfoldings are exact
-    and the answer is definite; a violation found within the bound is
-    definite as well, because the frontier was treated optimistically.
-    Otherwise the verdict is `inconclusive` at the given bound.  `cap`
-    bounds the homotopy classes of each unfolding and the node pairs the
-    relation starts from; past it, CapExceeded is raised.
+    (optimistically).  Only the pairs reached from the initial pair
+    (`_reached_pairs`) are checked: every pair their rules read is among
+    them, so the initial pair survives there exactly when it survives on
+    all equal-dimension pairs.  When nothing was truncated the unfoldings
+    are exact and the answer is definite; a violation found within the
+    bound is definite as well, because the frontier was treated
+    optimistically.  Otherwise the verdict is `inconclusive` at the given
+    bound, with the surviving pairs as witness.  `cap` bounds the homotopy
+    classes of each unfolding and the node pairs reached from the initial
+    pair; past it, CapExceeded is raised.
     """
     _check_labelings(lx, ly)
     ux: Unfolding = unfold(x_hda, depth, cap)
     uy: Unfolding = unfold(y_hda, depth, cap)
     xs, ys = ux.tree.space, uy.tree.space
-    if lx is None:
-        pairs = _universe(xs, ys, cap)
-    else:
-        pairs = _universe(xs, ys, cap, lambda x: lx.assign.get(ux.project(x)),
-                          lambda y: ly.assign.get(uy.project(y)))
+    root = (ux.tree.initial, uy.tree.initial)
 
     def zig_obliged(x: str, y: str) -> bool:
         return x not in ux.frontier and y not in uy.frontier
 
+    same_label = None if lx is None else (
+        lambda x, y: lx.assign.get(ux.project(x)) == ly.assign.get(uy.project(y)))
+    pairs = _reached_pairs(xs, ys, root, cap, zig_obliged, same_label)
     alive, deletions = _greatest_relation(xs, ys, pairs, zig_obliged)
-    root = (ux.tree.initial, uy.tree.initial)
     exact = ux.complete and uy.complete
     notes = {"depth": depth, "exact": exact}
     if root not in alive:

@@ -17,13 +17,13 @@ traceback on stderr.
 
 Reports are JSON on stdout; `--pretty` switches to human-readable lines.
 `--cap` bounds the homotopy classes built by `unfold`, `is-tree`, `oracle`
-and `homotopic`, the node pairs `oracle` starts from, the paths `paths`
-enumerates, and the cubes of a `torus` and its unfolding's nodes; past it
-each stops with exit 3 (`cap-exceeded`).  `bisim`, `hp-bisim` and `oracle`
-take `--labeled` to relate only cubes with equal event labels; it requires
-labels in both models.  Argparse checks each numeric option against its
-floor, before any model file is read; a report depends on its argv and
-files alone.
+and `homotopic`, the node pairs `oracle` reaches from the initial pair, the
+paths `paths` enumerates, and the cubes of a `torus` and its unfolding's
+nodes; past it each stops with exit 3 (`cap-exceeded`).  `bisim`,
+`hp-bisim` and `oracle` take `--labeled` to relate only cubes with equal
+event labels; it requires labels in both models.  Argparse checks each
+numeric option against its floor, before any model file is read; a report
+depends on its argv and files alone.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def _run_unfold(args, loaded: LoadedModel) -> dict:
         "complete": unfolding.complete,
         "frontier": sorted(unfolding.frontier),
     }
-    if args.out:
+    if args.out is not None:
         dump_model(unfolding.tree, args.out)
         sidecar = str(Path(args.out).with_suffix(".projection.json"))
         try:

@@ -95,9 +95,9 @@ class PrecubicalSet:
     the ids; structural validity (face closure, arity, the face identity)
     is checked by :func:`validate_precubical`.  Three things are built
     lazily, each the first time it is read, and then kept: the string
-    coface tables behind `cofaces_lower`, `cofaces_upper` and `successors`,
-    `indexed`, the int view (:class:`CubeIndex`) that the int walks read,
-    and what validation finds, which those walks require to be nothing.
+    lower-coface table behind `cofaces_lower` and `successors`, `indexed`,
+    the int view (:class:`CubeIndex`) that the int walks read, and what
+    validation finds, which those walks require to be nothing.
     """
 
     def __init__(self, rows: dict[str, Row], frontier: Iterable[str] = ()):
@@ -119,25 +119,18 @@ class PrecubicalSet:
         # What `validate_precubical` reports, found on first use and kept.
         return _precubical_violations(self)
 
-    def _coface_table(self, upper: bool) -> dict[str, tuple[tuple[int, str], ...]]:
-        # For each cube f, the parents x with delta_k^nu x = f, in (x, k) order.
-        rows, side = self._rows, 2 if upper else 1
-        table: dict[str, list[tuple[int, str]]] = {}
-        for x in self._ids:
-            for k, f in enumerate(rows[x][side], start=1):
-                if f in rows:
-                    table.setdefault(f, []).append((k, x))
-        return {c: tuple(v) for c, v in table.items()}
-
-    # The string coface tables are plain attributes once built, so that
+    # The string coface table is a plain attribute once built, so that
     # `cofaces_lower` and `successors` pay nothing per call for the laziness.
     @functools.cached_property
     def _cofaces0(self) -> dict[str, tuple[tuple[int, str], ...]]:
-        return self._coface_table(upper=False)
-
-    @functools.cached_property
-    def _cofaces1(self) -> dict[str, tuple[tuple[int, str], ...]]:
-        return self._coface_table(upper=True)
+        # For each cube f, the parents x with delta_k^0 x = f, in (x, k) order.
+        rows = self._rows
+        table: dict[str, list[tuple[int, str]]] = {}
+        for x in self._ids:
+            for k, f in enumerate(rows[x][1], start=1):
+                if f in rows:
+                    table.setdefault(f, []).append((k, x))
+        return {c: tuple(v) for c, v in table.items()}
 
     def __contains__(self, cid: str) -> bool:
         return cid in self._rows
@@ -198,10 +191,6 @@ class PrecubicalSet:
     def cofaces_lower(self, cid: str) -> tuple[tuple[int, str], ...]:
         """All (k, x) with delta_k^0 x = cid."""
         return self._cofaces0.get(cid, ())
-
-    def cofaces_upper(self, cid: str) -> tuple[tuple[int, str], ...]:
-        """All (k, x) with delta_k^1 x = cid."""
-        return self._cofaces1.get(cid, ())
 
     def cofaces_lower_at(self, cid: str, k: int) -> tuple[str, ...]:
         return tuple(x for (j, x) in self._cofaces0.get(cid, ()) if j == k)

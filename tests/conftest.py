@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -134,6 +135,36 @@ def torus_closed_form_map(events: hb.EventSet, depth: int,
     return hb.PrecubicalMorphism(
         unfolding.tree.space, closed.space, mapping, pointed=True,
         source_initial=unfolding.tree.initial, target_initial=closed.initial)
+
+
+def criterion_5_corpus() -> list[tuple]:
+    """The (x, lx, y, ly, depth) inputs of acceptance criterion 5, at a depth
+    past both models' longest pointed paths: 50 unlabeled pairs of random
+    acyclic models (lx = ly = None), then 30 labeled ones, grid models
+    labeled by axis against another model or against the unfolding of the
+    same model."""
+    from hdabisim.generators import grid_labeling, random_hda
+
+    rng = random.Random(0x05)
+    pairs = [(x, None, y, None) for x, y in (
+        (random_hda(rng, max_cubes=20, max_dim=2),
+         random_hda(rng, max_cubes=20, max_dim=2)) for _ in range(50))]
+    events = hb.EventSet(("a", "b"))
+    for trial in range(30):
+        x = random_hda(rng, max_cubes=20, max_dim=2)
+        lx = grid_labeling(x, events)
+        if trial % 2:
+            y = random_hda(rng, max_cubes=20, max_dim=2)
+            ly = grid_labeling(y, events)
+        else:
+            unfolding = hb.unfold(x, hb.longest_pointed_path_length(x))
+            y = unfolding.tree
+            ly = hb.Labeling(events, {c: lx.assign[unfolding.project(c)]
+                                      for c in y.space.ids()})
+        pairs.append((x, lx, y, ly))
+    return [(x, lx, y, ly, max(hb.longest_pointed_path_length(x),
+                                hb.longest_pointed_path_length(y)))
+            for x, lx, y, ly in pairs]
 
 
 def truncated(rng, hda: hb.HDA) -> hb.HDA:

@@ -125,9 +125,10 @@ def between_candidates(space: PrecubicalSet, a: str, b: str) -> set[str]:
     # Cubes c with valid steps a -> c -> b.
     after_a = {x for (_k, x) in space.cofaces_lower(a)}
     after_a.update(f for f in space.row(a)[2] if f is not None)
-    before_b = {f for f in space.row(b)[1] if f is not None}
-    before_b.update(x for (_k, x) in space.cofaces_upper(b))
-    return after_a & before_b
+    # c comes before b when c is a lower face of b or b an upper face of c.
+    lower_b = set(space.row(b)[1])
+    return {c for c in after_a
+            if c in lower_b or (c in space and b in space.row(c)[2])}
 
 
 def adjacent_seqs(space: PrecubicalSet, seq: tuple[str, ...]) -> list[tuple[str, ...]]:

@@ -12,11 +12,11 @@ from collections import Counter
 
 import hdabisim as hb
 from hdabisim import EventSet
-from hdabisim.generators import grid_labeling, random_hda, random_pointed_path
+from hdabisim.generators import random_hda, random_pointed_path
 
 import homotopy_reference as ref
-from conftest import (square_homotopy_chain, load, model_dict,
-                      torus_closed_form_map)
+from conftest import (criterion_5_corpus, square_homotopy_chain, load,
+                      model_dict, torus_closed_form_map)
 
 
 @contextlib.contextmanager
@@ -149,48 +149,24 @@ def test_criterion_4_unfolding_correctness():
 
 def test_criterion_5_equivalence_of_decision_routes():
     with criterion(5, "fixed point agrees with the run-based check"):
-        rng = random.Random(0x05)
+        # The unlabeled half: random acyclic models.  The labeled half: grid
+        # models labeled by axis, against another model or against the
+        # unfolding of the same model.
         disagreements = []
-        for trial in range(50):
-            x = random_hda(rng, max_cubes=20, max_dim=2)
-            y = random_hda(rng, max_cubes=20, max_dim=2)
-            depth = max(hb.longest_pointed_path_length(x),
-                        hb.longest_pointed_path_length(y))
-            fixed = hb.bisimilar(x, y)
-            oracle = hb.hp_oracle(x, y, depth)
+        verdicts = Counter()
+        for trial, (x, lx, y, ly, depth) in enumerate(criterion_5_corpus()):
+            if lx is None:
+                fixed = hb.bisimilar(x, y)
+            else:
+                fixed = hb.labeled_bisimilar(x, lx, y, ly)
+                verdicts[fixed.result] += 1
+            oracle = hb.hp_oracle(x, y, depth, lx, ly)
             assert oracle.definite
             if fixed.result != oracle.result:
                 disagreements.append((trial, fixed.result, oracle.result))
             if fixed.result is True:
-                audit = hb.verify_bisim_relation(x, y, fixed.witness)
-                assert audit == [], (trial, audit)
-        assert disagreements == []
-        # The labeled half: grid models labeled by axis, against another
-        # model or against the unfolding of the same model.
-        events = EventSet(("a", "b"))
-        verdicts = Counter()
-        for trial in range(30):
-            x = random_hda(rng, max_cubes=20, max_dim=2)
-            lx = grid_labeling(x, events)
-            if trial % 2:
-                y = random_hda(rng, max_cubes=20, max_dim=2)
-                ly = grid_labeling(y, events)
-            else:
-                unfolding = hb.unfold(x, hb.longest_pointed_path_length(x))
-                y = unfolding.tree
-                ly = hb.Labeling(events, {c: lx.assign[unfolding.project(c)]
-                                          for c in y.space.ids()})
-            depth = max(hb.longest_pointed_path_length(x),
-                        hb.longest_pointed_path_length(y))
-            fixed = hb.labeled_bisimilar(x, lx, y, ly)
-            oracle = hb.hp_oracle(x, y, depth, lx, ly)
-            assert oracle.definite
-            if fixed.result != oracle.result:
-                disagreements.append(("labeled", trial, fixed.result, oracle.result))
-            if fixed.result is True:
                 audit = hb.verify_bisim_relation(x, y, fixed.witness, lx, ly)
                 assert audit == [], (trial, audit)
-            verdicts[fixed.result] += 1
         assert disagreements == []
         assert verdicts[True] and verdicts[False], verdicts
 

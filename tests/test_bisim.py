@@ -3,6 +3,7 @@
 import functools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ import hdabisim as hb
 from hdabisim import PrecubicalSet, bisim, core
 from hdabisim.generators import random_hda, sub_hda
 
-from conftest import load, refusal, truncated
+from conftest import criterion_5_corpus, load, refusal, truncated
 from open_map_reference import extensions, is_open, lifts, pointed_ends
 
 
@@ -402,23 +403,99 @@ def _torus_labeling(hda, events):
         for c in hda.space.ids()})
 
 
+def _pairs(xs, ys, same_label=None):
+    """Every equal-dimension cube pair of the two sets; with `same_label`,
+    only the pairs it accepts."""
+    return [(a, b) for a in xs.ids() for b in ys.ids()
+            if xs.dim(a) == ys.dim(b)
+            and (same_label is None or same_label(a, b))]
+
+
 def _reference(x, y, lx=None, ly=None):
     """The pairwise engine the partition refinement replaced: the greatest
     face-closed relation on all equal-dimension (equal-label) pairs, with
     zig-zag obligations on reachable pairs."""
-    from hdabisim.bisim import _greatest_relation, _universe
-    from hdabisim.paths import DEFAULT_CAP
+    from hdabisim.bisim import _greatest_relation
 
-    if lx is None:
-        universe = _universe(x.space, y.space, DEFAULT_CAP)
-    else:
-        universe = _universe(x.space, y.space, DEFAULT_CAP,
-                             lx.assign.get, ly.assign.get)
+    universe = _pairs(x.space, y.space, None if lx is None else (
+        lambda a, b: lx.assign.get(a) == ly.assign.get(b)))
     reach_x, reach_y = hb.reachable(x), hb.reachable(y)
     alive, _deletions = _greatest_relation(
         x.space, y.space, universe,
         lambda a, b: a in reach_x and b in reach_y)
     return alive, reach_x, reach_y
+
+
+def _local_against_global(x, y, depth, lx=None, ly=None):
+    """`hp_oracle` on the pairs reached from the initial pair against the
+    same fixed point on every equal-dimension (equal-label) pair of the two
+    unfoldings: equal results, the local survivors are the global ones
+    among the reached pairs, and the deletion count is what the reached
+    pairs lost.  Returns the result, or "refused" when a truncated base
+    cannot be unfolded."""
+    from hdabisim.bisim import _greatest_relation, _reached_pairs
+    from hdabisim.paths import DEFAULT_CAP
+
+    try:
+        ux, uy = hb.unfold(x, depth), hb.unfold(y, depth)
+    except hb.ModelError:
+        # `unfold` refuses some truncated bases, and the oracle with it.
+        assert x.space.frontier or y.space.frontier
+        with pytest.raises(hb.ModelError):
+            hb.hp_oracle(x, y, depth, lx, ly)
+        return "refused"
+    decision = hb.hp_oracle(x, y, depth, lx, ly)
+    xs, ys = ux.tree.space, uy.tree.space
+    root = (ux.tree.initial, uy.tree.initial)
+
+    def zig_obliged(a, b):
+        return a not in ux.frontier and b not in uy.frontier
+
+    same_label = None if lx is None else (
+        lambda a, b: lx.assign.get(ux.project(a)) == ly.assign.get(uy.project(b)))
+    everywhere, _deleted = _greatest_relation(
+        xs, ys, _pairs(xs, ys, same_label), zig_obliged)
+    reached = _reached_pairs(xs, ys, root, DEFAULT_CAP, zig_obliged, same_label)
+    local, _deleted = _greatest_relation(xs, ys, reached, zig_obliged)
+    expected = (False if root not in everywhere
+                else True if ux.complete and uy.complete else "inconclusive")
+    assert decision.result == expected
+    assert local == everywhere.intersection(reached)
+    assert decision.iterations == len(reached) - len(local)
+    assert decision.witness == (None if expected is False else sorted(local))
+    return decision.result
+
+
+def test_local_oracle_agrees_with_the_global_fixed_point():
+    from hdabisim.generators import grid_labeling
+
+    verdicts = Counter()
+    for x, lx, y, ly, depth in criterion_5_corpus():
+        verdicts[_local_against_global(x, y, depth, lx, ly)] += 1
+    rng = random.Random(0x10CA1)
+    events = hb.EventSet(("a", "b", "c"))
+
+    def draw(cyclic):
+        hda = random_hda(rng, max_cubes=12, max_dim=2, cyclic=cyclic)
+        return hda, (_torus_labeling if cyclic else grid_labeling)(hda, events)
+
+    cut_decided = 0
+    for trial in range(720):
+        # A third of the models cyclic, one pair in four a model against
+        # itself, one in six labeled, one in five validly truncated.
+        x, lx = draw(trial % 3 == 0)
+        y, ly = (x, lx) if trial % 4 == 0 else draw(rng.random() < 1 / 3)
+        if trial % 6 != 5:
+            lx = ly = None
+        if trial % 5 == 4:
+            x, y = truncated(rng, x), truncated(rng, y)
+        depth = (2, 4, 6)[trial // 3 % 3]
+        result = _local_against_global(x, y, depth, lx, ly)
+        verdicts[result] += 1
+        cut_decided += trial % 5 == 4 and result != "refused"
+    assert verdicts["inconclusive"] >= 50 and verdicts[False] >= 50, verdicts
+    assert verdicts[True] >= 20, verdicts
+    assert cut_decided >= 100, cut_decided
 
 
 def _bisimilar_copy(hda, labeling):

@@ -203,6 +203,15 @@ def test_unfold_leaves_no_tree_when_the_sidecar_fails(tmp_path):
     assert not out.exists()
 
 
+def test_unfold_to_an_empty_path_is_an_input_error(tmp_path, monkeypatch):
+    # An empty --out names no file; it is not the same as leaving --out off.
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json("unfold", model("fig3.json"), "--depth", "3",
+                            "--out", "")
+    assert code == 2 and report["error"].startswith("cannot write : "), report
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_undecodable_files_are_input_errors(tmp_path):
     # Bytes that are not UTF-8, nesting deeper than the parser recurses and
     # an integer with more digits than Python converts: an input error
@@ -236,17 +245,28 @@ def test_oracle_exit_codes():
 
 def test_oracle_pair_universe_is_capped():
     # Each depth-6 unfolding of the two squares has 9 nodes, well under the
-    # cap, and their pair universe has 36 pairs.
+    # cap; the oracle's universe is the 15 node pairs reached from the
+    # initial pair.
     left, right = model("fig1_left.json"), model("fig1_right.json")
-    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "20")
+    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "14")
     assert code == 3 and report == {
         "result": "cap-exceeded",
-        "error": "the oracle's pair universe exceeded 20 pairs: "
-                 "24 reached at dimension 1"}
-    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "35")
-    assert code == 3 and "36 reached at dimension 1" in report["error"]
-    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "36")
+        "error": "the oracle reached more than 14 node pairs from the "
+                 "initial pair"}
+    code, report = run_json("oracle", left, right, "--depth", "6", "--cap", "15")
     assert code == 1 and report["result"] is False
+
+
+def test_oracle_witness_holds_the_reached_survivors():
+    # Both models are cycles of edges, so each depth-6 unfolding is a line
+    # and only its diagonal is reached from the initial pair.
+    code, report = run_json("oracle", model("fig5_x.json"), model("fig5_y.json"),
+                            "--depth", "6")
+    assert code == 3 and report["result"] == "inconclusive"
+    assert report["witness"] == [
+        ["x", "p"], ["x/e1", "p/f1"], ["x/e1/y", "p/f1/q"],
+        ["x/e1/y/e2", "p/f1/q/f2"], ["x/e1/y/e2/x", "p/f1/q/f2/r"],
+        ["x/e1/y/e2/x/e1", "p/f1/q/f2/r/f3"]]
 
 
 def test_oracle_labeled():
@@ -673,9 +693,9 @@ _DECISION_DIGESTS = {
 # that `unfold --out` writes.
 _REQUEST_DIGESTS = {
     "readme":
-        "00f57292edae7e19bcf1fa0a11b90ea7c2c0541f317d5499f1d3fe1cbcd76010",
+        "ab706f193a11aa591f7a73b6adbebaa55179fe1f868e7a0175ac7b9bace028b9",
     "readme --pretty":
-        "18d487b72ac5138da4386f80b6ca1ed374df9632eb0cc1e254b09262d0e19a4a",
+        "c12c6c0477339adbb683fff75534891125c9f6244e8991fe5240b0a8f7bd8aee",
     "input errors":
         "5f29aa84d7867388e2e8c40df328b315e41689b4caf958714f18cffd4a7c488d",
     "double faults":
