@@ -12,13 +12,14 @@ parts until every block agrees on the blocks of its cubes' faces and lower
 cofaces; the models are bisimilar when both initial cubes end in one block.
 The refinement reads each model in place on its int view, one side per
 model, and takes one side as well as two.  It starts from forward
-classes, built per side in one depth-first post-order pass over the steps
-that start or finish an event: they split cubes by dimension, label and
-what can still happen from them, and are coarser than the result, so few
-rounds remain.  Refinement only splits blocks, so when the forward classes
-already separate the initial cubes the verdict is negative without a
-round.  Faces and lower cofaces of reachable cubes are reachable, so
-nothing outside the reachable parts can matter.
+classes, built per side along one sink-first order of the steps that start
+or finish an event (`core.forward_order`, each cube after the cubes one
+such step on): they split cubes by dimension, label and what can still
+happen from them, and are coarser than the result, so few rounds remain.
+Refinement only splits blocks, so when the forward classes already
+separate the initial cubes the verdict is negative without a round.
+Faces and lower cofaces of reachable cubes are reachable, so nothing
+outside the reachable parts can matter.
 
 History-preserving bisimilarity (runs related up to homotopy and extension)
 coincides with this relation-based notion, which is what the `hp_*` entry
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
-                   PrecubicalSet, check_total, reachable)
+                   PrecubicalSet, check_total, forward_order, reachable)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
 
@@ -189,62 +190,34 @@ def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
         raise ModelError("mismatched event alphabets; align event order first")
 
 
-def _forward_classes(mask: bytearray, kinds: Sequence,
-                     upper: Sequence[tuple[int, ...]],
-                     cofaces: Sequence[list[tuple[int, int]]],
+def _forward_classes(hda: HDA, kinds: Sequence,
                      classes: dict[tuple, int]) -> list[int | None]:
     """The forward class of every reachable cube of one side (None for the
-    others), interned in `classes`, which the sides share.
+    others), by int view index, interned in `classes`, which the sides
+    share.
 
-    A forward step starts an event (to a lower coface, listed as (k, cube)
-    in `cofaces`) or finishes one (to an upper face, listed in `upper`).  A
-    depth-first walk closes a cube after every cube one forward step on that
-    is not still open on the walk's path, so in post-order.  A cube with a
-    step to an open cube, or to a marked one, can reach a forward cycle and
-    is marked; its class interns its kind alone.  Any other cube's class
-    interns its kind, the classes of its upper faces in position order and
-    the set of (k, class) over its lower cofaces.
+    A forward step starts an event (to a lower coface) or finishes one (to
+    an upper face).  Along `forward_order`, which puts a cube after every
+    cube one forward step on, a cube's class interns its kind, the classes
+    of its upper faces in position order and the set of (k, class) over its
+    lower cofaces.  A reachable cube the order leaves out can reach a
+    forward cycle; its class interns its kind alone.
     Bisimilar cubes get one class (by induction on the longest forward run,
     and a cube that can reach a forward cycle is never bisimilar to one
     that cannot), so the classes are coarser than the coarsest stable
     partition.
     """
+    view = hda.space.indexed
+    upper, cofaces = view.upper, view.cofaces
     cls: list[int | None] = [None] * len(kinds)
-    state = bytearray(len(kinds))  # 1: open, 2: closed
-    marked = bytearray(len(kinds))
-    for root in itertools.compress(range(len(kinds)), mask):
-        if state[root]:
-            continue
-        # The stack holds cubes to open and, as ~j, cube j to close once
-        # everything pushed after it is done; `path` lists the open cubes,
-        # the last one being the cube whose steps are being popped.
-        stack, path = [root], []
-        while stack:
-            j = stack.pop()
-            if j >= 0:
-                seen = state[j]
-                if not seen:
-                    state[j] = 1
-                    path.append(j)
-                    stack.append(~j)
-                    stack.extend([p for _k, p in cofaces[j]])
-                    stack.extend(upper[j])
-                elif seen == 1 or marked[j]:
-                    marked[path[-1]] = 1
-                continue
-            j = ~j
-            state[j] = 2
-            path.pop()
-            if marked[j]:
-                if path:
-                    marked[path[-1]] = 1
-                continue
-            cls[j] = classes.setdefault(
-                (kinds[j], tuple([cls[u] for u in upper[j]]),
-                 frozenset([(k, cls[p]) for k, p in cofaces[j]])),
-                len(classes))
-    for j in itertools.compress(range(len(kinds)), marked):
-        cls[j] = classes.setdefault((kinds[j], None), len(classes))
+    for j in forward_order(hda):
+        cls[j] = classes.setdefault(
+            (kinds[j], tuple([cls[u] for u in upper[j]]),
+             frozenset([(k, cls[p]) for k, p in cofaces[j]])),
+            len(classes))
+    for j in itertools.compress(range(len(kinds)), hda.reach_mask):
+        if cls[j] is None:
+            cls[j] = classes.setdefault((kinds[j], None), len(classes))
     return cls
 
 
@@ -287,8 +260,7 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
             raise ModelError(f"initial cube {hda.initial!r} is not a 0-cube")
         kinds = dims if labeling is None else tuple(
             zip(dims, map(labeling.assign.get, view.ids)))
-        seed.blocks.append(_forward_classes(mask, kinds, view.upper,
-                                            view.cofaces, seed.classes))
+        seed.blocks.append(_forward_classes(hda, kinds, seed.classes))
         seed.masks.append(mask)
         seed.tables.append((view.lower, view.upper, view.cofaces))
         seed.offsets.append(offset)

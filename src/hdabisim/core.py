@@ -544,6 +544,41 @@ def reachable_mask(hda: HDA) -> bytearray:
     return seen
 
 
+def forward_order(hda: HDA) -> list[int]:
+    """The reachable cubes of the int view that cannot reach a forward
+    cycle, each after every cube one forward step on.  A forward step starts
+    an event (to a lower coface) or finishes one (to an upper face that is
+    not omitted), so the steps are those of reachability.
+
+    Kahn's algorithm from the forward sinks: a reachable cube is released
+    once every one of its steps has been.  A cube on a forward cycle, or one
+    with a step to an unreleased cube, is never released, so the reachable
+    cubes left out are exactly those that can reach a forward cycle.
+    Refuses an invalid set, as `reachable_mask` does.
+    """
+    mask = hda.reach_mask
+    view = hda.space.indexed
+    cofaces, upper = view.cofaces, view.upper
+    reached = list(itertools.compress(range(len(mask)), mask))
+    # pending[i]: the steps of cube i not yet released; back[j]: the cubes
+    # with a step to j, once per step.  Steps of reachable cubes are
+    # reachable, so both count reachable cubes only.
+    pending = [0] * len(mask)
+    back: list[list[int]] = [[] for _ in mask]
+    for i in reached:
+        steps = [p for _k, p in cofaces[i]] + [u for u in upper[i] if u >= 0]
+        pending[i] = len(steps)
+        for j in steps:
+            back[j].append(i)
+    order = [i for i in reached if not pending[i]]
+    for j in order:  # the loop also reads the cubes it appends
+        for i in back[j]:
+            pending[i] -= 1
+            if not pending[i]:
+                order.append(i)
+    return order
+
+
 def reachable(hda: HDA) -> frozenset[str]:
     """All cubes connected to the initial cube by a pointed cube path,
     i.e. the closure of {initial} under the step relation."""

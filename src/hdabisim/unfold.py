@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .core import (HDA, OMITTED, CapExceeded, EventSet, ModelError,
                    PrecubicalMorphism, PrecubicalSet, Row, check_morphism,
-                   torus_cube_id)
+                   forward_order, torus_cube_id)
 from .paths import DEFAULT_CAP, CubePath, _Quotient, is_cube_path
 
 
@@ -45,10 +45,6 @@ class UnfoldNode:
 
     rep: tuple[str, ...]
     dim: int
-
-    @property
-    def id(self) -> str:
-        return node_id_of(self.rep)
 
     @property
     def length(self) -> int:
@@ -276,40 +272,32 @@ def torus_unfolding(events: EventSet, depth: int, maxdim: int | None = None,
 def longest_pointed_path_length(hda: HDA) -> int:
     """Length (cube count) of the longest pointed cube path.
 
+    Counted along `forward_order`, whose steps are those of cube paths.
     Raises ModelError when the step relation has a cycle reachable from the
-    initial cube (the supremum would be infinite).  Unfolding to this depth
-    is always complete.
+    initial cube (the supremum would be infinite), when the initial cube
+    does not exist, and when the set fails validation.  Unfolding to this
+    depth is always complete.
     """
-    space = hda.space
-    memo: dict[str, int] = {}
-    state: dict[str, int] = {hda.initial: 0}  # 0 = visiting, 1 = done
-    stack = [(hda.initial, iter(space.successors(hda.initial)))]
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for y in it:
-            if state.get(y) == 0:
-                raise ModelError("the step relation has a reachable cycle")
-            if y not in memo:
-                state[y] = 0
-                stack.append((y, iter(space.successors(y))))
-                advanced = True
-                break
-        if not advanced:
-            memo[node] = 1 + max(
-                (memo[y] for y in space.successors(node)), default=0)
-            state[node] = 1
-            stack.pop()
-    return memo[hda.initial]
+    view = hda.space.indexed
+    cofaces, upper = view.cofaces, view.upper
+    # longest[j]: the length of the longest path from cube j, 0 until known.
+    longest = [0] * len(view.ids)
+    for j in forward_order(hda):
+        longest[j] = 1 + max([longest[p] for _k, p in cofaces[j]]
+                             + [longest[u] for u in upper[j] if u >= 0],
+                             default=0)
+    length = longest[view.pos[hda.initial]]
+    if not length:
+        raise ModelError("the step relation has a reachable cycle")
+    return length
 
 
 def is_acyclic(hda: HDA) -> bool:
-    """True when no cycle of the step relation is reachable."""
-    try:
-        longest_pointed_path_length(hda)
-    except ModelError:
-        return False
-    return True
+    """True when no cycle of the step relation is reachable, i.e. when
+    `forward_order` releases the initial cube.  Raises ModelError when the
+    initial cube does not exist or the set fails validation."""
+    order = forward_order(hda)
+    return hda.space.indexed.pos[hda.initial] in order
 
 
 def morphism_is_isomorphism(f: PrecubicalMorphism) -> bool:

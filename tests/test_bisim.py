@@ -187,6 +187,30 @@ def test_labeled_bisim(ab_square, ac_square, fig1_left, fig1_right):
     assert figures.result is False
 
 
+def test_history_separates_the_absorption_pair():
+    """X = a‖(b+c) + a‖b + (a+c)‖b and Y = a‖(b+c) + (a+c)‖b (van Glabbeek
+    & Goltz 2001): each summand is a product of two forks, glued at the
+    initial vertex, and Y is X without its a‖b summand (the cubes "q...").
+    Unlabeled, the two are bisimilar.  Labeled, what can follow each first
+    step of a‖b is matched in Y (a started as in (a+c)‖b, b started as in
+    a‖(b+c)), but the square of a‖b has both of those edges as lower faces,
+    and no square of Y has.  Only the lower faces, which record the history,
+    tell X from Y, so this verdict needs them."""
+    x, y = load("absorption_x.json"), load("absorption_y.json")
+    assert (len(x.hda.space), len(y.hda.space)) == (37, 29)
+    assert set(y.hda.space.ids()) == {
+        c for c in x.hda.space.ids() if not c.startswith("q")}
+    for m in (x, y):
+        assert hb.validate_model(m.hda, m.labeling).ok
+        assert hb.longest_pointed_path_length(m.hda) == 5
+        assert hb.is_tree(m.hda, 5)
+    labeled = hb.labeled_bisimilar(x.hda, x.labeling, y.hda, y.labeling)
+    assert (labeled.result, labeled.iterations) == (False, 6)
+    assert hb.bisimilar(x.hda, y.hda).result is True
+    oracle = hb.hp_oracle(x.hda, y.hda, 5, x.labeling, y.labeling)
+    assert oracle.result is False and oracle.notes["exact"] is True
+
+
 def test_labeled_bisim_rejects_mismatched_alphabets(fig1_left, ab_square):
     with pytest.raises(hb.ModelError, match="alphabet"):
         hb.labeled_bisimilar(fig1_left.hda, fig1_left.labeling,
@@ -599,22 +623,22 @@ def _naive_refine(x, y, lx=None, ly=None, seed=None):
 
 def _forward_reference(x, y, lx=None, ly=None):
     """The forward classes of `bisim._forward_classes` by another route, as
-    (side, cube) -> key.  A forward step goes to a lower coface or to a face
-    past position dim (the upper faces of a well-formed cube; the engine's
-    signature reads the same positions on a malformed one).  A search from
-    each cube finds those that can reach a forward cycle, keyed by dimension
-    and label alone; the others are split by naive forward-only refinement
-    (upper-face blocks and the set of (k, block) over the lower cofaces)
-    from blocks of equal dimension and label, run to a fixed point."""
+    (side, cube) -> key.  A forward step goes to a lower coface or to an
+    upper face that truncation did not omit; the sets are valid, since
+    reachability refuses any other.  A search from each cube finds those
+    that can reach a forward cycle, keyed by dimension and label alone; the
+    others are split by naive forward-only refinement (upper-face blocks and
+    the set of (k, block) over the lower cofaces) from blocks of equal
+    dimension and label, run to a fixed point."""
     kind, ups, cofs = {}, {}, {}
     for side, (hda, labeling) in enumerate(((x, lx), (y, ly))):
         space = hda.space
         for c in hb.reachable(hda):
-            dim, lower, upper = space.row(c)
+            dim, _lower, upper = space.row(c)
             node = (side, c)
             kind[node] = (dim,
                           None if labeling is None else labeling.assign.get(c))
-            ups[node] = [(side, f) for f in (lower + upper)[dim:]]
+            ups[node] = [(side, f) for f in upper if f is not None]
             cofs[node] = [(k, (side, p)) for k, p in space.cofaces_lower(c)]
     steps = {n: ups[n] + [p for _k, p in cofs[n]] for n in kind}
 
@@ -729,6 +753,51 @@ def test_forward_seed_agrees_with_reference():
         assert all(any(block <= part for part in seed_blocks)
                    for block in _blocks(*final)), trial
     assert cycle_cubes
+
+
+def _forward_models():
+    """Every model of the differential and grid pairs once, the long cycle,
+    and 200 truncations: unfoldings cut at depths 2-6, and models with some
+    upper faces omitted (`truncated`)."""
+    models = {}
+    for x, _lx, y, _ly in _differential_pairs() + _grid_pairs():
+        models.setdefault(id(x), x)
+        models.setdefault(id(y), y)
+    models = list(models.values())
+    rng = random.Random(0xF0D)
+    cut = [hb.unfold(hda, rng.randint(2, 6)).tree
+           for hda in rng.sample(models, 100)]
+    cut += [truncated(rng, hda) for hda in rng.sample(models, 100)]
+    return models + [_long_cycle()] + cut
+
+
+def test_forward_order_releases_exactly_the_cubes_that_reach_no_cycle():
+    """Each released cube comes after every cube one forward step on; the
+    reachable cubes left out are those `_forward_reference` keys as able to
+    reach a cycle; and on an acyclic model of at most 100 cubes the longest
+    pointed path counted along the order is the longest one enumerated."""
+    cyclic = enumerated = 0
+    for trial, hda in enumerate(_forward_models()):
+        view, mask = hda.space.indexed, hda.reach_mask
+        order = core.forward_order(hda)
+        at = {j: n for n, j in enumerate(order)}
+        assert len(at) == len(order), trial
+        for j in order:
+            steps = ([p for _k, p in view.cofaces[j]]
+                     + [u for u in view.upper[j] if u >= 0])
+            assert all(at.get(s, len(order)) < at[j] for s in steps), trial
+        left_out = {view.ids[i] for i in range(len(mask))
+                    if mask[i] and i not in at}
+        cycle = {c for (side, c), key in _forward_reference(hda, hda).items()
+                 if side == 0 and key[0] == "cycle"}
+        assert left_out == cycle, trial
+        cyclic += bool(cycle)
+        if not cycle and len(view.ids) <= 100:
+            enumerated += 1
+            longest = max(len(rho) for rho in
+                          hb.enumerate_pointed_paths(hda, len(view.ids) + 1))
+            assert hb.longest_pointed_path_length(hda) == longest, trial
+    assert cyclic >= 100 and enumerated >= 500, (cyclic, enumerated)
 
 
 def test_incremental_refinement_agrees_with_naive_refinement():

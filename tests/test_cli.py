@@ -678,13 +678,13 @@ def test_readme_quick_start_runs(monkeypatch):
 # be right, so that a rewrite of the engine cannot change a byte unnoticed.
 _DECISION_DIGESTS = {
     ("bisim", False):
-        "9b2ade28d3c84931e920b054d9c96ac87faa375a6fb04ff8dc483eaba772c55a",
+        "d81b6a9f5631621880fae5a6aca97761886c1e215096888bfd54aaf121defb1e",
     ("bisim", True):
-        "2754d18721d8706d513f1ca380060882afe9eb19670d5ccbb88204f9f411e498",
+        "d3ca4fa312d94c0ce70d9a5974416fb583a66140df29aee3c73d8aa803a533a0",
     ("hp-bisim", False):
-        "744795bcbd57f6c4da20867237912f8466b9b91b58bf7cc4f24c1b254fca5589",
+        "27e22da0f244d42770cf91d1e72dcd8efc898797af819921b4b717b212322a3f",
     ("hp-bisim", True):
-        "010b12b2f66ec9f36450dbb5d514822a673dac5eb3caa70747e0103da18ff6a6",
+        "9e582c67619f3e9fb7849d00d64e0bdf4cdb66b0c7f5d2b317680aa239a818ea",
 }
 
 
@@ -693,9 +693,9 @@ _DECISION_DIGESTS = {
 # that `unfold --out` writes.
 _REQUEST_DIGESTS = {
     "readme":
-        "ab706f193a11aa591f7a73b6adbebaa55179fe1f868e7a0175ac7b9bace028b9",
+        "bae58df2af793d4843d465cf241bcfb3830ef2574cc3377e79fd7e3de8a681ab",
     "readme --pretty":
-        "c12c6c0477339adbb683fff75534891125c9f6244e8991fe5240b0a8f7bd8aee",
+        "db4414bb77459b5a11a34cb6985b7a106491560822dab286dbf4cd09ddc8f5a7",
     "input errors":
         "5f29aa84d7867388e2e8c40df328b315e41689b4caf958714f18cffd4a7c488d",
     "double faults":
@@ -747,7 +747,7 @@ def test_decisions_on_figure_models_keep_their_bytes(in_models_copy):
                    if p.name != "inclusion.json")
     labeled = {name for name in names
                if hb.load_model(MODELS / name).labeling is not None}
-    assert len(names) == 8 and len(labeled) == 5
+    assert len(names) == 10 and len(labeled) == 7
     for (command, flag), expected in _DECISION_DIGESTS.items():
         digest = hashlib.sha256()
         for x, y in itertools.product(names, repeat=2):

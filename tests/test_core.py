@@ -121,13 +121,14 @@ def test_successors_raise_on_a_dangling_upper_face():
     space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("zz",))})
     hda = hb.HDA(space, "v")
     walks = (space.successors,
-             lambda _: list(hb.enumerate_pointed_paths(hda, 3)),
-             lambda _: hb.longest_pointed_path_length(hda))
+             lambda _: list(hb.enumerate_pointed_paths(hda, 3)))
     for walk in walks:
         with pytest.raises(hb.ModelError, match="^unknown cube id 'zz'$"):
             walk("e")
     for walk in (lambda: hb.reachable(hda), lambda: hb.unfold(hda, 3),
-                 lambda: hb.bisimilar(hda, hda)):
+                 lambda: hb.bisimilar(hda, hda),
+                 lambda: hb.longest_pointed_path_length(hda),
+                 lambda: hb.is_acyclic(hda)):
         with pytest.raises(hb.ModelError) as caught:
             walk()
         assert str(caught.value) == (
@@ -150,6 +151,9 @@ def _int_walks(hda, labeling):
         "unfold": lambda: hb.unfold(hda, 4),
         "is_tree": lambda: hb.is_tree(hda, 4),
         "hp_oracle": lambda: hb.hp_oracle(hda, hda, 4),
+        "longest_pointed_path_length":
+            lambda: hb.longest_pointed_path_length(hda),
+        "is_acyclic": lambda: hb.is_acyclic(hda),
     }
 
 
@@ -175,6 +179,15 @@ def test_int_walks_refuse_a_set_that_fails_validation(ab_square):
             with pytest.raises(hb.ModelError) as caught:
                 walk()
             assert str(caught.value) == refusal(space), (kind, name)
+
+
+def test_path_length_helpers_refuse_a_missing_initial_cube():
+    # Not a cycle: the set is valid, and there is nothing to walk from.
+    hda = hb.HDA(PrecubicalSet({"v": (0, (), ())}), "nope")
+    for walk in (hb.longest_pointed_path_length, hb.is_acyclic, hb.reachable):
+        with pytest.raises(hb.ModelError,
+                           match="^initial cube 'nope' does not exist$"):
+            walk(hda)
 
 
 def test_a_set_is_validated_once(monkeypatch, fig5_x, fig5_y):
