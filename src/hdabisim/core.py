@@ -97,7 +97,9 @@ class PrecubicalSet:
     lazily, each the first time it is read, and then kept: the string
     lower-coface table behind `cofaces_lower` and `successors`, `indexed`,
     the int view (:class:`CubeIndex`) that the int walks read, and what
-    validation finds, which those walks require to be nothing.
+    validation finds, which those walks require to be nothing.  The path
+    walks (`CubePath`, its check, enumeration) are int walks; the string
+    accessors take any set.
     """
 
     def __init__(self, rows: dict[str, Row], frontier: Iterable[str] = ()):

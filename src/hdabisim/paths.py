@@ -28,11 +28,13 @@ clauses; the clauses themselves, as string code over whole paths, live in
 the tests as the reference its merges are checked against.  `unfold` and
 `is_tree` run it from the initial cube; the path queries run it from the
 path's first cube up to its length and follow the path to its class, so
-`cap` counts classes.  The engine refuses a set that fails validation.
-The engine reads the int view (`PrecubicalSet.indexed`), which orders
-cubes by (dimension, id), but every order exposed here stays by id: steps
-are taken in id order, so classes come out sorted by id and the canonical
-representative is the lex-least id sequence.
+`cap` counts classes.  The engine reads the int view
+(`PrecubicalSet.indexed`), which orders cubes by (dimension, id), but every
+order exposed here stays by id: steps are taken in id order, so classes
+come out sorted by id and the canonical representative is the lex-least id
+sequence.  Like every walk of the int view, the engine and the path checks
+refuse a set that fails validation; so a `CubePath`, checked once where it
+is made, is a cube path of a valid set, and its takers trust its steps.
 """
 
 from __future__ import annotations
@@ -48,15 +50,26 @@ DEFAULT_CAP = 100_000
 
 
 class CubePath:
-    """A cube path as a value object: its space and its id sequence."""
+    """A cube path as a value object: its space and its id sequence.
+    Construction raises ModelError where `is_cube_path` raises or fails."""
 
     __slots__ = ("space", "seq")
 
     def __init__(self, space: PrecubicalSet, seq: tuple[str, ...] | list[str]):
-        if not seq:
-            raise ModelError("a cube path has at least one cube")
+        seq = tuple(seq)
+        check = is_cube_path(space, seq)
+        if not check:
+            raise ModelError(f"{','.join(seq)!r} is not a cube path; first "
+                             f"broken step at position {check.failure}")
         self.space = space
-        self.seq = tuple(seq)
+        self.seq = seq
+
+    @classmethod
+    def _of(cls, space: PrecubicalSet, seq: tuple[str, ...]) -> CubePath:
+        """A path the library built along the steps, so unchecked."""
+        path = object.__new__(cls)
+        path.space, path.seq = space, seq
+        return path
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -106,39 +119,29 @@ class PathCheck:
         return self.ok
 
 
-def _step(space: PrecubicalSet, a: str, b: str) -> StepDiag | None:
-    for k in range(1, space.dim(b) + 1):
-        if space.lower(b, k) == a:
-            return StepDiag(0, "lower-face-of-next", k)
-    for k in range(1, space.dim(a) + 1):
-        if space.upper(a, k) == b:
-            return StepDiag(0, "upper-face-of-previous", k)
-    return None
-
-
 def is_cube_path(space: PrecubicalSet, seq: tuple[str, ...] | list[str]) -> PathCheck:
-    """Check the step relation for every consecutive pair, with diagnosis."""
+    """Check the step relation for every consecutive pair, with diagnosis:
+    a step is a start at its least k, else an end at its least k (a valid
+    set never has both).  Raises ModelError on an empty sequence, a set that
+    fails validation (naming its first violation) and an unknown id."""
     seq = tuple(seq)
     if not seq:
         raise ModelError("empty sequence is not a cube path")
-    for c in seq:
-        space.row(c)  # raises on unresolved ids
+    _require_valid(space)
+    view = space.indexed
+    path = _indices(view, seq)
     steps: list[StepDiag] = []
-    for j in range(len(seq) - 1):
-        diag = _step(space, seq[j], seq[j + 1])
-        if diag is None:
-            return PathCheck(False, steps, failure=j + 1)
-        steps.append(StepDiag(j + 1, diag.kind, diag.k))
+    for j in range(1, len(path)):
+        a, b = path[j - 1], path[j]
+        if a in view.lower[b]:
+            steps.append(StepDiag(j, "lower-face-of-next",
+                                  view.lower[b].index(a) + 1))
+        elif b in view.upper[a]:
+            steps.append(StepDiag(j, "upper-face-of-previous",
+                                  view.upper[a].index(b) + 1))
+        else:
+            return PathCheck(False, steps, failure=j)
     return PathCheck(True, steps)
-
-
-def _checked(rho: CubePath) -> PathCheck:
-    """The check of rho; raises ModelError when rho is not a cube path."""
-    check = is_cube_path(rho.space, rho.seq)
-    if not check:
-        raise ModelError(f"{rho!r} is not a cube path; first broken step at "
-                         f"position {check.failure}")
-    return check
 
 
 def path_object(rho: CubePath) -> PrecubicalMorphism:
@@ -150,10 +153,11 @@ def path_object(rho: CubePath) -> PrecubicalMorphism:
     x_{i+1} as upper face k of x_i.  A face of the i-th cube (i from 0) is a
     word over 0, 1 and *; each cube of P_rho is named ``<i>:<word>`` after
     the least (i, word) in its class and sent to that face of x_i, and P_rho
-    is pointed at ``0:``.  Raises ModelError when rho is not a cube path,
-    starts above dimension 0, or meets a face that names no cube.
+    is pointed at ``0:``.  Raises ModelError when rho starts above
+    dimension 0 or meets an upper face omitted by truncation.
     """
-    space, seq, check = rho.space, rho.seq, _checked(rho)
+    space, seq = rho.space, rho.seq
+    steps = is_cube_path(space, seq).steps
     if space.dim(seq[0]) != 0:
         raise ModelError("a path object requires a path starting at a 0-cube")
     words = [["".join(w) for w in itertools.product("*01", repeat=space.dim(x))]
@@ -165,7 +169,7 @@ def path_object(rho: CubePath) -> PrecubicalMorphism:
             parent[key] = key = parent[parent[key]]
         return key
 
-    for step in check.steps:
+    for step in steps:
         # Face w of the glued cube is the other cube's face with nu inserted
         # at position k; a class's least key stays its root.
         i, k = step.position - 1, step.k - 1
@@ -351,22 +355,17 @@ class _Quotient:
 
 def _classes(cap: int, *paths: CubePath) -> tuple[_Quotient, list[int]]:
     """The quotient of the paths from the first cube of `paths` up to their
-    length, which they share, and the class of each path in it.  Each path
-    is followed through `child` as soon as a layer is built, so a broken
-    step raises ModelError before the next layer is built."""
+    length, which they share, and the class of each path in it: every step
+    of a cube path is an extension the quotient builds."""
     view = paths[0].space.indexed
     seqs = [_indices(view, path.seq) for path in paths]
     quotient = _Quotient(paths[0].space, seqs[0][0], cap)
-    layers = quotient.layers(len(seqs[0]))
-    next(layers)
+    for _layer in quotient.layers(len(seqs[0])):
+        pass
     at = [0] * len(seqs)
-    for j in range(1, len(seqs[0])):
-        next(layers, None)
-        for n, seq in enumerate(seqs):
-            at[n] = quotient.child.get((at[n], seq[j]))
-            if at[n] is None:
-                raise ModelError(f"{paths[n]!r} is not a cube path; first "
-                                 f"broken step at position {j}")
+    for n, seq in enumerate(seqs):
+        for y in seq[1:]:
+            at[n] = quotient.child[at[n], y]
     return quotient, at
 
 
@@ -401,7 +400,7 @@ def homotopy_class(rho: CubePath, cap: int = DEFAULT_CAP) -> list[CubePath]:
                 f"homotopy class of {rho!r} exceeds the cap of {cap} paths")
         else:
             members.append((rho.start,) + tail)
-    return [CubePath(rho.space, seq) for seq in sorted(members)]
+    return [CubePath._of(rho.space, seq) for seq in sorted(members)]
 
 
 def canonical_rep(rho: CubePath, cap: int = DEFAULT_CAP) -> CubePath:
@@ -409,7 +408,8 @@ def canonical_rep(rho: CubePath, cap: int = DEFAULT_CAP) -> CubePath:
     CapExceeded past `cap` classes."""
     quotient, (c,) = _classes(cap, rho)
     ids = quotient.view.ids
-    return CubePath(rho.space, tuple(map(ids.__getitem__, quotient.reps[c])))
+    return CubePath._of(rho.space,
+                        tuple(map(ids.__getitem__, quotient.reps[c])))
 
 
 def t_measure(rho: CubePath) -> int:
@@ -500,22 +500,21 @@ def fan_shape_trace(rho: CubePath) -> list[list[CubePath]]:
 
     Each iteration is the list of one or two paths it stepped through; every
     consecutive pair across the whole trace is adjacent and each iteration
-    lowers the T-measure by exactly 2.  Raises ModelError when rho is not a
-    cube path or starts above dimension 0.
+    lowers the T-measure by exactly 2.  Raises ModelError when rho starts
+    above dimension 0, or when a rewrite would step through an upper face
+    omitted by truncation.
     """
-    _checked(rho)
     if rho.space.dim(rho.start) != 0:
         raise ModelError("fan shaping requires a path starting at a 0-cube")
-    space = rho.space
-    seq = rho.seq
+    space, seq = rho.space, rho.seq
     iterations: list[list[CubePath]] = []
     budget = t_measure(rho) // 2 + 1
-    while not is_fan_shaped(CubePath(space, seq)):
+    while not is_fan_shaped(CubePath._of(space, seq)):
         if budget <= 0:
             raise AssertionError("fan shaping failed to terminate")
         budget -= 1
         chain = _fan_once(space, seq)
-        iterations.append([CubePath(space, s) for s in chain])
+        iterations.append([CubePath._of(space, s) for s in chain])
         seq = chain[-1]
     return iterations
 
@@ -532,35 +531,33 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
 
     Paths are yielded as they are built, so a consumer that stops early
     never holds more than the layer built so far.  Extending the previous
-    layer, which is in lex order, by each end's sorted successors gives the
-    next layer in lex order too.  The layers stop at the first length with
-    no path, so a bound past the longest path costs nothing more.  Raises
-    ModelError when the initial cube is missing or not a 0-cube, and at the
-    first step that changes the dimension by an even amount (on a set whose
-    faces skip or keep a dimension; validation reports those).
+    layer, which is in lex order, by each end's successors in id order
+    (read from the int view) gives the next layer in lex order too.  The
+    layers stop at the first length with no path, so a bound past the
+    longest path costs nothing more.  Raises ModelError when the set fails
+    validation (naming its first violation), and when the initial cube is
+    missing or not a 0-cube.
     """
     if max_len < 1:
         return
     space = hda.space
-    if hda.initial not in space:
+    _require_valid(space)
+    view = space.indexed
+    start = view.pos.get(hda.initial)
+    if start is None:
         raise ModelError(f"initial cube {hda.initial!r} does not exist")
-    if space.dim(hda.initial) != 0:
+    if view.dims[start] != 0:
         raise ModelError("unfolding requires a valid initial 0-cube")
-    layer = [(hda.initial,)]
-    yield CubePath(space, layer[0])
-    for length in range(2, max_len + 1):
+    ids, successors = view.ids, _Successors(view)
+    layer = [((hda.initial,), start)]
+    yield CubePath._of(space, layer[0][0])
+    for _length in range(2, max_len + 1):
         if not layer:
             return
         nxt = []
-        for seq in layer:
-            for y in space.successors(seq[-1]):
-                # Position minus dimension stays odd along pointed paths
-                # when every step changes the dimension by one.
-                if (length - space.dim(y)) % 2 != 1:
-                    raise ModelError(
-                        f"the step from {seq[-1]!r} to {y!r} at position "
-                        f"{length} changes the dimension by an even amount")
-                ext = seq + (y,)
-                nxt.append(ext)
-                yield CubePath(space, ext)
+        for seq, end in layer:
+            for y in successors[end]:
+                ext = seq + (ids[y],)
+                nxt.append((ext, y))
+                yield CubePath._of(space, ext)
         layer = nxt

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .core import (HDA, OMITTED, CapExceeded, EventSet, ModelError,
                    PrecubicalMorphism, PrecubicalSet, Row, check_morphism,
                    forward_order, torus_cube_id)
-from .paths import DEFAULT_CAP, CubePath, _Quotient, is_cube_path
+from .paths import DEFAULT_CAP, CubePath, _Quotient
 
 
 class DepthExceeded(ValueError):
@@ -82,11 +82,11 @@ class Unfolding:
         return not self.frontier
 
     def project(self, node: str) -> str:
-        return self.nodes[node].rep[-1]
+        return self.projection.mapping[node]
 
     def projection_table(self) -> dict[str, str]:
-        """Node id -> projected base cube id, for the sidecar export."""
-        return {nid: self.nodes[nid].rep[-1] for nid in sorted(self.nodes)}
+        """Node id -> projected base cube id, by node id, for the sidecar."""
+        return dict(sorted(self.projection.mapping.items()))
 
 
 def _quotient(hda: HDA, cap: int) -> _Quotient:
@@ -169,16 +169,13 @@ def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
 
 
 def lift_path(unfolding: Unfolding, start: str, sigma: CubePath) -> CubePath:
-    """The unique tree path over `sigma` beginning at node `start`;
+    """The unique tree path over `sigma` beginning at node `start`, read
+    off `children` step by step (a CubePath's steps need no check);
     projecting the result gives back `sigma`."""
     if start not in unfolding.nodes:
         raise ModelError(f"unknown tree node {start!r}")
     if sigma.space is not unfolding.base.space:
         raise ModelError("lift requires a path in the unfolding's base")
-    check = is_cube_path(sigma.space, sigma.seq)
-    if not check:
-        raise ModelError(
-            f"cannot lift: the step relation fails at position {check.failure}")
     rep = unfolding.nodes[start].rep
     if sigma.start != rep[-1]:
         raise ModelError(
@@ -191,7 +188,7 @@ def lift_path(unfolding: Unfolding, start: str, sigma: CubePath) -> CubePath:
     out = [start]
     for y in sigma.seq[1:]:
         out.append(unfolding.children[out[-1], y])
-    return CubePath(unfolding.tree.space, tuple(out))
+    return CubePath._of(unfolding.tree.space, tuple(out))
 
 
 def torus_unfolding(events: EventSet, depth: int, maxdim: int | None = None,

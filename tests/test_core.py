@@ -115,17 +115,17 @@ def test_reachable_fig3(fig3):
 
 
 def test_successors_raise_on_a_dangling_upper_face():
-    # The string walks of the step relation stop at the upper face "zz"
-    # that names no cube, with the same error as `successors` itself.  The
-    # int walks refuse the set before they walk, naming its first violation.
+    # The string walk of the step relation stops at the upper face "zz"
+    # that names no cube.  The int walks, path enumeration and path checks
+    # among them, refuse the set before they walk, naming its first
+    # violation.
     space = PrecubicalSet({"v": (0, (), ()), "e": (1, ("v",), ("zz",))})
     hda = hb.HDA(space, "v")
-    walks = (space.successors,
-             lambda _: list(hb.enumerate_pointed_paths(hda, 3)))
-    for walk in walks:
-        with pytest.raises(hb.ModelError, match="^unknown cube id 'zz'$"):
-            walk("e")
+    with pytest.raises(hb.ModelError, match="^unknown cube id 'zz'$"):
+        space.successors("e")
     for walk in (lambda: hb.reachable(hda), lambda: hb.unfold(hda, 3),
+                 lambda: list(hb.enumerate_pointed_paths(hda, 3)),
+                 lambda: hb.CubePath(space, ("v", "e")),
                  lambda: hb.bisimilar(hda, hda),
                  lambda: hb.longest_pointed_path_length(hda),
                  lambda: hb.is_acyclic(hda)):
@@ -137,17 +137,24 @@ def test_successors_raise_on_a_dangling_upper_face():
 
 
 def _int_walks(hda, labeling):
-    """Every library entry point that reads the int view of `hda`'s set."""
-    rho = hb.CubePath(hda.space, (hda.initial,))
+    """Every library entry point that reads the int view of `hda`'s set.
+    A path query's CubePath is built inside its call: building one refuses
+    the set too."""
+    space, start = hda.space, (hda.initial,)
+    rho = lambda: hb.CubePath(space, start)
     return {
         "reachable": lambda: hb.reachable(hda),
         "bisimilar": lambda: hb.bisimilar(hda, hda),
         "labeled_bisimilar": lambda: hb.labeled_bisimilar(
             hda, labeling, hda, labeling),
         "hp_bisimilar": lambda: hb.hp_bisimilar(hda, hda),
-        "are_homotopic": lambda: hb.are_homotopic(rho, rho),
-        "homotopy_class": lambda: hb.homotopy_class(rho),
-        "canonical_rep": lambda: hb.canonical_rep(rho),
+        "CubePath": rho,
+        "is_cube_path": lambda: hb.is_cube_path(space, start),
+        "are_homotopic": lambda: hb.are_homotopic(rho(), rho()),
+        "homotopy_class": lambda: hb.homotopy_class(rho()),
+        "canonical_rep": lambda: hb.canonical_rep(rho()),
+        "enumerate_pointed_paths":
+            lambda: list(hb.enumerate_pointed_paths(hda, 4)),
         "unfold": lambda: hb.unfold(hda, 4),
         "is_tree": lambda: hb.is_tree(hda, 4),
         "hp_oracle": lambda: hb.hp_oracle(hda, hda, 4),

@@ -193,14 +193,15 @@ def _faulty(hda, rng):
 
 
 def _assert_paths_refused(space):
-    """The path queries refuse a set that fails validation, naming its first
-    violation, before they read a step."""
-    rho = CubePath(space, space.ids()[:1])
-    for call in (lambda: hb.are_homotopic(rho, rho), lambda: hb.homotopy_class(rho),
-                 lambda: hb.canonical_rep(rho)):
+    """A set that fails validation holds no CubePath, so no path query can
+    be asked of it: building one, or checking a sequence, refuses the set,
+    naming its first violation, before a step is read."""
+    seq = space.ids()[:1]
+    for call in (lambda: CubePath(space, seq),
+                 lambda: hb.is_cube_path(space, seq)):
         with pytest.raises(hb.ModelError) as caught:
             call()
-        assert str(caught.value) == refusal(space), rho
+        assert str(caught.value) == refusal(space), seq
 
 
 def test_engine_agrees_with_string_reference_on_faulty_models():
@@ -236,35 +237,26 @@ def test_alternatives_follow_id_order_across_dimensions():
         "e4": (1, ("v", "s"), ("w",)),
         "s": (2, ("e1", "e1"), ("e4", "e4")),
         "a3": (3, ("e1", "e1", "e1"), ("e4", "e4", "e4"))})
-    rho = CubePath(space, ("e1", "s", "e4"))
-    dip = CubePath(space, ("e1", "v", "e4"))
-    assert ref.adjacent_seqs(space, rho.seq) == [("e1", "a3", "e4"), dip.seq]
+    assert ref.adjacent_seqs(space, ("e1", "s", "e4")) == [
+        ("e1", "a3", "e4"), ("e1", "v", "e4")]
     assert refusal(space) == ("the set fails validation: cube 'e4' of "
                               "dimension 1 has 2 lower / 1 upper faces")
     _assert_paths_refused(space)
 
 
 def test_unknown_ids_raise_model_error(fig3):
-    space = fig3.hda.space
-    good = CubePath(space, ("i", "a", "x"))
-    bad = CubePath(space, ("i", "zz", "x"))
-    for call in (lambda: hb.are_homotopic(good, bad),
-                 lambda: hb.homotopy_class(bad),
-                 lambda: hb.canonical_rep(bad)):
-        with pytest.raises(hb.ModelError, match="unknown cube id 'zz'"):
-            call()
+    # A path query takes a CubePath, so an unknown id is refused where the
+    # path is built, as the CLI's --path is.
+    with pytest.raises(hb.ModelError, match="^unknown cube id 'zz'$"):
+        CubePath(fig3.hda.space, ("i", "zz", "x"))
 
 
 def test_broken_steps_raise_model_error(fig3):
     space = fig3.hda.space
-    good = CubePath(space, ("i", "a", "x", "b"))
-    bad = CubePath(space, ("i", "a", "b", "x"))
-    for call in (lambda: hb.are_homotopic(good, bad),
-                 lambda: hb.homotopy_class(bad),
-                 lambda: hb.canonical_rep(bad)):
-        with pytest.raises(hb.ModelError, match="first broken step at "
-                                                "position 2"):
-            call()
+    assert hb.is_cube_path(space, ("i", "a", "b", "x")).failure == 2
+    with pytest.raises(hb.ModelError, match="^'i,a,b,x' is not a cube path; "
+                                            "first broken step at position 2$"):
+        CubePath(space, ("i", "a", "b", "x"))
 
 
 def test_grid_path_builds_one_class_per_reachable_cell():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,9 @@ import hdabisim as hb
 from hdabisim import CubePath, EventSet, ModelError, PrecubicalSet
 from hdabisim.generators import grid_hda, random_hda, random_pointed_path
 
+import cube_path_reference as cube_ref
 import homotopy_reference as ref
-from conftest import cut_square, square_homotopy_chain
+from conftest import cut_square, refusal, square_homotopy_chain, truncated
 from path_object_reference import face_reprs, is_path_object
 
 
@@ -195,9 +197,10 @@ def test_fan_shape_refuses_a_step_onto_an_omitted_upper_face():
 
 
 def test_fan_shape_rejects_what_is_not_a_cube_path(fig3):
-    with pytest.raises(ModelError, match=r"^CubePath\(i, x, d\) is not a cube "
-                       "path; first broken step at position 1$"):
-        hb.fan_shape_trace(CubePath(fig3.hda.space, ("i", "x", "d")))
+    # Fan shaping takes a CubePath, which refuses a broken sequence.
+    with pytest.raises(ModelError, match=r"^'i,x,d' is not a cube path; "
+                       "first broken step at position 1$"):
+        CubePath(fig3.hda.space, ("i", "x", "d"))
 
 
 def test_position_minus_dimension_is_odd_along_pointed_paths():
@@ -366,7 +369,8 @@ def test_enumerate_pointed_paths_fig1(fig1_left):
 
 def test_enumerate_rejects_a_positive_initial_cube_and_a_skipped_dimension():
     # An initial edge fails as `unfold` fails on it; a square whose faces
-    # are vertices fails at its step, also under `python -O`.
+    # are vertices fails validation, so the enumeration refuses its set
+    # before it walks, as every int walk does.
     rows = {"v": (0, (), ()), "w": (0, (), ()), "e": (1, ("v",), ("w",))}
     edge = hb.HDA(PrecubicalSet(rows), "e")
     for call in (lambda: list(hb.enumerate_pointed_paths(edge, 3)),
@@ -376,9 +380,10 @@ def test_enumerate_rejects_a_positive_initial_cube_and_a_skipped_dimension():
             call()
     skip = hb.HDA(PrecubicalSet({**rows, "s": (2, ("v", "v"), ("w", "w"))}),
                   "v")
-    with pytest.raises(hb.ModelError, match="^the step from 'v' to 's' at "
-                       "position 2 changes the dimension by an even amount$"):
+    with pytest.raises(hb.ModelError) as caught:
         list(hb.enumerate_pointed_paths(skip, 3))
+    assert str(caught.value) == refusal(skip.space)
+    assert "cube 's'" in str(caught.value)
 
 
 def test_enumerate_order_is_deterministic(fig1_left):
@@ -474,3 +479,78 @@ def test_one_cube_corner_paths_exhaustive_dim_three():
                         rho, sigma = climb(ks), climb(ls)
                         assert rho.start == sigma.start
                         assert hb.are_homotopic(rho, sigma) is True
+
+
+def _step_relation_models(rng):
+    """Valid sets on which the string references must agree with the int
+    walks: random grid and torus sub-HDA, truncations of them, their cut
+    unfoldings, and tori whose cubes are self-linked (`a.a` has the face
+    `a` at both k)."""
+    for trial in range(24):
+        hda = random_hda(rng, max_cubes=16, max_dim=3, cyclic=trial % 2 == 1)
+        yield hda
+        yield truncated(rng, hda)
+        yield hb.unfold(hda, rng.randint(2, 6)).tree
+    for names in (("a",), ("a", "b")):
+        for maxdim in (2, 3):
+            yield hb.torus_hda(EventSet(names), maxdim)[0]
+
+
+def _walks(rng, space, count):
+    """`count` random walks of up to 8 cubes from random cubes, each
+    followed by a copy with one entry replaced by a random cube."""
+    ids = space.ids()
+    for _ in range(count):
+        seq = [rng.choice(ids)]
+        for _ in range(rng.randint(0, 7)):
+            succs = space.successors(seq[-1])
+            if not succs:
+                break
+            seq.append(rng.choice(succs))
+        yield tuple(seq)
+        j = rng.randrange(len(seq))
+        yield tuple(seq[:j]) + (rng.choice(ids),) + tuple(seq[j + 1:])
+
+
+def test_is_cube_path_agrees_with_string_reference():
+    # The int check diagnoses every sequence as the string reference does:
+    # ok, the first broken position and every step, with the least k and
+    # the lower face of the next cube tested before the upper face of the
+    # previous one.  A CubePath is built exactly when the check passes.
+    rng = random.Random(2424)
+    tally = Counter()
+    for hda in _step_relation_models(rng):
+        space = hda.space
+        for seq in _walks(rng, space, 10):
+            want = cube_ref.is_cube_path(space, seq)
+            assert hb.is_cube_path(space, seq) == want, seq
+            if want:
+                assert CubePath(space, seq).seq == seq
+            else:
+                with pytest.raises(ModelError, match=f"position {want.failure}$"):
+                    CubePath(space, seq)
+            tally[want.ok] += 1
+            for step in want.steps:
+                a, b = seq[step.position - 1], seq[step.position]
+                lower = step.kind == "lower-face-of-next"
+                faces = space.row(b)[1] if lower else space.row(a)[2]
+                tally[step.kind] += 1
+                # A self-linked step could be read at a greater k.
+                if faces.count(a if lower else b) > 1:
+                    tally["several k", step.kind] += 1
+    assert min(tally.values()) >= 50, tally
+
+
+def test_enumeration_agrees_with_string_reference():
+    # The same pointed paths in the same order, up to 2,000 per model.
+    rng = random.Random(2525)
+    total = 0
+    for hda in _step_relation_models(rng):
+        depth = rng.randint(1, 10)
+        got = [path.seq for path in
+               itertools.islice(hb.enumerate_pointed_paths(hda, depth), 2000)]
+        want = list(itertools.islice(
+            cube_ref.enumerate_pointed_paths(hda, depth), 2000))
+        assert got == want, (hda.initial, depth)
+        total += len(got)
+    assert total >= 5000, total

@@ -268,13 +268,16 @@ def test_lift_rejects_what_it_cannot_lift(fig5_x):
     cases = [
         ("zz", CubePath(space, ("x",)), r"unknown tree node 'zz'"),
         ("x", CubePath(other, ("x",)), r"in the unfolding's base"),
-        ("x", CubePath(space, ("x", "y")), r"fails at position 1"),
         ("x/e1", CubePath(space, ("x", "e1")),
          r"expected the projection 'e1' of 'x/e1'"),
     ]
     for start, sigma, message in cases:
         with pytest.raises(hb.ModelError, match=message):
             hb.lift_path(unfolding, start, sigma)
+    # What breaks the step relation is no CubePath, so it never gets here.
+    with pytest.raises(hb.ModelError, match="^'x,y' is not a cube path; "
+                       "first broken step at position 1$"):
+        CubePath(space, ("x", "y"))
 
 
 def test_torus_unfolding_single_event():
