@@ -24,10 +24,12 @@ cubes listed in ``PrecubicalSet.frontier``; omitted faces are stored as
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter, le
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ModelError(ValueError):
@@ -319,6 +321,14 @@ def _require_valid(space: PrecubicalSet) -> None:
         raise ModelError(f"the set fails validation: {space._violations[0].detail}")
 
 
+def _slices(dims: Sequence[int]) -> list[tuple[int, range]]:
+    """Each dimension that occurs in an int view whose `dims` ascend, with
+    the index range of its cubes: one slice per distinct dimension, so the
+    count does not grow with the dimensions' size or sign."""
+    return [(d, range(bisect.bisect_left(dims, d), bisect.bisect_right(dims, d)))
+            for d in sorted(set(dims))]
+
+
 def _precubical_violations(space: PrecubicalSet) -> tuple[Violation, ...]:
     view = space.indexed
     ids, dims, tables = view.ids, view.dims, (view.lower, view.upper)
@@ -431,15 +441,57 @@ def validate_model(hda: HDA, labeling: Labeling | None = None) -> ValidationRepo
     return report
 
 
+def _labels_fit(labels: list, tables: tuple, cubes: range, d: int,
+                nevents: int) -> bool:
+    """True when each d-cube in `cubes` is labeled with a sorted d-tuple
+    over 1..`nevents` and has d lower and d upper faces, the k-th a cube
+    labeled with its tuple less entry k.  Checked a column at a time."""
+    tuples = labels[cubes.start:cubes.stop]
+    if None in tuples or set(map(len, tuples)) - {d}:
+        return False
+    if not d:
+        return True
+    flat = list(itertools.chain.from_iterable(tuples))
+    columns = list(zip(*tuples))
+    if min(flat) < 1 or max(flat) > nevents:
+        return False
+    for left, right in zip(columns, columns[1:]):
+        if not all(map(le, left, right)):
+            return False
+    for table in tables:
+        rows = table[cubes.start:cubes.stop]
+        if set(map(len, rows)) - {d}:
+            return False
+        for k in range(d):
+            faces = list(map(itemgetter(k), rows))
+            # A negative entry names no cube, and as an index it would
+            # read another cube's label.
+            if min(faces) < 0:
+                return False
+            expected = (list(zip(*columns[:k], *columns[k + 1:])) if d > 1
+                        else [()] * len(faces))
+            if list(map(labels.__getitem__, faces)) != expected:
+                return False
+    return True
+
+
 def validate_labeling(hda: HDA, labeling: Labeling) -> ValidationReport:
     """Check that the labeling is a morphism into the event torus: tuple
     lengths match dimensions, tuples are sorted, and the k-th face deletes
-    the k-th entry."""
+    the k-th entry.
+
+    The d-cubes are one slice of the int view.  A slice that passes its
+    column checks (`_labels_fit`) holds no violation; the others are
+    walked cube by cube, and the walk writes the report."""
     view = hda.space.indexed
     violations: list[Violation] = []
     nevents = len(labeling.events)
-    labels = [labeling.assign.get(x) for x in view.ids]
-    for i, x in enumerate(view.ids):
+    labels = list(map(labeling.assign.get, view.ids))
+    tables = (view.lower, view.upper)
+    for i in itertools.chain.from_iterable(
+            cubes for d, cubes in _slices(view.dims)
+            if not _labels_fit(labels, tables, cubes, d, nevents)):
+        x = view.ids[i]
         tup, dim = labels[i], view.dims[i]
         if tup is None:
             violations.append(Violation(
@@ -562,16 +614,20 @@ def forward_order(hda: HDA) -> list[int]:
     view = hda.space.indexed
     cofaces, upper = view.cofaces, view.upper
     reached = list(itertools.compress(range(len(mask)), mask))
-    # pending[i]: the steps of cube i not yet released; back[j]: the cubes
-    # with a step to j, once per step.  Steps of reachable cubes are
-    # reachable, so both count reachable cubes only.
+    # pending[i]: the steps of cube i not yet released (in a valid set an
+    # upper face is a cube or omitted); back[j]: the cubes with a step to
+    # j, once per step.  Steps of reachable cubes are reachable, so both
+    # count reachable cubes only.
     pending = [0] * len(mask)
     back: list[list[int]] = [[] for _ in mask]
     for i in reached:
-        steps = [p for _k, p in cofaces[i]] + [u for u in upper[i] if u >= 0]
-        pending[i] = len(steps)
-        for j in steps:
+        up = upper[i]
+        pending[i] = len(cofaces[i]) + len(up) - up.count(OMITTED)
+        for _k, j in cofaces[i]:
             back[j].append(i)
+        for j in up:
+            if j >= 0:
+                back[j].append(i)
     order = [i for i in reached if not pending[i]]
     for j in order:  # the loop also reads the cubes it appends
         for i in back[j]:

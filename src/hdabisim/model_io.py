@@ -182,15 +182,19 @@ def model_from_dict(data: object) -> LoadedModel:
         raw_labels = data.get("labels", {})
         if not isinstance(raw_labels, dict):
             raise ModelError("'labels' must be an object")
-        assign: dict[str, tuple[int, ...]] = {}
-        for cid, tup in raw_labels.items():
-            if cid not in space:
-                raise ModelError(f"label for unknown cube {cid!r}")
-            if not (type(tup) is list and all([type(i) is int for i in tup])
-                    or _is_label(tup)):
-                raise ModelError(f"label of {cid!r} must be an array of integers")
-            assign[cid] = tuple(tup)
-        labeling = Labeling(events, assign)
+        tuples = raw_labels.values()
+        if not (raw_labels.keys() <= rows.keys()
+                and set(map(type, tuples)) <= {list}
+                and set(map(type, itertools.chain.from_iterable(tuples)))
+                <= {int}):
+            # Name the first label in file order that the checks refuse.
+            for cid, tup in raw_labels.items():
+                if cid not in space:
+                    raise ModelError(f"label for unknown cube {cid!r}")
+                if not _is_label(tup):
+                    raise ModelError(
+                        f"label of {cid!r} must be an array of integers")
+        labeling = Labeling(events, dict(zip(raw_labels, map(tuple, tuples))))
     return LoadedModel(hda, labeling)
 
 

@@ -926,12 +926,35 @@ def _with_extra_faces(hda, pick):
     return hb.HDA(PrecubicalSet(rows, hda.space.frontier), hda.initial)
 
 
+def _renamed_at_random(rng, hda, labeling):
+    """A copy of a labeled model with its cubes renamed at random, so that
+    its id order is another one, as in the benchmark's renamed copies."""
+    names = [f"r{n}" for n in range(len(hda.space))]
+    rng.shuffle(names)
+    new = dict(zip(hda.space.ids(), names))
+    rows = {new[c]: (dim, tuple(map(new.get, lower)), tuple(map(new.get, upper)))
+            for c, (dim, lower, upper) in hda.space.rows().items()}
+    return (hb.HDA(PrecubicalSet(rows), new[hda.initial]),
+            hb.Labeling(labeling.events, {new[c]: tup for c, tup
+                                          in labeling.assign.items()}))
+
+
 def _audit_inputs():
-    """(x, lx, y, ly, witness) inputs for the audit: decided pairs, truncated
-    trees and truncated models against themselves, and models with arity
-    faults whose surplus faces differ, each with the diagonal or the
-    decided witness."""
+    """(x, lx, y, ly, witness) inputs for the audit: decided pairs, among
+    them labeled 7x7 grids against renamed copies (the benchmark's slowest
+    decision), truncated trees and truncated models against themselves, and
+    models with arity faults whose surplus faces differ, each with the
+    diagonal or the decided witness."""
+    from hdabisim.generators import grid_hda, grid_labeling
+
     rng = random.Random(0xA0D2)
+    grid = grid_hda((7, 7))
+    grid_labels = grid_labeling(grid, hb.EventSet(("a", "b")))
+    for _ in range(3):
+        copy, copy_labels = _renamed_at_random(rng, grid, grid_labels)
+        decision = hb.labeled_bisimilar(grid, grid_labels, copy, copy_labels)
+        assert decision.result is True
+        yield grid, grid_labels, copy, copy_labels, decision.witness
     pairs = _differential_pairs()[:600]
     for x, lx, y, ly in pairs:
         decision = (hb.bisimilar(x, y) if lx is None

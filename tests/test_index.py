@@ -11,6 +11,7 @@ message.
 import copy
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -519,3 +520,120 @@ def test_duplicate_id_is_reported_after_earlier_faults(fault, message):
     for load in (hb.model_from_dict, _model_from_dict_ref):
         with pytest.raises(ModelError, match=message):
             load(data)
+
+
+# -- column checks on large inputs --------------------------------------------
+
+def _large_models():
+    """Clean models large enough that every slice has many cubes: a labeled
+    7x7 grid, a labeled 4x4x4 grid, a labeled torus with maxdim 3, and a
+    truncated unfolding of the 7x7 grid, whose omitted upper faces fail the
+    column checks although the model is valid."""
+    from hdabisim.generators import grid_hda
+
+    events = EventSet(("a", "b", "c", "d"))
+    out = []
+    for sizes in ((7, 7), (4, 4, 4)):
+        grid = grid_hda(sizes)
+        out.append((grid, grid_labeling(grid, events)))
+    out.append(hb.torus_hda(events, 3))
+    grid, labeling = out[0]
+    unfolding = hb.unfold(grid, 6)
+    tree = unfolding.tree
+    out.append((tree, Labeling(events, {
+        c: labeling.assign[unfolding.project(c)] for c in tree.space.ids()})))
+    return out
+
+
+def _edge_faults(rng, hda, labeling):
+    """Variants of a clean model, each with one fault at an edge of the
+    column checks, the labeling kept: a 0-cube given a face; in the top
+    dimension's slice alone, a face swapped for another cube of its
+    dimension or for a 0-cube; a 2-cube's label reversed along with its
+    face lists, so that only its order is wrong; a short face list; and an
+    unknown face."""
+    rows = hda.space.rows()
+    by_dim = {}
+    for c in hda.space.ids():
+        by_dim.setdefault(rows[c][0], []).append(c)
+    top = max(by_dim)
+
+    def with_row(cid, lower, upper, assign=labeling.assign):
+        changed = dict(rows)
+        changed[cid] = (rows[cid][0], tuple(lower), tuple(upper))
+        return (HDA(PrecubicalSet(changed, hda.space.frontier), hda.initial),
+                Labeling(labeling.events, assign))
+
+    out = []
+    for _ in range(6):
+        v = rng.choice(by_dim[0])
+        out.append(with_row(v, [rng.choice(by_dim[0])], []))
+        x = rng.choice(by_dim[top])
+        _dim, lower, upper = rows[x]
+        k = rng.randrange(top)
+        swapped = list(lower)
+        swapped[k] = rng.choice([c for c in by_dim[top - 1] if c != lower[k]])
+        out.append(with_row(x, swapped, upper))
+        swapped[k] = rng.choice(by_dim[0])
+        out.append(with_row(x, swapped, upper))
+        z = rng.choice(by_dim[2])
+        _dim, lower, upper = rows[z]
+        assign = dict(labeling.assign)
+        assign[z] = assign[z][::-1]
+        out.append(with_row(z, lower[::-1], upper[::-1], assign))
+        y = rng.choice([c for d in by_dim if d for c in by_dim[d]])
+        _dim, lower, upper = rows[y]
+        k = rng.randrange(len(lower))
+        out.append(with_row(y, lower[:k] + lower[k + 1:], upper))
+        out.append(with_row(y, lower, upper[:k] + ("ghost",) + upper[k + 1:]))
+    return out
+
+
+def test_column_checks_agree_with_string_walks_on_large_models(monkeypatch):
+    from hdabisim import core
+
+    outcomes = Counter()
+
+    def counted(*args, _check=core._labels_fit):
+        passed = _check(*args)
+        outcomes[passed] += 1
+        return passed
+    monkeypatch.setattr(core, "_labels_fit", counted)
+    rng = random.Random(0xC01)
+    kinds = set()
+    models = _large_models()
+    for hda, labeling in models:
+        assert hb.validate_model(hda, labeling).ok
+        for x, lx in [(hda, labeling)] + _edge_faults(rng, hda, labeling):
+            got = hb.validate_precubical(x.space).to_json()
+            assert got == _validate_precubical_ref(x.space).to_json()
+            got_labels = hb.validate_labeling(x, lx).to_json()
+            assert got_labels == _validate_labeling_ref(x, lx).to_json()
+            kinds.update(v["kind"] for v in got["violations"])
+            kinds.update(v["kind"] for v in got_labels["violations"])
+    assert kinds == {"face-arity", "dangling-face", "face-dimension",
+                     "identity", "label-unsorted", "label-face"}, kinds
+    assert outcomes[True] >= 15 and outcomes[False] >= 15, outcomes
+    # There is one slice per dimension that occurs, so a cube of negative
+    # or large dimension is walked and adds one slice, not one per
+    # dimension below it.
+    grid, labeling = models[0]
+    rows = dict(grid.space.rows())
+    rows.update(low=(-1, (), ()), high=(10 ** 6, (), ()))
+    odd = HDA(PrecubicalSet(rows, grid.space.frontier), grid.initial)
+    odd_labels = Labeling(labeling.events,
+                          dict(labeling.assign, low=(), high=(1,)))
+    got = hb.validate_precubical(odd.space).to_json()
+    assert got == _validate_precubical_ref(odd.space).to_json()
+    assert [v["cube"] for v in got["violations"]] == ["low", "high"]
+    outcomes.clear()
+    got = hb.validate_labeling(odd, odd_labels).to_json()
+    assert got == _validate_labeling_ref(odd, odd_labels).to_json()
+    assert [v["cube"] for v in got["violations"]] == ["low", "high"]
+    assert outcomes == {True: 3, False: 2}, outcomes
+    # A face entry that names no cube is negative, and as a list index it
+    # would read another cube's label, or none in a one-cube set.
+    lone = HDA(PrecubicalSet({"e": (1, (None,), (None,))}, {"e"}), "e")
+    labels = Labeling(EventSet(("a",)), {"e": (1,)})
+    assert hb.validate_labeling(lone, labels).to_json() == (
+        _validate_labeling_ref(lone, labels).to_json())
