@@ -11,11 +11,12 @@ decision refines a partition of the disjoint union of the two reachable
 parts until every block agrees on the blocks of its cubes' faces and lower
 cofaces; the models are bisimilar when both initial cubes end in one block.
 The refinement reads each model in place on its int view, one side per
-model, and takes one side as well as two.  It starts from forward
-classes, built per side along one sink-first order of the steps that start
-or finish an event (`core.forward_order`, each cube after the cubes one
-such step on): they split cubes by dimension, label and what can still
-happen from them, and are coarser than the result, so few rounds remain.
+model, and takes any number of sides, all labeled over one alphabet or all
+unlabeled (`_seed` checks).  It starts from forward classes, built per side
+along one sink-first order of the steps that start or finish an event
+(`core.forward_order`, each cube after the cubes one such step on): they
+split cubes by dimension, label and what can still happen from them, and
+are coarser than the result, so few rounds remain.
 Refinement only splits blocks, so when the forward classes already
 separate the initial cubes the verdict is negative without a round.
 Faces and lower cofaces of reachable cubes are reachable, so nothing
@@ -184,10 +185,11 @@ def _reached_pairs(xs: PrecubicalSet, ys: PrecubicalSet, root: Pair, cap: int,
     return sorted(seen)
 
 
-def _check_labelings(lx: Labeling | None, ly: Labeling | None) -> None:
-    if (lx is None) != (ly is None):
+def _check_labelings(*labelings: Labeling | None) -> None:
+    """Every model is labeled or none is, and all share one alphabet."""
+    if len({labeling is None for labeling in labelings}) > 1:
         raise ModelError("either both or neither model must be labeled")
-    if lx is not None and lx.events != ly.events:
+    if len({labeling.events for labeling in labelings if labeling is not None}) > 1:
         raise ModelError("mismatched event alphabets; align event order first")
 
 
@@ -229,35 +231,35 @@ def _forward_classes(hda: HDA, kinds: Sequence[int],
 
 @dataclass
 class _Seed:
-    """The forward seed of `_refine` over one or two sides.  Per side, by
+    """The forward seed of `_refine` over any number of sides.  Per side, by
     int view index: `blocks` holds the forward class of every reachable
     cube (None for the others), `masks` marks the reachable cubes, and
     `tables` holds the view's lower faces, upper faces and lower cofaces.
-    Across sides a cube is known by its side's entry in `offsets` plus its
-    view index.  `classes` interns the forward classes."""
+    `classes` interns the forward classes."""
     blocks: list[list[int | None]] = field(default_factory=list)
     masks: list[bytearray] = field(default_factory=list)
     tables: list[tuple] = field(default_factory=list)
-    offsets: list[int] = field(default_factory=list)
     classes: dict[tuple, int] = field(default_factory=dict)
 
 
 def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
     """The forward classes (`_forward_classes`) of the reachable parts of
-    one or two (hda, labeling) sides, with the tables `_refine` reads.
+    any number of (hda, labeling) sides, with the tables `_refine` reads.
 
     Each side is read in place on its own int view, which reachability
     has validated.  From a 0-cube, the reachable part of a valid
     untruncated set is face-closed: by the face identity, each lower face
     of a reachable cube is a lower coface of a reachable face of the cube
     the path came from, and each upper face is one end step away.  So a
-    truncated side, or one pointed above dimension 0, raises ModelError.
+    truncated side, or one pointed above dimension 0, raises ModelError,
+    as do sides not all labeled over one alphabet or all unlabeled
+    (`_check_labelings`, checked first).
     """
+    _check_labelings(*(labeling for _hda, labeling in sides))
     if any(hda.space.frontier for hda, _labeling in sides):
         raise ModelError("cannot decide bisimilarity of a truncated model "
                          "(non-empty frontier); use `oracle` for truncated trees")
     seed = _Seed()
-    offset = 0
     # A labeled kind, (dimension, label tuple), is interned to an int that
     # the sides share; an unlabeled kind is the dimension.
     kind_ids = collections.defaultdict(itertools.count().__next__)
@@ -272,16 +274,14 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
         seed.blocks.append(_forward_classes(hda, kinds, seed.classes))
         seed.masks.append(mask)
         seed.tables.append((view.lower, view.upper, view.cofaces))
-        seed.offsets.append(offset)
-        offset += len(mask)
     return seed
 
 
 def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
     """The coarsest stable partition of the disjoint union of the reachable
-    parts of the seed's sides: for each side, the block of every cube by int
-    view index (None for the unreachable ones), and the number of rounds
-    after the seed.  The seed's blocks are refined in place.
+    parts of the seed's sides, however many: per side, the block of every
+    cube by int view index (None for the unreachable ones), and the number
+    of rounds after the seed.  The seed's blocks are refined in place.
 
     A round splits every block by the signature (blocks of the faces, set
     of (k, block) over the lower cofaces), reading the previous round's
@@ -303,23 +303,23 @@ def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
     partition as re-signing every cube would, so the round count is that of
     naive refinement from the seed.
     """
-    blocks, masks, offsets, classes = (seed.blocks, seed.masks, seed.offsets,
-                                       seed.classes)
+    blocks, masks = seed.blocks, seed.masks
     # Per side: (blocks, lower faces, upper faces, lower cofaces).
     tables = [(blk,) + table for blk, table in zip(blocks, seed.tables)]
-    # A cube known by offset + index is on side 1 iff past the first side.
-    split = len(masks[0])
+    # Across sides cube g is offsets[s] + its view index, with s = side_of[g].
+    offsets = list(itertools.accumulate(map(len, masks), initial=0))
+    side_of = [s for s, mask in enumerate(masks) for _ in mask]
 
     def sign(g: int) -> tuple:
         """Cube g's signature: the blocks of its lower faces and of its
         upper faces, and the set of (k, block) over its lower cofaces."""
-        s = g >= split
+        s = side_of[g]
         blk, lower, upper, cofaces = tables[s]
         j = g - offsets[s]
         return (tuple([blk[f] for f in lower[j]]), tuple([blk[f] for f in upper[j]]),
                 frozenset([(k, blk[p]) for k, p in cofaces[j]]))
 
-    cyclic = {c for key, c in classes.items() if key[1] is None}
+    cyclic = {c for key, c in seed.classes.items() if key[1] is None}
     # Round 1 signs every reachable cube.  parts[b] maps each signature met
     # in block b to the cubes that have it.
     parts: dict[int, dict[tuple, list[int]]] = {}
@@ -358,7 +358,7 @@ def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
             return blocks, rounds
         if members is None:
             # Built when a round first moves a cube.
-            members = [set() for _ in classes]
+            members = [set() for _ in seed.classes]
             for (blk, lower, upper, cofaces), mask, off in zip(
                     tables, masks, offsets):
                 side: list[list[int]] = [[] for _ in mask]
@@ -376,14 +376,14 @@ def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
             members.append(set(part))
             members[b].difference_update(part)
             for g in part:
-                s = g >= split
+                s = side_of[g]
                 blocks[s][g - offsets[s]] = new
             moved.extend(part)
         rounds += 1
         dirty = {d for g in moved for d in dependents[g]}
         touched: dict[int, list[int]] = {}
         for g in dirty:
-            s = g >= split
+            s = side_of[g]
             b = blocks[s][g - offsets[s]]
             if len(members[b]) > 1:
                 touched.setdefault(b, []).append(g)
@@ -401,26 +401,26 @@ def _refine(seed: _Seed) -> tuple[list[list[int | None]], int]:
 def _decide(x_hda: HDA, y_hda: HDA,
             lx: Labeling | None, ly: Labeling | None,
             justification: str) -> BisimDecision:
-    _check_labelings(lx, ly)
     seed = _seed(((x_hda, lx), (y_hda, ly)))
     views = (x_hda.space.indexed, y_hda.space.indexed)
     root = (x_hda.initial, y_hda.initial)
-
-    def together(blocks: list[list[int | None]]) -> bool:
-        return blocks[0][views[0].pos[root[0]]] == blocks[1][views[1].pos[root[1]]]
-
+    x_at, y_at = (view.pos[c] for view, c in zip(views, root))
+    blocks = seed.blocks  # `_refine` refines them in place
     # Initial cubes the seed separates end apart, so no round is needed.
-    blocks, rounds = _refine(seed) if together(seed.blocks) else (seed.blocks, 0)
-    ok = together(blocks)
+    rounds = _refine(seed)[1] if blocks[0][x_at] == blocks[1][y_at] else 0
+    ok = blocks[0][x_at] == blocks[1][y_at]
     witness = None
     if ok:
-        members: dict[int, tuple[list[str], list[str]]] = {}
-        for side, (view, blk) in enumerate(zip(views, blocks)):
-            for c, b in zip(view.ids, blk):
-                if b is not None:
-                    members.setdefault(b, ([], []))[side].append(c)
-        witness = sorted(pair for xs, ys in members.values()
-                         for pair in itertools.product(xs, ys))
+        # A block's cubes share a dimension, so its y cubes come in id order;
+        # pairing x's cubes in id order with them yields the pairs sorted.
+        xs, ys = (zip(itertools.compress(view.ids, mask),
+                      itertools.compress(blk, mask))
+                  for view, blk, mask in zip(views, blocks, seed.masks))
+        members = collections.defaultdict(list)
+        for c, b in ys:
+            members[b].append(c)
+        witness = list(itertools.chain.from_iterable(
+            itertools.product((c,), members.get(b, ())) for c, b in sorted(xs)))
         # Independent audit of the returned witness; failure here would be
         # an engine bug, not a property of the inputs.
         problems = verify_bisim_relation(x_hda, y_hda, witness, lx, ly)
@@ -463,14 +463,10 @@ def hp_bisimilar(x_hda: HDA, y_hda: HDA,
     bisimilarity all coincide for (labeled) HDA, so the decision reduces to
     the same one-step partition refinement.
     """
-    if lx is not None or ly is not None:
-        decision = labeled_bisimilar(x_hda, lx, y_hda, ly)
-    else:
-        decision = bisimilar(x_hda, y_hda)
-    decision.justification = (
-        "hp-bisimilarity = homotopy bisimilarity = one-step bisimilarity; "
-        "decided by " + decision.justification)
-    return decision
+    labeled = "" if lx is None and ly is None else "labeled-"
+    return _decide(x_hda, y_hda, lx, ly,
+                   "hp-bisimilarity = homotopy bisimilarity = one-step "
+                   f"bisimilarity; decided by {labeled}partition-refinement")
 
 
 def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],

@@ -68,8 +68,10 @@ def _at_least(floor: int):
 _SHARED = {
     "--labeled": {"action": "store_true",
                   "help": "relate only cubes with equal event labels"},
-    "--depth": {"type": _at_least(1), "required": True},
-    "--cap": {"type": _at_least(1), "default": DEFAULT_CAP},
+    "--depth": {"type": _at_least(1), "required": True,
+                "help": "explore pointed paths of at most this many cubes"},
+    "--cap": {"type": _at_least(1), "default": DEFAULT_CAP,
+              "help": "stop with exit 3 past this bound (default %(default)s)"},
 }
 
 # name -> (help, model files, shared options, own options, validate the
@@ -294,8 +296,10 @@ def _run_oracle(args, lx: LoadedModel, ly: LoadedModel) -> dict:
           files=(), shared=("--cap",), own={
               "--events": {"required": True, "help": "comma-separated event "
                            "names; empty for the trivial torus"},
-              "--maxdim": {"type": _at_least(0), "required": True},
-              "--unfold-depth": {"type": _at_least(1)}})
+              "--maxdim": {"type": _at_least(0), "required": True,
+                           "help": "the highest dimension of a torus cube"},
+              "--unfold-depth": {"type": _at_least(1), "help": "also unfold "
+                                 "the torus, as unfold --depth does"}})
 def _run_torus(args) -> dict:
     events = EventSet(tuple(n for n in args.events.split(",") if n))
     # The torus has one cube per multiset of at most maxdim events.

@@ -1,6 +1,7 @@
 """Open maps, the partition-refinement decision, and the run-based oracle."""
 
 import functools
+import itertools
 import random
 import re
 from collections import Counter
@@ -577,19 +578,20 @@ def test_partition_refinement_agrees_with_pairwise_reference():
         assert decision.result is expected, trial
         if expected:
             positives += trial % 5 != 0
-            assert set(decision.witness) == {
-                (a, b) for a, b in alive if a in reach_x and b in reach_y}, trial
+            assert decision.witness == sorted(
+                (a, b) for a, b in alive if a in reach_x and b in reach_y), trial
     assert positives >= 400, positives  # besides the 400 self-comparisons
 
 
-def _naive_refine(x, y, lx=None, ly=None, seed=None):
-    """Naive refinement, the reference for the incremental `_refine`: initial
-    blocks by (dim, label), or by `seed[(side, cube)]` when a seed is given,
-    then every round re-signs every reachable cube by (block, face blocks,
-    set of (k, block) over the lower cofaces) until a round splits nothing.
-    Returns cube -> block for each side and the number of rounds."""
+def _naive_refine(sides, seed=None):
+    """Naive refinement of (hda, labeling) sides, the reference for the
+    incremental `_refine`: initial blocks by (dim, label), or by
+    `seed[(side, cube)]` when a seed is given, then every round re-signs
+    every reachable cube by (block, face blocks, set of (k, block) over the
+    lower cofaces) until a round splits nothing.  Returns cube -> block for
+    each side, then the number of rounds."""
     index, faces, cofaces, block, initial = [], [], [], [], {}
-    for side, (hda, labeling) in enumerate(((x, lx), (y, ly))):
+    for side, (hda, labeling) in enumerate(sides):
         space, reach = hda.space, hb.reachable(hda)
         local = {c: len(faces) + j
                  for j, c in enumerate(c for c in space.ids() if c in reach)}
@@ -617,21 +619,22 @@ def _naive_refine(x, y, lx=None, ly=None, seed=None):
         if len(signatures) == count:
             break
         count = len(signatures)
-    return ({c: block[i] for c, i in index[0].items()},
-            {c: block[i] for c, i in index[1].items()}, rounds)
+    return (*({c: block[i] for c, i in local.items()} for local in index),
+            rounds)
 
 
-def _forward_reference(x, y, lx=None, ly=None):
-    """The forward classes of `bisim._forward_classes` by another route, as
-    (side, cube) -> key.  A forward step goes to a lower coface or to an
-    upper face that truncation did not omit; the sets are valid, since
-    reachability refuses any other.  A search from each cube finds those
-    that can reach a forward cycle, keyed by dimension and label alone; the
-    others are split by naive forward-only refinement (upper-face blocks and
-    the set of (k, block) over the lower cofaces) from blocks of equal
-    dimension and label, run to a fixed point."""
+def _forward_reference(sides):
+    """The forward classes of `bisim._forward_classes` on (hda, labeling)
+    sides by another route, as (side, cube) -> key.  A forward step goes to
+    a lower coface or to an upper face that truncation did not omit; the
+    sets are valid, since reachability refuses any other.  A search from
+    each cube finds those that can reach a forward cycle, keyed by
+    dimension and label alone; the others are split by naive forward-only
+    refinement (upper-face blocks and the set of (k, block) over the lower
+    cofaces) from blocks of equal dimension and label, run to a fixed
+    point."""
     kind, ups, cofs = {}, {}, {}
-    for side, (hda, labeling) in enumerate(((x, lx), (y, ly))):
+    for side, (hda, labeling) in enumerate(sides):
         space = hda.space
         for c in hb.reachable(hda):
             dim, _lower, upper = space.row(c)
@@ -678,10 +681,11 @@ def _partition(keys):
     return {frozenset(block) for block in members.values()}
 
 
-def _blocks(blocks_x, blocks_y):
-    """A partition as a set of blocks, each a set of (side, cube)."""
+def _blocks(*side_blocks):
+    """A partition given as one cube -> block dict per side, as a set of
+    blocks, each a set of (side, cube)."""
     return _partition({(side, c): b
-                       for side, blocks in enumerate((blocks_x, blocks_y))
+                       for side, blocks in enumerate(side_blocks)
                        for c, b in blocks.items()})
 
 
@@ -741,7 +745,7 @@ def test_forward_seed_agrees_with_reference():
     for trial, (x, lx, y, ly) in enumerate(_differential_pairs() + _grid_pairs()):
         sides = ((x, lx), (y, ly))
         seed = _named(sides, _seed(sides).blocks)
-        reference = _forward_reference(x, y, lx, ly)
+        reference = _forward_reference(sides)
         cycle_cubes += sum(key[0] == "cycle" for key in reference.values())
         # Equal on the acyclic cubes, and the cubes that can reach a cycle
         # are grouped by dimension and label alone.
@@ -749,7 +753,7 @@ def test_forward_seed_agrees_with_reference():
         assert seed_blocks == _partition(reference), trial
         # The coarsest stable partition from blocks of equal dimension and
         # label refines the seed, so seeding cannot change it.
-        *final, _rounds = _naive_refine(x, y, lx, ly)
+        *final, _rounds = _naive_refine(sides)
         assert all(any(block <= part for part in seed_blocks)
                    for block in _blocks(*final)), trial
     assert cycle_cubes
@@ -788,8 +792,8 @@ def test_forward_order_releases_exactly_the_cubes_that_reach_no_cycle():
             assert all(at.get(s, len(order)) < at[j] for s in steps), trial
         left_out = {view.ids[i] for i in range(len(mask))
                     if mask[i] and i not in at}
-        cycle = {c for (side, c), key in _forward_reference(hda, hda).items()
-                 if side == 0 and key[0] == "cycle"}
+        cycle = {c for (_side, c), key in _forward_reference(((hda, None),)).items()
+                 if key[0] == "cycle"}
         assert left_out == cycle, trial
         cyclic += bool(cycle)
         if not cycle and len(view.ids) <= 100:
@@ -823,9 +827,8 @@ def test_incremental_refinement_agrees_with_naive_refinement():
     for trial, (x, lx, y, ly) in enumerate(pairs):
         sides = ((x, lx), (y, ly))
         blocks, fast_rounds = _refine(_seed(sides))
-        *naive, _naive_rounds = _naive_refine(x, y, lx, ly)
-        *seeded, seeded_rounds = _naive_refine(
-            x, y, lx, ly, _forward_reference(x, y, lx, ly))
+        *naive, _naive_rounds = _naive_refine(sides)
+        *seeded, seeded_rounds = _naive_refine(sides, _forward_reference(sides))
         assert fast_rounds == seeded_rounds, trial
         assert (_blocks(*_named(sides, blocks)) == _blocks(*naive)
                 == _blocks(*seeded)), trial
@@ -834,10 +837,15 @@ def test_incremental_refinement_agrees_with_naive_refinement():
     assert deep_rounds[:3] == [1, 1, 1] and deep_rounds[3] >= 200, deep_rounds
 
 
+def _initial_blocks(sides, blocks):
+    """The block of each side's initial cube."""
+    return [blk[hda.space.indexed.pos[hda.initial]]
+            for (hda, _labeling), blk in zip(sides, blocks)]
+
+
 def _initials_together(sides, blocks):
-    """Whether the initial cubes of both sides share a block."""
-    return len({blk[hda.space.indexed.pos[hda.initial]]
-                for (hda, _labeling), blk in zip(sides, blocks)}) == 1
+    """Whether the initial cubes of all sides share a block."""
+    return len(set(_initial_blocks(sides, blocks))) == 1
 
 
 def test_a_verdict_stopped_at_the_seed_equals_the_full_verdict():
@@ -880,6 +888,129 @@ def test_one_sided_refinement_is_half_of_refining_against_itself():
         assert len(alone) == 1
         assert (_partition(_named((side,), alone)[0]), alone_rounds) == (
             _partition(_named((side, side), both)[0]), both_rounds), trial
+
+
+@functools.cache
+def _random_unions():
+    """400 seeded unions of 1-5 models, each all labeled over one alphabet
+    or all unlabeled, cyclic and acyclic, some with stray cubes.  A side
+    often repeats an earlier side or is a bisimilar copy of one, so that
+    unions hold bisimilar sides too."""
+    from hdabisim.generators import grid_labeling
+
+    events = hb.EventSet(("a", "b", "c"))
+    rng = random.Random(0x5EED5)
+    unions = []
+    for _ in range(400):
+        sides = []
+        for _ in range(rng.randint(1, 5)):
+            draw = rng.random()
+            if sides and draw < 0.2:
+                sides.append(rng.choice(sides))
+            elif sides and draw < 0.4:
+                sides.append(_bisimilar_copy(*rng.choice(sides)))
+            else:
+                cyclic = rng.random() < 0.3
+                hda = random_hda(rng, max_cubes=12, max_dim=3, cyclic=cyclic,
+                                 stray=rng.random() < 0.3)
+                label = _torus_labeling if cyclic else grid_labeling
+                sides.append((hda, label(hda, events)))
+        if rng.random() < 0.5:
+            sides = [(hda, None) for hda, _labeling in sides]
+        unions.append(tuple(sides))
+    return unions
+
+
+def test_refinement_over_any_number_of_sides_agrees_with_pairwise_decisions():
+    """One refinement over a union equals naive refinement of the union,
+    with the rounds of naive refinement from the reference forward seed,
+    and two initial cubes share a block exactly when `hp_bisimilar` relates
+    their models."""
+    from hdabisim.bisim import _refine, _seed
+
+    verdicts, widths = Counter(), Counter()
+    for trial, sides in enumerate(_random_unions()):
+        blocks, rounds = _refine(_seed(sides))
+        *naive, _naive_rounds = _naive_refine(sides)
+        *_seeded, seeded_rounds = _naive_refine(sides, _forward_reference(sides))
+        assert (_blocks(*_named(sides, blocks)), rounds) == (
+            _blocks(*naive), seeded_rounds), trial
+        initial = _initial_blocks(sides, blocks)
+        for i, j in itertools.combinations(range(len(sides)), 2):
+            (x, lx), (y, ly) = sides[i], sides[j]
+            verdict = hb.hp_bisimilar(x, y, lx, ly).result
+            assert (initial[i] == initial[j]) is verdict, (trial, i, j)
+            verdicts[verdict] += 1
+        widths[len(sides), sides[0][1] is None] += 1
+    assert set(widths) == {(n, bare) for n in range(1, 6)
+                           for bare in (False, True)}, widths
+    assert min(verdicts[True], verdicts[False]) >= 300, verdicts
+
+
+def test_a_seed_of_many_sides_refuses_what_a_pair_refuses(fig1_left, fig3,
+                                                           ab_square):
+    """Each refusal of a two-sided decision, from a seed of three sides,
+    and the labeling checks come first."""
+    from hdabisim.bisim import _seed
+
+    square, labeling = ab_square.hda, ab_square.labeling
+    cut = truncated(random.Random(3), square)
+    above = hb.HDA(fig3.hda.space, "a")
+    cases = [
+        ([(square, None), (cut, None), (square, None)],
+         "cannot decide bisimilarity of a truncated model (non-empty "
+         "frontier); use `oracle` for truncated trees"),
+        ([(square, None), (square, None), (above, None)],
+         "initial cube 'a' is not a 0-cube"),
+        ([(square, labeling), (square, None), (square, labeling)],
+         "either both or neither model must be labeled"),
+        ([(square, labeling), (cut, labeling), (square, None)],
+         "either both or neither model must be labeled"),
+        ([(square, labeling), (square, labeling),
+          (fig1_left.hda, fig1_left.labeling)],
+         "mismatched event alphabets; align event order first"),
+    ]
+    for sides, message in cases:
+        with pytest.raises(hb.ModelError) as refused:
+            _seed(sides)
+        assert str(refused.value) == message
+
+
+def test_one_refinement_classifies_the_two_by_two_grid_family():
+    """Over the 689 models of the 2x2 grid family, one refinement equals
+    naive refinement and finds 210 unlabeled classes, and 689 labeled ones
+    (labeled grids are deterministic), in 2 rounds each; every model is
+    hp-bisimilar to the first model of its class."""
+    from hdabisim.bisim import _refine, _seed
+    from hdabisim.generators import grid_labeling
+
+    from exhaustive_families import grid_family
+
+    family = grid_family()
+    assert len(family) == 689
+    events = hb.EventSet(("a", "b"))
+    for label, classes in ((None, 210), (grid_labeling, 689)):
+        sides = [(hda, None if label is None else label(hda, events))
+                 for hda in family]
+        blocks, rounds = _refine(_seed(sides))
+        *naive, _naive_rounds = _naive_refine(sides)
+        assert _blocks(*_named(sides, blocks)) == _blocks(*naive)
+        initial = _initial_blocks(sides, blocks)
+        assert (len(set(initial)), rounds) == (classes, 2)
+        first = {}
+        for side, b in zip(sides, initial):
+            (x, lx), (y, ly) = first.setdefault(b, side), side
+            assert hb.hp_bisimilar(x, y, lx, ly).result is True
+
+
+def test_a_slice_of_grid_family_representatives_is_pairwise_apart():
+    """A seeded slice of 2,000 of the 21,945 pairs of unlabeled class
+    representatives; `tests/exhaustive_families.py` decides them all."""
+    from exhaustive_families import representatives
+
+    pairs = list(itertools.combinations(representatives(), 2))
+    sample = random.Random(0x2B2).sample(pairs, 2000)
+    assert [pair for pair in sample if hb.hp_bisimilar(*pair)] == []
 
 
 def _verify_bisim_relation_ref(x_hda, y_hda, pairs, lx=None, ly=None):

@@ -448,9 +448,9 @@ def test_refine_on_the_int_view_matches_string_interning():
             reach = _reachable_ref(x)
             assert all({*x.space.row(c)[1], *x.space.row(c)[2]} <= reach
                        for c in reach)
-            *naive, _naive_rounds = _naive_refine(x, x)
+            *naive, _naive_rounds = _naive_refine(sides)
             *_seeded, seeded_rounds = _naive_refine(
-                x, x, seed=_forward_reference(x, x))
+                sides, seed=_forward_reference(sides))
             assert (_blocks(*_named(sides, blocks)), rounds) == (
                 _blocks(*naive), seeded_rounds)
             outcomes.add("refined")
