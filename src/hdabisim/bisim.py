@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
-                   PrecubicalSet, check_total, forward_order, reachable)
+                   PrecubicalSet, _require_valid_labeling, check_total,
+                   forward_order, reachable)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
 
@@ -66,12 +67,16 @@ def open_map_check(f: PrecubicalMorphism, x_hda: HDA, y_hda: HDA) -> OpenMapResu
     new event above f(x1), some x2 above x1 maps onto y2.
 
     Frontier cubes of a truncated source carry no obligations (their
-    neighborhood is unknown).  Raises ModelError, as `check_morphism` does,
-    when the mapping is not total or names a cube the target lacks.
+    neighborhood is unknown).  Raises ModelError when `x_hda` is not over
+    ``f.source`` or `y_hda` not over ``f.target``, and, as `check_morphism`
+    does, when the mapping is not total or names a cube the target lacks.
     """
     xs, ys = f.source, f.target
+    for side, hda, space in (("source", x_hda, xs), ("target", y_hda, ys)):
+        if hda.space is not space and hda.space != space:
+            raise ModelError(f"the {side} HDA is not over the morphism's {side}")
     check_total(f)
-    for x1 in sorted(reachable(x_hda), key=lambda c: (xs.dim(c), c)):
+    for x1 in itertools.compress(xs.ids(), x_hda.reach_mask):
         if x1 in xs.frontier:
             continue
         fx1 = f.mapping[x1]
@@ -253,7 +258,9 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
     the path came from, and each upper face is one end step away.  So a
     truncated side, or one pointed above dimension 0, raises ModelError,
     as do sides not all labeled over one alphabet or all unlabeled
-    (`_check_labelings`, checked first).
+    (`_check_labelings`, checked first) and a labeling that fails
+    validation (unless `validate_labeling` already passed it, as the CLI's
+    `validate_model` does).
     """
     _check_labelings(*(labeling for _hda, labeling in sides))
     if any(hda.space.frontier for hda, _labeling in sides):
@@ -269,6 +276,8 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
         dims = view.dims
         if dims[view.pos[hda.initial]]:
             raise ModelError(f"initial cube {hda.initial!r} is not a 0-cube")
+        if labeling is not None:
+            _require_valid_labeling(hda, labeling)
         kinds = dims if labeling is None else list(map(
             kind_ids.__getitem__, zip(dims, map(labeling.assign.get, view.ids))))
         seed.blocks.append(_forward_classes(hda, kinds, seed.classes))
@@ -442,7 +451,9 @@ def bisimilar(x_hda: HDA, y_hda: HDA) -> BisimDecision:
 
     Raises ModelError when either model fails validation, has a frontier
     (a truncated tree leaves faces unknown; `hp_oracle` handles those) or
-    starts above dimension 0.
+    starts above dimension 0.  The labeled entry points also raise it when
+    the sides are not both labeled over one alphabet, or a labeling fails
+    `validate_labeling`, naming its first violation.
     """
     return _decide(x_hda, y_hda, None, None, "partition-refinement")
 
@@ -450,7 +461,8 @@ def bisimilar(x_hda: HDA, y_hda: HDA) -> BisimDecision:
 def labeled_bisimilar(x_hda: HDA, lx: Labeling,
                       y_hda: HDA, ly: Labeling) -> BisimDecision:
     """As `bisimilar`, relating only cubes that carry identical label tuples
-    over a shared alphabet."""
+    over a shared alphabet.  Raises ModelError as `bisimilar` does, and when
+    a labeling fails validation."""
     return _decide(x_hda, y_hda, lx, ly, "labeled-partition-refinement")
 
 
@@ -461,7 +473,8 @@ def hp_bisimilar(x_hda: HDA, y_hda: HDA,
 
     Hp-bisimilarity, homotopy bisimilarity, and span-of-open-maps
     bisimilarity all coincide for (labeled) HDA, so the decision reduces to
-    the same one-step partition refinement.
+    the same one-step partition refinement.  Raises ModelError as
+    `bisimilar` does, and with labels as `labeled_bisimilar` does.
     """
     labeled = "" if lx is None and ly is None else "labeled-"
     return _decide(x_hda, y_hda, lx, ly,
@@ -475,12 +488,15 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
     """Independent witness audit: re-checks membership of the initial pair,
     dimension (and label) agreement, face-closure of every pair, and both
     zig-zag conditions on reachable pairs.  Returns human-readable problems;
-    raises ModelError when either set fails validation.
+    raises ModelError when either set fails validation, or when the two
+    sides are not both labeled over one alphabet or both unlabeled
+    (`_check_labelings`).
 
     A pair is face-closed when the relation holds every pair of its faces
     of one kind, lower and then upper, each tested at once; only a pair
     that fails is read position by position, to word its problems.
     """
+    _check_labelings(lx, ly)
     xs, ys = x_hda.space, y_hda.space
     rel = set(pairs)
     problems: list[str] = []
@@ -545,9 +561,15 @@ def hp_oracle(x_hda: HDA, y_hda: HDA, depth: int,
     optimistically.  Otherwise the verdict is `inconclusive` at the given
     bound, with the surviving pairs as witness.  `cap` bounds the homotopy
     classes of each unfolding and the node pairs reached from the initial
-    pair; past it, CapExceeded is raised.
+    pair; past it, CapExceeded is raised.  Raises ModelError when either set
+    fails validation, when the sides are not both labeled over one alphabet
+    or both unlabeled, or when a labeling fails validation (unless
+    `validate_labeling` already passed it).
     """
     _check_labelings(lx, ly)
+    for hda, labeling in ((x_hda, lx), (y_hda, ly)):
+        if labeling is not None:
+            _require_valid_labeling(hda, labeling)
     ux: Unfolding = unfold(x_hda, depth, cap)
     uy: Unfolding = unfold(y_hda, depth, cap)
     xs, ys = ux.tree.space, uy.tree.space

@@ -225,6 +225,13 @@ class HDA:
         by convention."""
         return reachable_mask(self)
 
+    @functools.cached_property
+    def valid_labelings(self) -> dict[int, Labeling]:
+        """The labelings `validate_labeling` passed on this HDA, by `id`, so
+        that a decision does not check again a labeling the CLI validated.
+        Each is kept here, so its id cannot pass to another object."""
+        return {}
+
 
 @dataclass(frozen=True)
 class EventSet:
@@ -319,6 +326,18 @@ def _require_valid(space: PrecubicalSet) -> None:
     """Raise ModelError naming the set's first violation, if it has one."""
     if space._violations:
         raise ModelError(f"the set fails validation: {space._violations[0].detail}")
+
+
+def _require_valid_labeling(hda: HDA, labeling: Labeling) -> None:
+    """Raise ModelError naming the first violation of the set, else of the
+    labeling on `hda`, if there is one.  A labeling that `validate_labeling`
+    passed on `hda` is not checked again."""
+    _require_valid(hda.space)
+    if hda.valid_labelings.get(id(labeling)) is not labeling:
+        violations = validate_labeling(hda, labeling).violations
+        if violations:
+            raise ModelError(
+                f"the labeling fails validation: {violations[0].detail}")
 
 
 def _slices(dims: Sequence[int]) -> list[tuple[int, range]]:
@@ -482,7 +501,8 @@ def validate_labeling(hda: HDA, labeling: Labeling) -> ValidationReport:
 
     The d-cubes are one slice of the int view.  A slice that passes its
     column checks (`_labels_fit`) holds no violation; the others are
-    walked cube by cube, and the walk writes the report."""
+    walked cube by cube, and the walk writes the report.  A labeling that
+    passes is recorded in `hda.valid_labelings`."""
     view = hda.space.indexed
     violations: list[Violation] = []
     nevents = len(labeling.events)
@@ -532,6 +552,8 @@ def validate_labeling(hda: HDA, labeling: Labeling) -> ValidationReport:
                         f"cube {x!r}: face k={k} nu={nu} is labeled "
                         f"{list(labels[j])}, expected {list(expected)}",
                         {"k": k, "nu": nu, "face": view.ids[j]}))
+    if not violations:
+        hda.valid_labelings[id(labeling)] = labeling
     return ValidationReport(violations)
 
 

@@ -15,14 +15,10 @@ upper faces were omitted by truncation; only those may carry ``null`` inside
 ``d1``.  Unknown fields are rejected.
 
 The loader fills the ``(dim, lower, upper)`` rows that `PrecubicalSet`
-takes.  `dump_model` (and `dump_id_map`, for the unfolding's projection
-sidecar) writes the bytes that ``json.dump(model_to_dict(...), handle,
-indent=1)`` followed by a newline writes: one member per line, indented by
-one space per level, items ending in ``","`` and keys followed by ``": "``,
-empty arrays and objects as ``[]`` and ``{}``, and strings escaped to
-ASCII.  They join strings escaped by the C
-``json.encoder.encode_basestring_ascii`` instead of running ``json.dump``,
-which with ``indent`` always takes the pure-Python encoder.
+takes, from any JSON layout.  `model_to_dict` is the one definition of the
+written format: `dump_model` writes ``json.dumps`` of its dict, and
+`dump_id_map` (the unfolding's projection sidecar) of its table, each as one
+ASCII line and a newline.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping
 
@@ -231,72 +226,6 @@ def model_to_dict(hda: HDA, labeling: Labeling | None = None) -> dict:
     return out
 
 
-# The separators of ``json.dump(..., indent=1)`` at each nesting depth: an
-# item of a container at depth d starts on a new line indented by d spaces.
-_PAD = ["\n" + " " * depth for depth in range(4)]
-_CUBE = '{\n   "id": %s,\n   "dim": %s,\n   "d0": %s,\n   "d1": %s\n  }'
-
-
-def _join(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """A JSON array of encoded `items`, or with brackets ``"{}"`` an object
-    of encoded ``key: value`` items, at `depth`, laid out as with
-    ``indent=1``."""
-    if not items:
-        return brackets
-    inner = _PAD[depth + 1]
-    return (brackets[0] + inner + ("," + inner).join(items) + _PAD[depth]
-            + brackets[1])
-
-
-def _faces(faces: tuple[str | None, ...], text) -> str:
-    """A cube's face array (depth 3), its entries encoded by `text`."""
-    if not faces:
-        return "[]"
-    return "[\n    " + ",\n    ".join(map(text, faces)) + "\n   ]"
-
-
-class _Quoted(dict):
-    """Id -> its JSON text, with ``None`` -> ``null``; an id not stored yet
-    (a face outside the set) is encoded on lookup."""
-
-    def __missing__(self, cid: str) -> str:
-        return _quote(cid)
-
-
-def _model_json(hda: HDA, labeling: Labeling | None = None) -> str:
-    """``json.dumps(model_to_dict(hda, labeling), indent=1)``, built by
-    joining strings escaped by the C encoder."""
-    space = hda.space
-    rows, ids = space.rows(), space.ids()
-    quoted = _Quoted(zip(ids, map(_quote, ids)))
-    quoted[None] = "null"
-    text = quoted.__getitem__
-    cubes = []
-    for cid in ids:
-        dim, lower, upper = rows[cid]
-        cubes.append(_CUBE % (quoted[cid], dim, _faces(lower, text),
-                              _faces(upper, text)))
-    members = ['"cubes": ' + _join(cubes, 1),
-               '"initial": ' + text(hda.initial)]
-    if space.frontier:
-        members.append('"frontier": '
-                       + _join(list(map(text, sorted(space.frontier))), 1))
-    if labeling is not None:
-        assign = labeling.assign
-        members.append('"events": '
-                       + _join(list(map(_quote, labeling.events.names)), 1))
-        members.append('"labels": ' + _join(
-            [quoted[cid] + ": " + _join(list(map(str, assign[cid])), 2)
-             for cid in ids if cid in assign], 1, "{}"))
-    return _join(members, 0, "{}")
-
-
-def _id_map_json(table: Mapping[str, str]) -> str:
-    """``json.dumps(table, indent=1)`` for a map of ids to ids."""
-    return _join([_quote(k) + ": " + _quote(v) for k, v in table.items()],
-                 0, "{}")
-
-
 def _write(text: str, path: str | Path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -307,12 +236,12 @@ def _write(text: str, path: str | Path) -> None:
 
 def dump_model(hda: HDA, path: str | Path,
                labeling: Labeling | None = None) -> None:
-    """Write the model file: ``json.dump(model_to_dict(hda, labeling),
-    handle, indent=1)`` and a newline, byte for byte."""
-    _write(_model_json(hda, labeling), path)
+    """Write the model file: ``json.dumps(model_to_dict(hda, labeling))``
+    and a newline."""
+    _write(json.dumps(model_to_dict(hda, labeling)), path)
 
 
 def dump_id_map(table: Mapping[str, str], path: str | Path) -> None:
-    """Write a map of ids to ids (the unfolding's projection sidecar): the
-    bytes of ``json.dump(table, handle, indent=1)`` and a newline."""
-    _write(_id_map_json(table), path)
+    """Write a map of ids to ids (the unfolding's projection sidecar):
+    ``json.dumps(table)`` and a newline."""
+    _write(json.dumps(table), path)

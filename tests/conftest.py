@@ -39,13 +39,13 @@ def model_dict_ref(hda: hb.HDA, labeling: hb.Labeling | None = None) -> dict:
     return out
 
 
-def json_dump_ref(obj: object, path: Path) -> None:
-    """The writer that `dump_model` and the projection sidecar replaced:
-    ``json.dump(..., indent=1)``, which runs the pure-Python encoder, and a
-    newline."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=1)
-        handle.write("\n")
+def read_written_json(path: Path) -> object:
+    """The value in a file that `dump_model` or `dump_id_map` wrote, after
+    checking its layout: ASCII, one line, and a closing newline."""
+    data = path.read_bytes()
+    assert data.isascii(), path
+    assert data.endswith(b"\n") and data.count(b"\n") == 1, path
+    return json.loads(data)
 
 
 @pytest.fixture(scope="session")

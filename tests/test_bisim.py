@@ -12,7 +12,7 @@ import hdabisim as hb
 from hdabisim import PrecubicalSet, bisim, core
 from hdabisim.generators import random_hda, sub_hda
 
-from conftest import criterion_5_corpus, load, refusal, truncated
+from conftest import MODELS, criterion_5_corpus, load, refusal, truncated
 from open_map_reference import extensions, is_open, lifts, pointed_ends
 
 
@@ -138,6 +138,17 @@ def test_open_map_check_rejects_a_map_that_misses_a_cube():
                       lambda f: hb.open_map_check(f, x, y)):
             with pytest.raises(hb.ModelError, match=f"^{re.escape(message)}$"):
                 check(f)
+
+
+def test_open_map_check_refuses_models_not_over_the_map(fig1_left, fig3):
+    f = identity_morphism(fig1_left.hda)
+    again = hb.load_model(MODELS / "fig1_left.json").hda
+    assert hb.open_map_check(f, again, again).ok  # equal sets are enough
+    for x, y, side in ((fig3.hda, fig1_left.hda, "source"),
+                       (fig1_left.hda, fig3.hda, "target")):
+        message = f"the {side} HDA is not over the morphism's {side}"
+        with pytest.raises(hb.ModelError, match=f"^{re.escape(message)}$"):
+            hb.open_map_check(f, x, y)
 
 
 def test_bisimilar_figures(fig1_left, fig1_right, fig5_x, fig5_y):
@@ -976,6 +987,27 @@ def test_a_seed_of_many_sides_refuses_what_a_pair_refuses(fig1_left, fig3,
         assert str(refused.value) == message
 
 
+def test_labeled_decisions_refuse_an_invalid_labeling():
+    """A labeling that fails `validate_labeling` is refused with its first
+    violation, by the decisions and by the oracle; the empty labeling would
+    otherwise make these two squares equal."""
+    x, y = load("ab_square_abc.json"), load("ac_square_abc.json")
+    assert hb.hp_bisimilar(x.hda, y.hda, x.labeling, y.labeling).result is False
+    empty = hb.Labeling(x.labeling.events, {})
+    first = hb.validate_labeling(x.hda, empty).violations[0].detail
+    message = f"the labeling fails validation: {first}"
+    for decide in (
+            lambda: hb.labeled_bisimilar(x.hda, empty, y.hda, empty),
+            lambda: hb.hp_bisimilar(x.hda, y.hda, empty, empty),
+            lambda: hb.hp_oracle(x.hda, y.hda, 3, empty, empty)):
+        with pytest.raises(hb.ModelError, match=f"^{re.escape(message)}$"):
+            decide()
+    # A valid labeling on one side does not let an invalid one through.
+    first = hb.validate_labeling(y.hda, empty).violations[0].detail
+    with pytest.raises(hb.ModelError, match=re.escape(first)):
+        hb.hp_bisimilar(x.hda, y.hda, x.labeling, empty)
+
+
 def test_one_refinement_classifies_the_two_by_two_grid_family():
     """Over the 689 models of the 2x2 grid family, one refinement equals
     naive refinement and finds 210 unlabeled classes, and 689 labeled ones
@@ -1131,3 +1163,16 @@ def test_witness_audit_agrees_with_reference_on_corrupted_witnesses():
 
 _AUDIT_PROBLEMS = ("initial pair missing", "dimension mismatch",
                    "label mismatch", "not face-closed", "has no match")
+
+
+def test_witness_audit_refuses_labels_it_cannot_read(ab_square, fig1_left):
+    x, labeling = ab_square.hda, ab_square.labeling
+    diagonal = [(c, c) for c in x.space.ids()]
+    assert hb.verify_bisim_relation(x, x, diagonal, labeling, labeling) == []
+    for lx, ly, message in (
+            (labeling, None, "either both or neither model must be labeled"),
+            (None, labeling, "either both or neither model must be labeled"),
+            (labeling, fig1_left.labeling,
+             "mismatched event alphabets; align event order first")):
+        with pytest.raises(hb.ModelError, match=f"^{re.escape(message)}$"):
+            hb.verify_bisim_relation(x, x, diagonal, lx, ly)

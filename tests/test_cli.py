@@ -14,7 +14,7 @@ import hdabisim as hb
 from hdabisim.cli import main
 from hdabisim.generators import grid_hda
 
-from conftest import MODELS, json_dump_ref, model_dict, model_dict_ref
+from conftest import MODELS, model_dict, model_dict_ref, read_written_json
 
 
 def run(*argv):
@@ -177,9 +177,29 @@ def test_unfold_truncated_round_trip(tmp_path):
     assert code == 0
 
 
+def test_labeled_requests_validate_each_labeling_once(monkeypatch):
+    """The decisions and the oracle refuse an invalid labeling, but do not
+    validate again one that the CLI has validated."""
+    calls = []
+    validate_labeling = hb.core.validate_labeling
+
+    def counted(hda, labeling):
+        calls.append(hda)
+        return validate_labeling(hda, labeling)
+
+    monkeypatch.setattr(hb.core, "validate_labeling", counted)
+    for argv in (("hp-bisim",), ("bisim",), ("oracle", "--depth", "3")):
+        calls.clear()
+        code, _ = run(*argv, model("ab_square_abc.json"),
+                      model("ac_square_abc.json"), "--labeled")
+        assert code == 1, argv
+        assert len(calls) == 2 and calls[0] is not calls[1], argv
+
+
 def test_unfold_out_files_match_json_dump(tmp_path):
-    """`unfold --out` writes the bytes of ``json.dump(..., indent=1)`` for
-    both the tree and its projection sidecar."""
+    """`unfold --out` writes the tree and its projection sidecar as one
+    ASCII line each, parsing to the unfolding's content; the tree loads
+    back as the unfolding."""
     for name, depth in (("fig5_x.json", 4), ("fig3.json", 9),
                         ("ab_square_abc.json", 5)):
         out = tmp_path / "tree.json"
@@ -187,11 +207,14 @@ def test_unfold_out_files_match_json_dump(tmp_path):
                            "--out", str(out))
         assert code == 0
         unfolding = hb.unfold(hb.load_model(MODELS / name).hda, depth)
-        json_dump_ref(model_dict_ref(unfolding.tree), tmp_path / "ref.json")
-        json_dump_ref(unfolding.projection_table(), tmp_path / "ref-side.json")
-        assert out.read_bytes() == (tmp_path / "ref.json").read_bytes(), name
-        assert ((tmp_path / "tree.projection.json").read_bytes()
-                == (tmp_path / "ref-side.json").read_bytes()), name
+        assert read_written_json(out) == model_dict_ref(unfolding.tree), name
+        table = unfolding.projection_table()
+        side = read_written_json(tmp_path / "tree.projection.json")
+        assert side == table and list(side) == list(table), name
+        again = hb.load_model(out)
+        assert again.hda.space == unfolding.tree.space, name
+        assert again.hda.initial == unfolding.tree.initial, name
+        assert again.labeling is None, name
 
 
 def test_unfold_leaves_no_tree_when_the_sidecar_fails(tmp_path):
@@ -693,9 +716,9 @@ _DECISION_DIGESTS = {
 # that `unfold --out` writes.
 _REQUEST_DIGESTS = {
     "readme":
-        "bae58df2af793d4843d465cf241bcfb3830ef2574cc3377e79fd7e3de8a681ab",
+        "9601c6dd144319a4e92ef9d5cf6ce7717a94b0855017815b56a791898927e560",
     "readme --pretty":
-        "db4414bb77459b5a11a34cb6985b7a106491560822dab286dbf4cd09ddc8f5a7",
+        "6701f540273e24bb83df36943b41eb6e27b16842286db3661bf02c704e178db7",
     "input errors":
         "5f29aa84d7867388e2e8c40df328b315e41689b4caf958714f18cffd4a7c488d",
     "double faults":

@@ -1,4 +1,4 @@
-"""JSON model format: round trips, strictness, and the writers' bytes."""
+"""JSON model format: round trips, strictness, and what the writers write."""
 
 import hashlib
 import json
@@ -11,7 +11,7 @@ import hdabisim as hb
 from hdabisim.generators import grid_labeling, random_hda
 from hdabisim.model_io import dump_id_map
 
-from conftest import json_dump_ref, load, model_dict, model_dict_ref
+from conftest import load, model_dict, model_dict_ref, read_written_json
 
 
 def test_round_trip(tmp_path):
@@ -82,7 +82,7 @@ def test_truncated_model_round_trip(tmp_path, fig5_x):
     assert again.hda.space == tree.space
 
 
-# -- the C-escaped writers against json.dump(..., indent=1) ------------------
+# -- the writers: one ASCII line that parses to the reference content --------
 
 # Ids that JSON must escape: non-ASCII (one a surrogate pair), quotes,
 # backslashes, control characters and the line separators JavaScript
@@ -136,15 +136,21 @@ def _writer_cases():
 
 
 def test_dump_model_writes_json_dump_bytes(tmp_path):
-    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    """Every case is written as one ASCII line that parses to the reference
+    dict and loads back as the same model."""
+    out = tmp_path / "model.json"
     cases = 0
     for name, hda, labeling in _writer_cases():
-        assert hb.model_to_dict(hda, labeling) == model_dict_ref(hda, labeling), name
-        hb.dump_model(hda, ours, labeling)
-        json_dump_ref(model_dict_ref(hda, labeling), ref)
-        assert ours.read_bytes() == ref.read_bytes(), name
+        expected = model_dict_ref(hda, labeling)
+        assert hb.model_to_dict(hda, labeling) == expected, name
+        hb.dump_model(hda, out, labeling)
+        assert read_written_json(out) == expected, name
+        again = hb.load_model(out)
+        assert again.hda.space == hda.space, name
+        assert again.hda.initial == hda.initial, name
+        assert again.labeling == labeling, name
         cases += 1
-    assert cases >= 30
+    assert cases == 37
 
 
 def test_a_failed_write_is_a_model_error(tmp_path, fig3):
@@ -157,15 +163,16 @@ def test_a_failed_write_is_a_model_error(tmp_path, fig3):
 
 
 def test_projection_sidecar_writes_json_dump_bytes(tmp_path):
-    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    out = tmp_path / "side.json"
     tables = [hb.unfold(load(name).hda, depth).projection_table()
               for name, depth in (("fig5_x.json", 4), ("fig3.json", 6))]
     tables.append({x: _ODD[-1 - i] for i, x in enumerate(_ODD)})
     tables.append({})
     for table in tables:
-        dump_id_map(table, ours)
-        json_dump_ref(table, ref)
-        assert ours.read_bytes() == ref.read_bytes(), table
+        dump_id_map(table, out)
+        written = read_written_json(out)
+        assert written == table, table
+        assert list(written) == list(table), table
 
 
 def _generated_models() -> dict[str, list[tuple[hb.HDA, hb.Labeling | None]]]:
