@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (HDA, CapExceeded, Labeling, ModelError, PrecubicalMorphism,
-                   PrecubicalSet, _require_valid_labeling, check_total,
-                   forward_order, reachable)
+                   PrecubicalSet, _require_valid_model, check_total,
+                   forward_order, reachable, validate_labeling)
 from .paths import DEFAULT_CAP
 from .unfold import Unfolding, unfold
 
@@ -67,9 +67,10 @@ def open_map_check(f: PrecubicalMorphism, x_hda: HDA, y_hda: HDA) -> OpenMapResu
     new event above f(x1), some x2 above x1 maps onto y2.
 
     Frontier cubes of a truncated source carry no obligations (their
-    neighborhood is unknown).  Raises ModelError when `x_hda` is not over
-    ``f.source`` or `y_hda` not over ``f.target``, and, as `check_morphism`
-    does, when the mapping is not total or names a cube the target lacks.
+    neighborhood is unknown).  Raises ModelError when `x_hda` fails
+    validation or is not over ``f.source``, or `y_hda` not over ``f.target``,
+    and, as `check_morphism` does, when the mapping is not total or names a
+    cube the target lacks.
     """
     xs, ys = f.source, f.target
     for side, hda, space in (("source", x_hda, xs), ("target", y_hda, ys)):
@@ -198,6 +199,21 @@ def _check_labelings(*labelings: Labeling | None) -> None:
         raise ModelError("mismatched event alphabets; align event order first")
 
 
+def _require_labelings(sides: Sequence[tuple[HDA, Labeling | None]]) -> None:
+    """`_check_labelings`, then side by side the model (`_require_valid_model`)
+    and the labeling, which is looked up in `valid_labelings` when
+    `validate_labeling` passed it, else validated, naming its first fault."""
+    _check_labelings(*(labeling for _hda, labeling in sides))
+    for hda, labeling in sides:
+        _require_valid_model(hda)
+        if (labeling is not None
+                and hda.valid_labelings.get(id(labeling)) is not labeling):
+            violations = validate_labeling(hda, labeling).violations
+            if violations:
+                raise ModelError(
+                    f"the labeling fails validation: {violations[0].detail}")
+
+
 def _forward_classes(hda: HDA, kinds: Sequence[int],
                      classes: dict[tuple, int]) -> list[int | None]:
     """The forward class of every reachable cube of one side (None for the
@@ -251,18 +267,15 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
     """The forward classes (`_forward_classes`) of the reachable parts of
     any number of (hda, labeling) sides, with the tables `_refine` reads.
 
-    Each side is read in place on its own int view, which reachability
-    has validated.  From a 0-cube, the reachable part of a valid
-    untruncated set is face-closed: by the face identity, each lower face
-    of a reachable cube is a lower coface of a reachable face of the cube
-    the path came from, and each upper face is one end step away.  So a
-    truncated side, or one pointed above dimension 0, raises ModelError,
-    as do sides not all labeled over one alphabet or all unlabeled
-    (`_check_labelings`, checked first) and a labeling that fails
-    validation (unless `validate_labeling` already passed it, as the CLI's
-    `validate_model` does).
+    Each side is read in place on its own int view.  From the initial
+    0-cube of a valid model, the reachable part of an untruncated set is
+    face-closed: by the face identity, each lower face of a reachable cube
+    is a lower coface of a reachable face of the cube the path came from,
+    and each upper face is one end step away.  So the sides must pass
+    `_require_labelings`, checked first, and a truncated side raises
+    ModelError.
     """
-    _check_labelings(*(labeling for _hda, labeling in sides))
+    _require_labelings(sides)
     if any(hda.space.frontier for hda, _labeling in sides):
         raise ModelError("cannot decide bisimilarity of a truncated model "
                          "(non-empty frontier); use `oracle` for truncated trees")
@@ -272,16 +285,11 @@ def _seed(sides: Sequence[tuple[HDA, Labeling | None]]) -> _Seed:
     kind_ids = collections.defaultdict(itertools.count().__next__)
     for hda, labeling in sides:
         view = hda.space.indexed
-        mask = hda.reach_mask
         dims = view.dims
-        if dims[view.pos[hda.initial]]:
-            raise ModelError(f"initial cube {hda.initial!r} is not a 0-cube")
-        if labeling is not None:
-            _require_valid_labeling(hda, labeling)
         kinds = dims if labeling is None else list(map(
             kind_ids.__getitem__, zip(dims, map(labeling.assign.get, view.ids))))
         seed.blocks.append(_forward_classes(hda, kinds, seed.classes))
-        seed.masks.append(mask)
+        seed.masks.append(hda.reach_mask)
         seed.tables.append((view.lower, view.upper, view.cofaces))
     return seed
 
@@ -449,11 +457,11 @@ def bisimilar(x_hda: HDA, y_hda: HDA) -> BisimDecision:
     """Decide bisimilarity of finite, untruncated HDA; on success the
     witness is the greatest face-closed zig-zag relation on reachable pairs.
 
-    Raises ModelError when either model fails validation, has a frontier
-    (a truncated tree leaves faces unknown; `hp_oracle` handles those) or
-    starts above dimension 0.  The labeled entry points also raise it when
-    the sides are not both labeled over one alphabet, or a labeling fails
-    `validate_labeling`, naming its first violation.
+    Raises ModelError when either model fails `validate_model`, naming its
+    first violation, or has a frontier (a truncated tree leaves faces
+    unknown; `hp_oracle` handles those).  The labeled entry points also
+    raise it when the sides are not both labeled over one alphabet, or a
+    labeling fails `validate_labeling`, naming its first violation.
     """
     return _decide(x_hda, y_hda, None, None, "partition-refinement")
 
@@ -488,15 +496,14 @@ def verify_bisim_relation(x_hda: HDA, y_hda: HDA, pairs: list[Pair],
     """Independent witness audit: re-checks membership of the initial pair,
     dimension (and label) agreement, face-closure of every pair, and both
     zig-zag conditions on reachable pairs.  Returns human-readable problems;
-    raises ModelError when either set fails validation, or when the two
-    sides are not both labeled over one alphabet or both unlabeled
-    (`_check_labelings`).
+    raises ModelError, as the decisions do, when the models or labelings
+    fail validation or disagree (`_require_labelings`).
 
     A pair is face-closed when the relation holds every pair of its faces
     of one kind, lower and then upper, each tested at once; only a pair
     that fails is read position by position, to word its problems.
     """
-    _check_labelings(lx, ly)
+    _require_labelings(((x_hda, lx), (y_hda, ly)))
     xs, ys = x_hda.space, y_hda.space
     rel = set(pairs)
     problems: list[str] = []
@@ -561,15 +568,11 @@ def hp_oracle(x_hda: HDA, y_hda: HDA, depth: int,
     optimistically.  Otherwise the verdict is `inconclusive` at the given
     bound, with the surviving pairs as witness.  `cap` bounds the homotopy
     classes of each unfolding and the node pairs reached from the initial
-    pair; past it, CapExceeded is raised.  Raises ModelError when either set
-    fails validation, when the sides are not both labeled over one alphabet
-    or both unlabeled, or when a labeling fails validation (unless
-    `validate_labeling` already passed it).
+    pair; past it, CapExceeded is raised.  Raises ModelError, as the
+    decisions do, when the models or labelings fail validation or disagree
+    (`_require_labelings`).
     """
-    _check_labelings(lx, ly)
-    for hda, labeling in ((x_hda, lx), (y_hda, ly)):
-        if labeling is not None:
-            _require_valid_labeling(hda, labeling)
+    _require_labelings(((x_hda, lx), (y_hda, ly)))
     ux: Unfolding = unfold(x_hda, depth, cap)
     uy: Unfolding = unfold(y_hda, depth, cap)
     xs, ys = ux.tree.space, uy.tree.space

@@ -226,6 +226,26 @@ class HDA:
         return reachable_mask(self)
 
     @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        # What `validate_model` adds to the set's own violations, found on
+        # first use and kept.
+        space, x = self.space, self.initial
+        found = []
+        if not len(space):
+            found.append(Violation("empty-model", None, "model has no cubes at all"))
+        if x not in space:
+            found.append(Violation("initial-missing", x,
+                                   f"initial cube {x!r} does not exist"))
+        elif space.dim(x) != 0:
+            found.append(Violation(
+                "initial-dimension", x,
+                f"initial cube {x!r} has dimension {space.dim(x)}, expected 0"))
+        for f in sorted(c for c in space.frontier if c not in space):
+            found.append(Violation("frontier-unknown", f,
+                                   f"frontier cube {f!r} does not exist"))
+        return tuple(found)
+
+    @functools.cached_property
     def valid_labelings(self) -> dict[int, Labeling]:
         """The labelings `validate_labeling` passed on this HDA, by `id`, so
         that a decision does not check again a labeling the CLI validated.
@@ -328,16 +348,14 @@ def _require_valid(space: PrecubicalSet) -> None:
         raise ModelError(f"the set fails validation: {space._violations[0].detail}")
 
 
-def _require_valid_labeling(hda: HDA, labeling: Labeling) -> None:
-    """Raise ModelError naming the first violation of the set, else of the
-    labeling on `hda`, if there is one.  A labeling that `validate_labeling`
-    passed on `hda` is not checked again."""
+def _require_valid_model(hda: HDA) -> int:
+    """Raise ModelError naming the model's first violation, if it has one, as
+    `validate_model` orders them (a fault of the set first, worded by
+    `_require_valid`); else return the initial cube's int view index."""
     _require_valid(hda.space)
-    if hda.valid_labelings.get(id(labeling)) is not labeling:
-        violations = validate_labeling(hda, labeling).violations
-        if violations:
-            raise ModelError(
-                f"the labeling fails validation: {violations[0].detail}")
+    if hda._violations:
+        raise ModelError(hda._violations[0].detail)
+    return hda.space.indexed.pos[hda.initial]
 
 
 def _slices(dims: Sequence[int]) -> list[tuple[int, range]]:
@@ -437,24 +455,12 @@ def _precubical_violations(space: PrecubicalSet) -> tuple[Violation, ...]:
 
 
 def validate_model(hda: HDA, labeling: Labeling | None = None) -> ValidationReport:
-    """Validate an HDA: the precubical structure, the initial cube, and the
-    labeling when one is supplied."""
+    """Validate an HDA: the precubical structure, then the model (it has
+    cubes, a 0-cube of the set as initial cube and a frontier of cubes of
+    the set), then the labeling when one is supplied.  The walks refuse a
+    model with a fault of the first two kinds (`_require_valid_model`)."""
     report = validate_precubical(hda.space)
-    if not hda.space._rows:
-        report.violations.append(Violation(
-            "empty-model", None, "model has no cubes at all", {}))
-    if hda.initial not in hda.space:
-        report.violations.append(Violation(
-            "initial-missing", hda.initial,
-            f"initial cube {hda.initial!r} does not exist", {}))
-    elif hda.space.dim(hda.initial) != 0:
-        report.violations.append(Violation(
-            "initial-dimension", hda.initial,
-            f"initial cube {hda.initial!r} has dimension "
-            f"{hda.space.dim(hda.initial)}, expected 0", {}))
-    for x in sorted(c for c in hda.space.frontier if c not in hda.space):
-        report.violations.append(Violation(
-            "frontier-unknown", x, f"frontier cube {x!r} does not exist", {}))
+    report.violations.extend(hda._violations)
     if labeling is not None:
         report.violations.extend(validate_labeling(hda, labeling).violations)
     return report
@@ -597,12 +603,10 @@ def check_morphism(f: PrecubicalMorphism) -> bool:
 
 def reachable_mask(hda: HDA) -> bytearray:
     """Flags over the int view (`PrecubicalSet.indexed`): entry i is 1 iff
-    cube i is reachable from the initial cube.  Refuses an invalid set."""
-    _require_valid(hda.space)
+    cube i is reachable from the initial cube.  Raises ModelError naming the
+    first violation of a model that fails `validate_model`."""
+    start = _require_valid_model(hda)
     view = hda.space.indexed
-    start = view.pos.get(hda.initial)
-    if start is None:
-        raise ModelError(f"initial cube {hda.initial!r} does not exist")
     cofaces, upper = view.cofaces, view.upper
     seen = bytearray(len(view.ids))
     seen[start] = 1
@@ -630,7 +634,7 @@ def forward_order(hda: HDA) -> list[int]:
     once every one of its steps has been.  A cube on a forward cycle, or one
     with a step to an unreleased cube, is never released, so the reachable
     cubes left out are exactly those that can reach a forward cycle.
-    Refuses an invalid set, as `reachable_mask` does.
+    Refuses a model that fails validation, as `reachable_mask` does.
     """
     mask = hda.reach_mask
     view = hda.space.indexed
@@ -661,7 +665,8 @@ def forward_order(hda: HDA) -> list[int]:
 
 def reachable(hda: HDA) -> frozenset[str]:
     """All cubes connected to the initial cube by a pointed cube path,
-    i.e. the closure of {initial} under the step relation."""
+    i.e. the closure of {initial} under the step relation.  Refuses a model
+    that fails validation, as `reachable_mask` does."""
     return frozenset(itertools.compress(hda.space.indexed.ids, hda.reach_mask))
 
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (HDA, OMITTED, CapExceeded, CubeIndex, ModelError,
-                   PrecubicalMorphism, PrecubicalSet, Row, _require_valid)
+                   PrecubicalMorphism, PrecubicalSet, Row, _require_valid,
+                   _require_valid_model)
 
 DEFAULT_CAP = 100_000
 
@@ -534,20 +535,13 @@ def enumerate_pointed_paths(hda: HDA, max_len: int) -> Iterator[CubePath]:
     layer, which is in lex order, by each end's successors in id order
     (read from the int view) gives the next layer in lex order too.  The
     layers stop at the first length with no path, so a bound past the
-    longest path costs nothing more.  Raises ModelError when the set fails
-    validation (naming its first violation), and when the initial cube is
-    missing or not a 0-cube.
+    longest path costs nothing more.  With max_len >= 1, raises ModelError
+    naming the first violation of a model that fails `validate_model`.
     """
     if max_len < 1:
         return
-    space = hda.space
-    _require_valid(space)
-    view = space.indexed
-    start = view.pos.get(hda.initial)
-    if start is None:
-        raise ModelError(f"initial cube {hda.initial!r} does not exist")
-    if view.dims[start] != 0:
-        raise ModelError("unfolding requires a valid initial 0-cube")
+    start = _require_valid_model(hda)
+    space, view = hda.space, hda.space.indexed
     ids, successors = view.ids, _Successors(view)
     layer = [((hda.initial,), start)]
     yield CubePath._of(space, layer[0][0])

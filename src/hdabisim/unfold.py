@@ -26,8 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (HDA, OMITTED, CapExceeded, EventSet, ModelError,
-                   PrecubicalMorphism, PrecubicalSet, Row, check_morphism,
-                   forward_order, torus_cube_id)
+                   PrecubicalMorphism, PrecubicalSet, Row, _require_valid_model,
+                   check_morphism, forward_order, torus_cube_id)
 from .paths import DEFAULT_CAP, CubePath, _Quotient
 
 
@@ -90,17 +90,15 @@ class Unfolding:
 
 
 def _quotient(hda: HDA, cap: int) -> _Quotient:
-    """The homotopy quotient of the pointed paths, from the initial cube."""
-    view = hda.space.indexed
-    start = view.pos.get(hda.initial)
-    if start is None or view.dims[start] != 0:
-        raise ModelError("unfolding requires a valid initial 0-cube")
-    return _Quotient(hda.space, start, cap)
+    """The homotopy quotient of the pointed paths, from the initial cube of
+    a model that passes validation (`_require_valid_model`)."""
+    return _Quotient(hda.space, _require_valid_model(hda), cap)
 
 
 def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
     """Build the unfolding up to path length `depth` (depth >= 1); raises
-    CapExceeded past `cap` nodes."""
+    CapExceeded past `cap` nodes, and ModelError naming the first violation
+    of a model that fails `validate_model`."""
     if depth < 1:
         raise ModelError("unfolding depth must be >= 1")
     quotient = _quotient(hda, cap)
@@ -154,7 +152,8 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
 def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
     """Bounded tree check (depth >= 1): every cube reached within `depth`
     admits exactly one homotopy class of pointed cube paths of length
-    <= depth; raises CapExceeded past `cap` classes."""
+    <= depth; raises CapExceeded past `cap` classes, and ModelError as
+    `unfold` does."""
     if depth < 1:
         raise ModelError("unfolding depth must be >= 1")
     quotient = _quotient(hda, cap)
@@ -271,9 +270,9 @@ def longest_pointed_path_length(hda: HDA) -> int:
 
     Counted along `forward_order`, whose steps are those of cube paths.
     Raises ModelError when the step relation has a cycle reachable from the
-    initial cube (the supremum would be infinite), when the initial cube
-    does not exist, and when the set fails validation.  Unfolding to this
-    depth is always complete.
+    initial cube (the supremum would be infinite), and, as `reachable`
+    does, when the model fails validation.  Unfolding to this depth is
+    always complete.
     """
     view = hda.space.indexed
     cofaces, upper = view.cofaces, view.upper
@@ -291,10 +290,9 @@ def longest_pointed_path_length(hda: HDA) -> int:
 
 def is_acyclic(hda: HDA) -> bool:
     """True when no cycle of the step relation is reachable, i.e. when
-    `forward_order` releases the initial cube.  Raises ModelError when the
-    initial cube does not exist or the set fails validation."""
-    order = forward_order(hda)
-    return hda.space.indexed.pos[hda.initial] in order
+    `forward_order` releases the initial cube.  Raises ModelError as
+    `reachable` does, when the model fails validation."""
+    return _require_valid_model(hda) in forward_order(hda)
 
 
 def morphism_is_isomorphism(f: PrecubicalMorphism) -> bool:

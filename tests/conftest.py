@@ -203,6 +203,18 @@ def refusal(space: hb.PrecubicalSet) -> str:
     return f"the set fails validation: {first.detail}"
 
 
+def model_refusal(hda: hb.HDA) -> str | None:
+    """The ModelError message with which the walks refuse a model that fails
+    `validate_model` (without a labeling): a fault of the set as `refusal`
+    words it, else the model's first violation; None for a valid model."""
+    violations = hb.validate_model(hda).violations
+    if not violations:
+        return None
+    if not hb.validate_precubical(hda.space).ok:
+        return refusal(hda.space)
+    return violations[0].detail
+
+
 # JSON values that are wrong almost anywhere in a model file.
 _JUNK = (None, True, 0, -1, 2, 1.5, "", "ghost", [], {}, [None], ["ghost"],
          [1], [True], {"x": [1]})

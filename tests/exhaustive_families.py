@@ -2,10 +2,14 @@
 
 The family of the 2x2 grid is every face-closed sub-HDA of
 `grid_hda((2, 2))` whose cubes are all reachable from the corner: 689
-models in 210 unlabeled bisimilarity classes.  Tier-1
-(`tests/test_bisim.py`) pins those counts and decides a seeded slice of
-the pairs of class representatives; the test here decides all 21,945 of
-them.  Pytest does not collect this file by itself; run it with
+models in 210 unlabeled bisimilarity classes.  The oracle checks the
+decision on them exactly: the family is acyclic, so `hp_oracle` at the
+longer of the two models' longest pointed paths unfolds both completely.
+Tier-1 (`tests/test_bisim.py`) pins those counts, runs the oracle on
+every model against the first model of its class, and decides a seeded
+slice of the pairs of class representatives; the tests here decide and
+run the oracle on all 21,945 of them, and on the 689 class pairs.
+Pytest does not collect this file by itself; run it with
 
     PYTHONPATH=src python -m pytest -q tests/exhaustive_families.py
 """
@@ -19,15 +23,15 @@ from hdabisim.generators import grid_hda, sub_hda
 
 
 @functools.cache
-def grid_family(sizes=(2, 2)):
-    """Every face-closed sub-HDA of the grid of `sizes` whose cubes are all
+def grid_family():
+    """Every face-closed sub-HDA of the 2x2 grid whose cubes are all
     reachable from its corner, in a fixed order.
 
     Such a model is fixed by its cubes above dimension 0, since its other
     vertices are faces of its edges.  The cubes of each dimension are
     chosen among those whose faces were all chosen, and a choice is kept
     when a search along the grid's steps, kept inside it, reaches it all."""
-    grid = grid_hda(sizes)
+    grid = grid_hda((2, 2))
     space = grid.space
     by_dim = {}
     for c in space.ids():
@@ -61,15 +65,34 @@ def grid_family(sizes=(2, 2)):
 
 
 @functools.cache
-def representatives(sizes=(2, 2)):
-    """The first model of each unlabeled class of `grid_family(sizes)`, as
-    one refinement over the whole family finds the classes."""
-    sides = [(hda, None) for hda in grid_family(sizes)]
-    blocks, _rounds = _refine(_seed(sides))
+def class_pairs():
+    """Each model of `grid_family()`, after the first model of its
+    unlabeled class, as one refinement over the whole family finds the
+    classes."""
+    family = grid_family()
+    blocks, _rounds = _refine(_seed([(hda, None) for hda in family]))
     first = {}
-    for hda, blk in zip(grid_family(sizes), blocks):
-        first.setdefault(blk[hda.space.indexed.pos[hda.initial]], hda)
-    return tuple(first.values())
+    return tuple((first.setdefault(blk[hda.space.indexed.pos[hda.initial]], hda),
+                  hda) for hda, blk in zip(family, blocks))
+
+
+def representatives():
+    """The first model of each unlabeled class of `grid_family()`, the one
+    paired with itself."""
+    return tuple(x for x, y in class_pairs() if x is y)
+
+
+def oracle(x, y):
+    """`hp_oracle` on an acyclic pair at the longer of their longest pointed
+    paths, where both unfoldings are complete, so the verdict is exact."""
+    depth = max(map(hb.longest_pointed_path_length, (x, y)))
+    return hb.hp_oracle(x, y, depth).result
+
+
+def test_the_oracle_puts_every_model_with_its_class():
+    pairs = class_pairs()
+    assert len(pairs) == 689
+    assert [n for n, pair in enumerate(pairs) if oracle(*pair) is not True] == []
 
 
 def test_every_pair_of_grid_family_representatives_is_apart():
@@ -77,3 +100,4 @@ def test_every_pair_of_grid_family_representatives_is_apart():
     assert len(pairs) == 21945
     together = [n for n, (x, y) in enumerate(pairs) if hb.hp_bisimilar(x, y)]
     assert together == []
+    assert [n for n, pair in enumerate(pairs) if oracle(*pair) is not False] == []

@@ -972,7 +972,7 @@ def test_a_seed_of_many_sides_refuses_what_a_pair_refuses(fig1_left, fig3,
          "cannot decide bisimilarity of a truncated model (non-empty "
          "frontier); use `oracle` for truncated trees"),
         ([(square, None), (square, None), (above, None)],
-         "initial cube 'a' is not a 0-cube"),
+         "initial cube 'a' has dimension 1, expected 0"),
         ([(square, labeling), (square, None), (square, labeling)],
          "either both or neither model must be labeled"),
         ([(square, labeling), (cut, labeling), (square, None)],
@@ -989,17 +989,23 @@ def test_a_seed_of_many_sides_refuses_what_a_pair_refuses(fig1_left, fig3,
 
 def test_labeled_decisions_refuse_an_invalid_labeling():
     """A labeling that fails `validate_labeling` is refused with its first
-    violation, by the decisions and by the oracle; the empty labeling would
-    otherwise make these two squares equal."""
+    violation, by the decisions, the oracle and the witness audit; the empty
+    labeling would otherwise make these two squares equal."""
     x, y = load("ab_square_abc.json"), load("ac_square_abc.json")
     assert hb.hp_bisimilar(x.hda, y.hda, x.labeling, y.labeling).result is False
     empty = hb.Labeling(x.labeling.events, {})
     first = hb.validate_labeling(x.hda, empty).violations[0].detail
     message = f"the labeling fails validation: {first}"
+    # The unlabeled witness passes its audit unless the empty labeling is
+    # refused.
+    witness = hb.bisimilar(x.hda, y.hda).witness
+    assert hb.verify_bisim_relation(x.hda, y.hda, witness) == []
     for decide in (
             lambda: hb.labeled_bisimilar(x.hda, empty, y.hda, empty),
             lambda: hb.hp_bisimilar(x.hda, y.hda, empty, empty),
-            lambda: hb.hp_oracle(x.hda, y.hda, 3, empty, empty)):
+            lambda: hb.hp_oracle(x.hda, y.hda, 3, empty, empty),
+            lambda: hb.verify_bisim_relation(x.hda, y.hda, witness,
+                                             empty, empty)):
         with pytest.raises(hb.ModelError, match=f"^{re.escape(message)}$"):
             decide()
     # A valid labeling on one side does not let an invalid one through.
@@ -1037,12 +1043,24 @@ def test_one_refinement_classifies_the_two_by_two_grid_family():
 
 def test_a_slice_of_grid_family_representatives_is_pairwise_apart():
     """A seeded slice of 2,000 of the 21,945 pairs of unlabeled class
-    representatives; `tests/exhaustive_families.py` decides them all."""
-    from exhaustive_families import representatives
+    representatives, the first 300 of them through the exact oracle too;
+    `tests/exhaustive_families.py` decides them all."""
+    from exhaustive_families import oracle, representatives
 
     pairs = list(itertools.combinations(representatives(), 2))
     sample = random.Random(0x2B2).sample(pairs, 2000)
     assert [pair for pair in sample if hb.hp_bisimilar(*pair)] == []
+    assert [pair for pair in sample[:300] if oracle(*pair) is not False] == []
+
+
+def test_the_oracle_puts_every_grid_family_model_with_its_class():
+    """The exact oracle, at the longest pointed path of each pair, agrees
+    with the refinement's classes on all 689 models of the family."""
+    from exhaustive_families import class_pairs, oracle
+
+    pairs = class_pairs()
+    assert len(pairs) == 689 and len({id(x) for x, _y in pairs}) == 210
+    assert [pair for pair in pairs if oracle(*pair) is not True] == []
 
 
 def _verify_bisim_relation_ref(x_hda, y_hda, pairs, lx=None, ly=None):

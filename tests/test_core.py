@@ -102,6 +102,16 @@ def test_morphism_dimension_violation(fig2):
     assert not hb.check_morphism(hb.PrecubicalMorphism(space, space, collapse))
 
 
+def test_a_pointed_morphism_must_send_initial_to_initial(ab_square):
+    space = ab_square.hda.space
+    identity = {c: c for c in space}
+    for target_initial, ok in (("i", True), ("f", False)):
+        f = hb.PrecubicalMorphism(space, space, identity, pointed=True,
+                                  source_initial="i",
+                                  target_initial=target_initial)
+        assert hb.check_morphism(f) is ok
+
+
 def test_morphism_must_be_total(fig2):
     space = fig2.hda.space
     with pytest.raises(hb.ModelError):
@@ -215,11 +225,42 @@ def test_a_set_is_validated_once(monkeypatch, fig5_x, fig5_y):
     assert calls[2:] == [z.space]
 
 
-def test_the_decision_refuses_an_initial_cube_above_dimension_0(fig3):
-    hda = hb.HDA(fig3.hda.space, "a")
-    assert hb.validate_precubical(hda.space).ok
-    with pytest.raises(hb.ModelError, match="^initial cube 'a' is not a 0-cube$"):
-        hb.bisimilar(hda, hda)
+def _refusals(walks, hda):
+    """The message each walk raises ModelError with on `hda`."""
+    out = []
+    for walk in walks:
+        with pytest.raises(hb.ModelError) as caught:
+            walk(hda)
+        out.append(str(caught.value))
+    return out
+
+
+def test_the_walks_refuse_an_initial_cube_above_dimension_0(ab_square):
+    # The set is valid and the model, pointed at the edge 'a', is not: each
+    # walk refuses it in the words of `validate_model`.
+    space = ab_square.hda.space
+    hda = hb.HDA(space, "a")
+    message = "initial cube 'a' has dimension 1, expected 0"
+    assert hb.validate_precubical(space).ok
+    assert [v.detail for v in hb.validate_model(hda).violations] == [message]
+    identity = hb.PrecubicalMorphism(space, space, {c: c for c in space})
+    walks = (hb.reachable, core.forward_order, hb.is_acyclic,
+             hb.longest_pointed_path_length,
+             lambda h: hb.open_map_check(identity, h, h),
+             lambda h: hb.verify_bisim_relation(h, h, [("a", "a")]),
+             lambda h: hb.bisimilar(h, h))
+    assert _refusals(walks, hda) == [message] * len(walks)
+
+
+def test_the_walks_refuse_a_frontier_cube_the_set_lacks(ab_square):
+    # The decision names the missing cube rather than the truncation.
+    hda = hb.HDA(PrecubicalSet(dict(ab_square.hda.space.rows()), {"ghost"}),
+                 "i")
+    message = "frontier cube 'ghost' does not exist"
+    assert [v.detail for v in hb.validate_model(hda).violations] == [message]
+    walks = (hb.reachable, lambda h: hb.bisimilar(h, h),
+             lambda h: hb.unfold(h, 3))
+    assert _refusals(walks, hda) == [message] * len(walks)
 
 
 def test_reachable_isolated_initial():
@@ -294,6 +335,20 @@ def test_torus_two_events():
     assert space.by_dim(2) == ("a.a", "a.b", "b.b")
     hda = hb.HDA(space, "()")
     assert hb.validate_labeling(hda, labeling).ok
+
+
+def test_torus_refuses_a_negative_maxdim():
+    with pytest.raises(hb.ModelError, match="^maxdim must be >= 0$"):
+        hb.torus(EventSet(("a",)), -1)
+
+
+def test_event_names_are_read_at_1_based_indices():
+    events = EventSet(("a", "b"))
+    assert (events.name(1), events.name(2)) == ("a", "b")
+    for index in (0, 3, -1):
+        with pytest.raises(hb.ModelError,
+                           match=f"^event index {index} out of range$"):
+            events.name(index)
 
 
 def test_torus_empty_alphabet():

@@ -4,8 +4,11 @@ import itertools
 import math
 import random
 
+import pytest
+
 from hdabisim import HDA, EventSet, PrecubicalSet, model_to_dict, torus_hda
-from hdabisim.generators import _face_closure, grid_hda, random_hda, sub_hda
+from hdabisim.generators import (_face_closure, grid_hda, grid_labeling,
+                                 random_hda, sub_hda)
 
 
 # -- reference: the generator before the grid memo ----------------------------
@@ -93,3 +96,12 @@ def test_random_hda_draws_are_unchanged():
         got = model_to_dict(random_hda(new, **kwargs))
         assert got == model_to_dict(_random_hda_ref(ref, **kwargs)), (trial, kwargs)
         assert new.getstate() == ref.getstate(), (trial, kwargs)
+
+
+def test_grid_labeling_refuses_a_non_grid_model_and_too_few_events():
+    torus = torus_hda(EventSet(("a",)), 1)[0]
+    with pytest.raises(ValueError, match=r"^'\(\)' is not a grid cell id$"):
+        grid_labeling(torus, EventSet(("a",)))
+    with pytest.raises(ValueError,
+                       match="^not enough events for the grid's axes$"):
+        grid_labeling(grid_hda((1, 1, 1)), EventSet(("a", "b")))

@@ -21,7 +21,7 @@ from hdabisim import (HDA, EventSet, Labeling, LoadedModel, ModelError,
 from hdabisim.generators import grid_labeling, random_hda
 from hdabisim.model_io import _CUBE_FIELDS, _MODEL_FIELDS
 
-from conftest import MODELS, model_dict, mutate_model_dict, refusal
+from conftest import MODELS, model_dict, model_refusal, mutate_model_dict
 from test_bisim import (_blocks, _forward_reference, _naive_refine, _named,
                         _torus_labeling)
 
@@ -379,9 +379,9 @@ def test_indexed_core_agrees_with_string_walks():
             got_labels = hb.validate_labeling(x, lx).to_json()
             assert got_labels == _validate_labeling_ref(x, lx).to_json()
             reach = _outcome(hb.reachable, x)
-            if got["violations"]:
-                # The walk refuses the set before it reads a face.
-                assert reach == ("error", refusal(x.space))
+            if not hb.validate_model(x).ok:
+                # The walk refuses the model before it reads a face.
+                assert reach == ("error", model_refusal(x))
                 refused += 1
             else:
                 assert reach == _outcome(_reachable_ref, x)
@@ -411,19 +411,24 @@ def test_reachable_names_the_first_violation_not_the_first_face_popped():
 
 
 def _seed_error_ref(hda):
-    """The error `_seed` raises on `hda` against itself, or None: a frontier
-    refuses the model, a violation the set, then the initial cube must be a
-    0-cube of the set."""
-    if hda.space.frontier:
-        return ("cannot decide bisimilarity of a truncated model (non-empty "
-                "frontier); use `oracle` for truncated trees")
+    """The error `_seed` raises on `hda` against itself, or None: a
+    violation refuses the set, then the initial cube must be a 0-cube of the
+    set and every frontier cube a cube of it, then a frontier refuses the
+    truncated model."""
     violations = _validate_precubical_ref(hda.space).violations
     if violations:
         return f"the set fails validation: {violations[0].detail}"
-    if hda.initial not in hda.space:
-        return f"initial cube {hda.initial!r} does not exist"
-    if hda.space.dim(hda.initial):
-        return f"initial cube {hda.initial!r} is not a 0-cube"
+    space, x = hda.space, hda.initial
+    if x not in space:
+        return f"initial cube {x!r} does not exist"
+    if space.dim(x):
+        return f"initial cube {x!r} has dimension {space.dim(x)}, expected 0"
+    ghosts = sorted(c for c in space.frontier if c not in space)
+    if ghosts:
+        return f"frontier cube {ghosts[0]!r} does not exist"
+    if space.frontier:
+        return ("cannot decide bisimilarity of a truncated model (non-empty "
+                "frontier); use `oracle` for truncated trees")
     return None
 
 

@@ -31,6 +31,12 @@ def test_unknown_model_field_rejected():
         hb.model_from_dict(data)
 
 
+def test_a_model_must_be_an_object():
+    for data in ([], "cubes", None, 1):
+        with pytest.raises(hb.ModelError, match="^model must be a JSON object$"):
+            hb.model_from_dict(data)
+
+
 def test_unknown_cube_field_rejected():
     data = model_dict("fig2_square.json")
     data["cubes"][0]["color"] = "red"

@@ -94,6 +94,15 @@ def test_homotopy_needs_equal_endpoints(fig3):
     assert hb.are_homotopic(rho, different_end) is False
 
 
+def test_homotopy_refuses_paths_in_two_spaces(fig3):
+    # An equal copy of the set is another space.
+    copy = PrecubicalSet(dict(fig3.hda.space.rows()))
+    rho, sigma = (CubePath(space, FIG3_PATH) for space in (fig3.hda.space, copy))
+    with pytest.raises(ModelError,
+                       match="^homotopy requires paths in the same space$"):
+        hb.are_homotopic(rho, sigma)
+
+
 def test_homotopy_cap_counts_classes(fig3):
     # Every length from 1 to 8 has a class of the paths from i, so deciding
     # builds at least 8 classes and passes a cap of 2.
@@ -368,22 +377,35 @@ def test_enumerate_pointed_paths_fig1(fig1_left):
 
 
 def test_enumerate_rejects_a_positive_initial_cube_and_a_skipped_dimension():
-    # An initial edge fails as `unfold` fails on it; a square whose faces
+    # An initial edge, or an initial cube the set lacks, fails as `unfold`
+    # fails on it, in the words of `validate_model`; a square whose faces
     # are vertices fails validation, so the enumeration refuses its set
     # before it walks, as every int walk does.
     rows = {"v": (0, (), ()), "w": (0, (), ()), "e": (1, ("v",), ("w",))}
-    edge = hb.HDA(PrecubicalSet(rows), "e")
-    for call in (lambda: list(hb.enumerate_pointed_paths(edge, 3)),
-                 lambda: hb.unfold(edge, 3)):
-        with pytest.raises(hb.ModelError,
-                           match="^unfolding requires a valid initial 0-cube$"):
-            call()
+    for initial, message in (
+            ("e", "initial cube 'e' has dimension 1, expected 0"),
+            ("nope", "initial cube 'nope' does not exist")):
+        hda = hb.HDA(PrecubicalSet(rows), initial)
+        assert hb.validate_model(hda).violations[0].detail == message
+        for call in (lambda: list(hb.enumerate_pointed_paths(hda, 3)),
+                     lambda: hb.unfold(hda, 3)):
+            with pytest.raises(hb.ModelError) as caught:
+                call()
+            assert str(caught.value) == message
     skip = hb.HDA(PrecubicalSet({**rows, "s": (2, ("v", "v"), ("w", "w"))}),
                   "v")
     with pytest.raises(hb.ModelError) as caught:
         list(hb.enumerate_pointed_paths(skip, 3))
     assert str(caught.value) == refusal(skip.space)
     assert "cube 's'" in str(caught.value)
+
+
+def test_enumerate_yields_nothing_below_length_1(fig1_left):
+    # Nothing is read, so not even a model that fails validation is refused.
+    ghost = hb.HDA(fig1_left.hda.space, "ghost")
+    for hda in (fig1_left.hda, ghost):
+        for max_len in (0, -2):
+            assert list(hb.enumerate_pointed_paths(hda, max_len)) == []
 
 
 def test_enumerate_order_is_deterministic(fig1_left):

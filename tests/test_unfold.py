@@ -211,6 +211,17 @@ def test_is_tree_requires_a_positive_depth(fig1_right):
             hb.is_tree(fig1_right.hda, depth)
 
 
+def test_unfoldings_refuse_a_depth_below_1_and_a_negative_maxdim(fig1_right):
+    events = EventSet(("a", "b"))
+    for depth in (0, -3):
+        with pytest.raises(hb.ModelError, match="^unfolding depth must be >= 1$"):
+            hb.unfold(fig1_right.hda, depth)
+        with pytest.raises(hb.ModelError, match="^depth must be >= 1$"):
+            hb.torus_unfolding(events, depth)
+    with pytest.raises(hb.ModelError, match="^maxdim must be >= 0$"):
+        hb.torus_unfolding(events, 3, maxdim=-1)
+
+
 def test_prefix_projections_stay_in_their_class(fig1_left):
     unfolding = hb.unfold(fig1_left.hda, 5)
     tree = unfolding.tree
