@@ -62,22 +62,18 @@ class OpenMapResult:
         return {"result": self.ok, "counterexample": ce}
 
 
-def open_map_check(f: PrecubicalMorphism, x_hda: HDA, y_hda: HDA) -> OpenMapResult:
-    """Zig-zag lifting check: for every reachable x1 and every y2 starting a
-    new event above f(x1), some x2 above x1 maps onto y2.
+def open_map_check(f: PrecubicalMorphism) -> OpenMapResult:
+    """Zig-zag lifting check: for every x1 reachable in ``f.source`` and every
+    y2 starting a new event above f(x1), some x2 above x1 maps onto y2.
 
     Frontier cubes of a truncated source carry no obligations (their
-    neighborhood is unknown).  Raises ModelError when `x_hda` fails
-    validation or is not over ``f.source``, or `y_hda` not over ``f.target``,
-    and, as `check_morphism` does, when the mapping is not total or names a
-    cube the target lacks.
+    neighborhood is unknown).  Raises ModelError, as `check_morphism` does,
+    when the mapping is not total or names a cube the target lacks, and
+    when the source fails validation.
     """
-    xs, ys = f.source, f.target
-    for side, hda, space in (("source", x_hda, xs), ("target", y_hda, ys)):
-        if hda.space is not space and hda.space != space:
-            raise ModelError(f"the {side} HDA is not over the morphism's {side}")
+    xs, ys = f.source.space, f.target.space
     check_total(f)
-    for x1 in itertools.compress(xs.ids(), x_hda.reach_mask):
+    for x1 in itertools.compress(xs.ids(), f.source.reach_mask):
         if x1 in xs.frontier:
             continue
         fx1 = f.mapping[x1]

@@ -262,12 +262,10 @@ def _run_open_map(args, lx: LoadedModel, ly: LoadedModel) -> dict:
     if not isinstance(raw, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in raw.items()):
         raise ModelError("map file must be a JSON object of cube ids")
-    morphism = PrecubicalMorphism(
-        lx.hda.space, ly.hda.space, raw, pointed=True,
-        source_initial=lx.hda.initial, target_initial=ly.hda.initial)
+    morphism = PrecubicalMorphism(lx.hda, ly.hda, raw)
     if not check_morphism(morphism):
         raise ModelError("the map is not a pointed precubical morphism")
-    return open_map_check(morphism, lx.hda, ly.hda).to_json()
+    return open_map_check(morphism).to_json()
 
 
 @_command("bisim", "decide (hp-)bisimilarity of two models", files=_XY,

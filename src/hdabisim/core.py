@@ -291,14 +291,13 @@ class Labeling:
 
 @dataclass(frozen=True)
 class PrecubicalMorphism:
-    """A dimension-preserving cube map commuting with all face maps."""
+    """A cube map between two HDA, pointed as the open maps of Joyal, Nielsen
+    and Winskel are: a morphism when it preserves dimensions, commutes with
+    all face maps and sends initial cube to initial cube (`check_morphism`)."""
 
-    source: PrecubicalSet
-    target: PrecubicalSet
+    source: HDA
+    target: HDA
     mapping: Mapping[str, str]
-    pointed: bool = False
-    source_initial: str | None = None
-    target_initial: str | None = None
 
 
 @dataclass(frozen=True)
@@ -565,22 +564,23 @@ def validate_labeling(hda: HDA, labeling: Labeling) -> ValidationReport:
 
 def check_total(f: PrecubicalMorphism) -> None:
     """Raise ModelError unless f maps every source cube to a target cube."""
-    for x in f.source.ids():
+    target = f.target.space
+    for x in f.source.space.ids():
         if x not in f.mapping:
             raise ModelError(f"morphism is not total: {x!r} unmapped")
-        if f.mapping[x] not in f.target:
+        if f.mapping[x] not in target:
             raise ModelError(f"morphism maps {x!r} to unknown cube {f.mapping[x]!r}")
 
 
 def check_morphism(f: PrecubicalMorphism) -> bool:
     """True iff f preserves dimensions, commutes with every face map, and
-    (when pointed) sends the initial cube to the initial cube.
+    sends the source's initial cube to the target's.
 
     Raises ModelError when the mapping is not total on the source or maps
     into unknown target cubes (`check_total`).  Face equations whose source
     face was omitted by truncation are skipped.
     """
-    src, tgt = f.source, f.target
+    src, tgt = f.source.space, f.target.space
     check_total(f)
     for x in src.ids():
         fx = f.mapping[x]
@@ -589,16 +589,9 @@ def check_morphism(f: PrecubicalMorphism) -> bool:
         for nu in (0, 1):
             for k in range(1, src.dim(x) + 1):
                 face = src.face(x, k, nu)
-                if face is None:
-                    continue
-                if f.mapping.get(face) != tgt.face(fx, k, nu):
+                if face is not None and f.mapping.get(face) != tgt.face(fx, k, nu):
                     return False
-    if f.pointed:
-        if f.source_initial is None or f.target_initial is None:
-            raise ModelError("pointed morphism is missing initial cubes")
-        if f.mapping.get(f.source_initial) != f.target_initial:
-            return False
-    return True
+    return f.mapping.get(f.source.initial) == f.target.initial
 
 
 def reachable_mask(hda: HDA) -> bytearray:
@@ -671,15 +664,19 @@ def reachable(hda: HDA) -> frozenset[str]:
 
 
 def torus_cube_id(names: tuple[str, ...]) -> str:
+    """The id of the torus cube labeled `names`, joined by "."; "()" if none."""
     return ".".join(names) if names else "()"
 
 
 def torus(events: EventSet, maxdim: int) -> tuple[PrecubicalSet, Labeling]:
     """The event torus truncated at ``maxdim``: its n-cubes are the sorted
     n-tuples over the alphabet and the k-th face (either kind) deletes the
-    k-th entry.  The labeling is the identity assignment."""
+    k-th entry.  The labeling is the identity assignment.  An event named
+    like the vertex would give its edge the vertex's id, so it is refused."""
     if maxdim < 0:
         raise ModelError("maxdim must be >= 0")
+    if (vertex := torus_cube_id(())) in events.names:
+        raise ModelError(f"event name {vertex!r} is the id of the torus vertex")
     rows: dict[str, Row] = {}
     assign: dict[str, tuple[int, ...]] = {}
     indices = range(1, len(events) + 1)

@@ -117,6 +117,9 @@ def _is_label(tup: object) -> bool:
 
 
 def model_from_dict(data: object) -> LoadedModel:
+    """The model and its labeling (None without ``events``) that a decoded
+    model file describes.  Raises ModelError naming the first field or
+    entry that breaks the format; the model itself is not validated."""
     if not isinstance(data, dict):
         raise ModelError("model must be a JSON object")
     unknown = set(data) - _MODEL_FIELDS
@@ -194,6 +197,7 @@ def model_from_dict(data: object) -> LoadedModel:
 
 
 def load_model(path: str | Path) -> LoadedModel:
+    """`model_from_dict` of a model file's JSON; ModelError if unreadable."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -206,6 +210,9 @@ def load_model(path: str | Path) -> LoadedModel:
 
 
 def model_to_dict(hda: HDA, labeling: Labeling | None = None) -> dict:
+    """The model file's dict: cubes in (dimension, id) order, then the
+    initial cube, the sorted frontier when there is one, and with a
+    labeling its events and the labels of the cubes it labels."""
     space = hda.space
     rows = space.rows()
     out: dict = {

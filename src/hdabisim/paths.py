@@ -146,7 +146,8 @@ def is_cube_path(space: PrecubicalSet, seq: tuple[str, ...] | list[str]) -> Path
 
 
 def path_object(rho: CubePath) -> PrecubicalMorphism:
-    """The path object P_rho of a path from a 0-cube, with its morphism.
+    """The path object P_rho of a path from a 0-cube, as its morphism onto
+    the path's space pointed at the path's start, ``HDA(space, rho.start)``.
 
     P_rho glues one standard cube per entry along the steps `is_cube_path`
     reports (the least k on a self-linked step): a start x_i = d0_k x_{i+1}
@@ -197,8 +198,8 @@ def path_object(rho: CubePath) -> PrecubicalMorphism:
                 if cube not in space:
                     raise ModelError(f"face {w!r} of {seq[i]!r} names no cube")
         mapping[cid] = cube
-    return PrecubicalMorphism(PrecubicalSet(rows), space, mapping, pointed=True,
-                              source_initial="0:", target_initial=seq[0])
+    return PrecubicalMorphism(HDA(PrecubicalSet(rows), "0:"), HDA(space, seq[0]),
+                              mapping)
 
 
 def _indices(view: CubeIndex, seq: tuple[str, ...]) -> tuple[int, ...]:

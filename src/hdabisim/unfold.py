@@ -36,6 +36,7 @@ class DepthExceeded(ValueError):
 
 
 def node_id_of(rep: tuple[str, ...]) -> str:
+    """The id of the tree node whose representative is `rep`, joined by "/"."""
     return "/".join(rep)
 
 
@@ -51,24 +52,31 @@ class UnfoldNode:
         return len(self.rep)
 
 
+@dataclass(eq=False)
 class Unfolding:
-    """The truncated unfolding of an HDA with its projection morphism.
+    """The truncated unfolding of an HDA as its projection morphism, from
+    the tree (`tree`, the projection's source) to the unfolded model
+    (`base`, its target).
 
     `children` maps (node id, base cube y) to the node of the node's paths
     extended by y, for every extension within the depth bound.
     """
 
-    def __init__(self, base: HDA, depth: int, tree: HDA,
-                 projection: PrecubicalMorphism,
-                 nodes: dict[str, UnfoldNode], cap: int,
-                 children: dict[tuple[str, str], str]):
-        self.base = base
-        self.depth = depth
-        self.tree = tree
-        self.projection = projection
-        self.nodes = nodes
-        self.cap = cap
-        self.children = children
+    depth: int
+    projection: PrecubicalMorphism
+    nodes: dict[str, UnfoldNode]
+    cap: int
+    children: dict[tuple[str, str], str]
+
+    @property
+    def tree(self) -> HDA:
+        """The tree of homotopy classes, pointed at the root."""
+        return self.projection.source
+
+    @property
+    def base(self) -> HDA:
+        """The unfolded model."""
+        return self.projection.target
 
     @property
     def frontier(self) -> frozenset[str]:
@@ -137,16 +145,13 @@ def unfold(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> Unfolding:
                 "cube ids containing '/' cannot be unfolded")
         rows[ids[c]] = (n, tuple(faces), ups)
 
-    tree_space = PrecubicalSet(rows, frontier)
-    tree = HDA(tree_space, ids[0])
     projection = PrecubicalMorphism(
-        source=tree_space, target=hda.space,
-        mapping={ids[c]: paths[c][-1] for c in order},
-        pointed=True, source_initial=ids[0], target_initial=hda.initial)
+        HDA(PrecubicalSet(rows, frontier), ids[0]), hda,
+        {ids[c]: paths[c][-1] for c in order})
     nodes = {ids[c]: UnfoldNode(paths[c], dims[reps[c][-1]]) for c in order}
     children = {(ids[c], names[y]): ids[d]
                 for (c, y), d in quotient.child.items()}
-    return Unfolding(hda, depth, tree, projection, nodes, cap, children)
+    return Unfolding(depth, projection, nodes, cap, children)
 
 
 def is_tree(hda: HDA, depth: int, cap: int = DEFAULT_CAP) -> bool:
@@ -299,17 +304,10 @@ def morphism_is_isomorphism(f: PrecubicalMorphism) -> bool:
     """True iff f is a bijective morphism whose inverse also matches the
     omitted-face pattern.  A mapping that misses a source cube or names a
     cube the target lacks is no isomorphism, so it gives False."""
-    n, mapping = len(f.source), f.mapping
-    if len(mapping) != n or len(f.target) != n or len(set(mapping.values())) != n:
+    src, tgt, mapping = f.source.space, f.target.space, f.mapping
+    if not (len(src) == len(mapping) == len(tgt) == len(set(mapping.values()))
+            and all(x in mapping for x in src.ids())
+            and all(y in tgt for y in mapping.values()) and check_morphism(f)):
         return False
-    if not (all(x in mapping for x in f.source.ids())
-            and all(y in f.target for y in mapping.values())):
-        return False
-    if not check_morphism(f):
-        return False
-    for x in f.source.ids():
-        fx = f.mapping[x]
-        for k in range(1, f.source.dim(x) + 1):
-            if (f.source.upper(x, k) is None) != (f.target.upper(fx, k) is None):
-                return False
-    return True
+    return all((src.upper(x, k) is None) == (tgt.upper(mapping[x], k) is None)
+               for x in src.ids() for k in range(1, src.dim(x) + 1))

@@ -132,9 +132,7 @@ def torus_closed_form_map(events: hb.EventSet, depth: int,
                f"@{2 * len(started) - node.dim}")
         mapping[nid] = (f"{key}:{hb.torus_cube_id(tuple(started))}"
                         if started else key)
-    return hb.PrecubicalMorphism(
-        unfolding.tree.space, closed.space, mapping, pointed=True,
-        source_initial=unfolding.tree.initial, target_initial=closed.initial)
+    return hb.PrecubicalMorphism(unfolding.tree, closed, mapping)
 
 
 def criterion_5_corpus() -> list[tuple]:

@@ -39,8 +39,8 @@ def lift_step(f: PrecubicalMorphism, x: str, step: Step) -> list[str]:
     """The cubes one step after x, of the step's kind and k, that f maps
     onto the step's cube."""
     kind, k, y = step
-    after = (f.source.cofaces_lower_at(x, k) if kind == "start"
-             else (f.source.upper(x, k),))
+    xs = f.source.space
+    after = xs.cofaces_lower_at(x, k) if kind == "start" else (xs.upper(x, k),)
     return [x2 for x2 in after if x2 is not None and f.mapping[x2] == y]
 
 
@@ -48,7 +48,7 @@ def lifts(f: PrecubicalMorphism, x: str,
           steps: tuple[Step, ...]) -> Iterator[tuple[str, ...]]:
     """Every lift of `steps` from x, as the cubes after x; a lift stops at a
     frontier cube."""
-    if not steps or x in f.source.frontier:
+    if not steps or x in f.source.space.frontier:
         yield ()
         return
     for x2 in lift_step(f, x, steps[0]):
@@ -77,20 +77,21 @@ def pointed_ends(hda: HDA, depth: int) -> Iterator[tuple[int, set[str]]]:
         length += 1
 
 
-def is_open(f: PrecubicalMorphism, x_hda: HDA, depth: int) -> bool:
+def is_open(f: PrecubicalMorphism, depth: int) -> bool:
     """Whether every extension, within `depth`, of the image of every
-    pointed path of X within `depth` lifts to an extension of the path.
+    pointed path of X = ``f.source`` within `depth` lifts to an extension
+    of the path.
 
     The search follows sigma one step at a time with the set of cubes that
     end a lift of sigma so far, so sigmas that share a prefix share its
     lifts; a (cube, lift ends, steps left) already shown to lift every
     extension is not searched again."""
-    frontier, lifted = f.source.frontier, set()
+    frontier, lifted = f.source.space.frontier, set()
 
     def every_extension_lifts(y: str, ends: frozenset[str], left: int) -> bool:
         if not left or ends & frontier or (y, ends, left) in lifted:
             return True
-        for step in steps_from(f.target, y):
+        for step in steps_from(f.target.space, y):
             nxt = frozenset(x2 for x in ends for x2 in lift_step(f, x, step))
             if not nxt or not every_extension_lifts(step[2], nxt, left - 1):
                 return False
@@ -99,4 +100,4 @@ def is_open(f: PrecubicalMorphism, x_hda: HDA, depth: int) -> bool:
 
     return all(every_extension_lifts(f.mapping[x], frozenset((x,)),
                                      depth - length)
-               for length, ends in pointed_ends(x_hda, depth) for x in ends)
+               for length, ends in pointed_ends(f.source, depth) for x in ends)

@@ -135,7 +135,7 @@ def test_criterion_4_unfolding_correctness():
                 violations.append((idx, "tree property fails"))
             if not hb.check_morphism(unfolding.projection):
                 violations.append((idx, "projection is not a pointed morphism"))
-            if not hb.open_map_check(unfolding.projection, unfolding.tree, hda).ok:
+            if not hb.open_map_check(unfolding.projection).ok:
                 violations.append((idx, "projection is not open"))
         # Tree inputs: the projection of their unfolding is an isomorphism.
         for idx, hda in enumerate(corpus[:8]):
@@ -203,7 +203,8 @@ def test_criterion_7_torus_unfolding():
                 f = torus_closed_form_map(events, depth)
                 if not hb.morphism_is_isomorphism(f):
                     violations.append((names, depth, "not isomorphic"))
-                if {f.mapping[c] for c in f.source.frontier} != f.target.frontier:
+                if ({f.mapping[c] for c in f.source.space.frontier}
+                        != f.target.space.frontier):
                     violations.append((names, depth, "frontier differs"))
             # Collapse: the key is (end, started events), not (end, length),
             # since after a+a- and after b+b- are different histories.

@@ -482,6 +482,13 @@ def test_torus_empty_alphabet():
     assert [c["id"] for c in report["torus"]["cubes"]] == ["()"]
 
 
+def test_torus_refuses_an_event_named_like_its_vertex():
+    code, report = run_json("torus", "--events", "()", "--maxdim", "1")
+    assert (code, report) == (2, {
+        "result": "error",
+        "error": "event name '()' is the id of the torus vertex"})
+
+
 def test_fan_rejects_unpointed_path():
     code, _ = run_json("fan", model("fig3.json"), "--path", "a,x")
     assert code == 2

@@ -315,12 +315,13 @@ def test_path_object_is_a_track_the_search_accepts():
                 EventSet(tuple("abc"[:rng.randint(1, 3)])), rng.randint(1, 3))
         rho = random_pointed_path(rng, hda, 7)
         f = hb.path_object(rho)
-        assert f.source_initial == "0:" and f.target_initial == rho.start
-        assert hb.validate_precubical(f.source).ok, rho
+        assert f.source.initial == "0:"
+        assert f.target == hb.HDA(hda.space, rho.start)
+        assert hb.validate_precubical(f.source.space).ok, rho
         assert hb.check_morphism(f), rho
-        found = is_path_object(f.source)
+        found = is_path_object(f.source.space)
         assert found.ok, (rho, found.reason)
-        back = hb.path_object(CubePath(f.source, found.rep))
+        back = hb.path_object(CubePath(f.source.space, found.rep))
         assert hb.morphism_is_isomorphism(back), (rho, found.rep)
 
 
@@ -340,8 +341,8 @@ def test_path_object_glues_a_self_linked_step_at_the_least_k():
     # the k that is_cube_path reports, so face 2 stays a cube of its own.
     torus, _lab = hb.torus_hda(EventSet(("a",)), 2)
     f = hb.path_object(CubePath(torus.space, ("()", "a", "a.a")))
-    assert f.source.row("2:**") == (2, ("1:*", "2:*0"), ("2:1*", "2:*1"))
-    assert len(f.source) == 9 and f.mapping["2:*0"] == "a"
+    assert f.source.space.row("2:**") == (2, ("1:*", "2:*0"), ("2:1*", "2:*1"))
+    assert len(f.source.space) == 9 and f.mapping["2:*0"] == "a"
 
 
 def test_path_object_rejects_what_is_not_a_pointed_track(fig3, fig1_left):

@@ -311,9 +311,10 @@ def _assert_closed_form(events, depth, maxdim=None):
     the closed form is an isomorphism that keeps the frontier."""
     f = torus_closed_form_map(events, depth, maxdim)
     case = (events.names, maxdim, depth)
-    assert hb.validate_precubical(f.target).ok, case
+    assert hb.validate_model(f.target).ok, case
     assert hb.morphism_is_isomorphism(f), case
-    assert {f.mapping[c] for c in f.source.frontier} == f.target.frontier, case
+    assert ({f.mapping[c] for c in f.source.space.frontier}
+            == f.target.space.frontier), case
 
 
 def test_torus_unfolding_matches_unfold_single_event():
@@ -494,9 +495,8 @@ def test_torus_unfolding_deep_ordered_histories():
 
 
 def _iso_case(source, target, mapping):
-    return hb.PrecubicalMorphism(
-        PrecubicalSet(source), PrecubicalSet(target), mapping, pointed=True,
-        source_initial="v0", target_initial="u0")
+    return hb.PrecubicalMorphism(hb.HDA(PrecubicalSet(source), "v0"),
+                                 hb.HDA(PrecubicalSet(target), "u0"), mapping)
 
 
 def _points(*ids):
